@@ -61,10 +61,6 @@ class LinearizationOperator:
     n: int
     s: int
 
-    @property
-    def block_widths(self) -> tuple[int, int, int, int]:
-        return (self.n * self.m, self.m, self.n * self.s, self.s)
-
 
 def _check_candidate(problem: IlseProblem, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
@@ -176,16 +172,6 @@ def min_norm_perturbation(
     return Q @ wvec
 
 
-def linearization_pinv_norm(
-    problem: IlseProblem, y: np.ndarray, xi: np.ndarray, w: WeightScheme
-) -> float:
-    """tau(xi) = 1 / sigma_min(J(xi)), the pseudoinverse norm of J."""
-    op = linearization_matrix(problem, y, xi, w)
-    _, _, svals = _min_norm_factor(op.J)
-    _require_full_row_rank(svals)
-    return float(1.0 / svals[-1])
-
-
 def least_squares_multiplier(problem: IlseProblem, y: np.ndarray) -> np.ndarray:
     """The multiplier minimizing |B^T xi - A^T S r_y|_2 (min-norm solution).
 
@@ -209,25 +195,11 @@ def _stability_matrix(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> n
     return np.hstack([_k_block(problem, y), AtS / w.theta1])
 
 
-def stability_constant(
-    problem: IlseProblem, y: np.ndarray, w: WeightScheme, method: str = "svd"
-) -> float:
+def stability_constant(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> float:
     """alpha: smallest singular value of the n x (nm + m) block of J that
-    does not depend on the multiplier.
-
-    method="svd" (reference) computes singular values directly;
-    method="gram" squares into an n x n eigenproblem, trading half the
-    accuracy for speed.
-    """
+    does not depend on the multiplier."""
     y = _check_candidate(problem, y)
-    N = _stability_matrix(problem, y, w)
-    if method == "svd":
-        return float(sla.svdvals(N)[-1])
-    if method == "gram":
-        G = N @ N.T
-        lam = float(sla.eigvalsh(0.5 * (G + G.T))[0])
-        return math.sqrt(max(lam, 0.0))
-    raise ValueError(f"unknown method {method!r}")
+    return float(sla.svdvals(_stability_matrix(problem, y, w))[-1])
 
 
 def stability_constant_lower_bound(

@@ -5,10 +5,10 @@ Subcommands:
   backward-error  read a problem bundle and a candidate vector, print the report
   gen             generate an instance and write it as a problem bundle
   experiment      run an experiment grid and emit a table
-  verify          run the property-verification suite
+  verify          check every row of the property table (ilse.properties)
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure (singular or
-ill-posed), 3 property-suite failure.
+ill-posed), 3 property failure.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--out", default=None, help="write the table here instead of stdout")
     _add_weight_flags(p_exp)
 
-    p_ver = sub.add_parser("verify", help="run the property-verification suite")
+    p_ver = sub.add_parser("verify", help="check every row of the property table")
     p_ver.add_argument("--config", default=None, help="JSON config file for sizes/weights/seed")
     p_ver.add_argument("--seed", type=int, default=None, help="override the suite seed")
 
@@ -196,21 +196,23 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = None
+    import dataclasses
+
+    from . import properties
+
+    suite = properties.Suite()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = harness.ExperimentConfig.from_dict(json.load(fh))
+            suite = properties.Suite.from_config(harness.ExperimentConfig.from_dict(json.load(fh)))
     if args.seed is not None:
-        import dataclasses
-
-        config = dataclasses.replace(config or harness.ExperimentConfig(
-            m=24, n=12, s=5, p=14, q=10,
-            kappa_a_list=(50.0,), kappa_b_list=(100.0,), eps_list=(1e-6,),
-        ), base_seed=args.seed)
-    report = harness.verify_suite(config)
-    for line in report.lines():
-        print(line)
-    return 0 if report.ok else 3
+        suite = dataclasses.replace(suite, seed=args.seed)
+    ok = True
+    for prop in properties.TABLE:
+        result = properties.run_row(prop, suite)
+        print(result.line(), flush=True)
+        ok = ok and result.ok
+    print("verify: " + ("ALL PROPERTIES PASS" if ok else "PROPERTY FAILURES PRESENT"))
+    return 0 if ok else 3
 
 
 def main(argv=None) -> int:

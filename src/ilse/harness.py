@@ -1,4 +1,4 @@
-"""End-to-end experiment pipeline and property-verification suite.
+"""End-to-end experiment pipeline, experiment tables and problem files.
 
 A trial generates an instance, solves it, injects a scaled Gaussian
 perturbation, solves the perturbed problem, and evaluates the injected
@@ -11,7 +11,8 @@ individually.
 This module also owns the on-disk formats: whitespace matrix files
 (first line "rows cols", then row-major entries), problem bundles
 (directory with files A, b, B, d, sig), and the csv/markdown/json
-experiment tables.
+experiment tables. The invariants that ``ilse verify`` checks live in
+``ilse.properties``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from . import backward_error as be
-from . import oracle
-from . import testgen
 from .core import (
     IlseError,
     IlseProblem,
@@ -35,11 +34,9 @@ from .core import (
     PerturbationQuadruple,
     SignatureMatrix,
     WeightScheme,
-    apply_signature,
     perturbed_problem,
-    weighted_perturbation_norm,
 )
-from .solver import assemble_augmented, check_well_posedness, normal_equation_residuals, solve_ilse
+from .solver import assemble_augmented, solve_ilse
 from .testgen import GenParams, gen_ilse_instance, gen_perturbation, subseed
 
 CSV_HEADER = "eps,kappa_A,kappa_B,gamma,gamma_bar,mu_1,rho_xi1,rho_xi0,tau0,condition_flag,seed"
@@ -423,387 +420,3 @@ def read_problem(directory) -> IlseProblem:
         d=read_vector(directory / "d"),
         sig=sig,
     )
-
-
-# ---------------------------------------------------------------------------
-# Property-verification suite
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PropertyResult:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    skipped: int = 0
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.failed == 0
-
-    def check(self, condition: bool, detail: str = "") -> None:
-        if condition:
-            self.passed += 1
-        else:
-            self.failed += 1
-            if detail and len(self.detail) < 500:
-                self.detail += ("; " if self.detail else "") + detail
-
-    def skip(self, detail: str = "") -> None:
-        self.skipped += 1
-        if detail and "precondition unmet" not in self.detail:
-            self.detail += ("; " if self.detail else "") + detail
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    results: tuple[PropertyResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    def lines(self) -> list[str]:
-        out = []
-        for r in self.results:
-            status = "PASS" if r.ok else "FAIL"
-            line = f"[{status}] {r.name}: passed={r.passed} failed={r.failed} skipped={r.skipped}"
-            if r.detail:
-                line += f" ({r.detail})"
-            out.append(line)
-        out.append("verify: " + ("ALL PROPERTIES PASS" if self.ok else "PROPERTY FAILURES PRESENT"))
-        return out
-
-
-def _default_dims() -> GenParams:
-    return GenParams(m=24, n=12, s=5, p=14, q=10, kappa_a=50.0, kappa_b=100.0, seed=0)
-
-
-def _case(params: GenParams, eps: float, seed: int, w: WeightScheme):
-    """One generated/solved/perturbed case: returns problem, exact solve,
-    perturbation, and the perturbed solve whose x serves as candidate y."""
-    problem, _ = gen_ilse_instance(replace(params, seed=subseed(seed, _STREAM_TRIAL_GEN)))
-    sol = solve_ilse(problem)
-    pert = gen_perturbation(problem, eps, subseed(seed, _STREAM_TRIAL_PERT))
-    psol = solve_ilse(perturbed_problem(problem, pert), check_well_posed=False)
-    return problem, sol, pert, psol
-
-
-def _feasible_quadruple(problem, y, xi0, seed, scale=1e-4):
-    """A perturbation in the literal feasibility set for (y, xi0).
-
-    E and F are random at the given scale; g closes the constraint
-    equation and f solves the optimality equation of the perturbed data in
-    the least-squares sense (exact when A + E has full column rank).
-    """
-    rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))
-    E = scale * rng.standard_normal(problem.A.shape)
-    F = scale * rng.standard_normal(problem.B.shape)
-    g = (problem.B + F) @ y - problem.d
-    Ae = problem.A + E
-    target = (problem.B + F).T @ xi0 - Ae.T @ apply_signature(problem.sig, problem.b - Ae @ y)
-    f, *_ = np.linalg.lstsq(apply_signature(problem.sig, Ae).T, target, rcond=None)
-    return PerturbationQuadruple(E=E, f=f, F=F, g=g)
-
-
-def _px_core(params: GenParams, w: WeightScheme, seed: int) -> list[PropertyResult]:
-    rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))
-    res_inv = PropertyResult("core: signature application is an involution")
-    res_hom = PropertyResult("core: weighted norm is absolutely homogeneous")
-    res_sq = PropertyResult("core: weighted norm squared splits into block terms")
-    for _ in range(50):
-        p = int(rng.integers(0, 6))
-        q = int(rng.integers(0, 6))
-        if p + q == 0:
-            p = 1
-        sig = SignatureMatrix(p, q)
-        v = rng.standard_normal(p + q)
-        res_inv.check(np.array_equal(apply_signature(sig, apply_signature(sig, v)), v))
-
-        m, n, s = int(rng.integers(2, 7)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
-        pert = PerturbationQuadruple(
-            E=rng.standard_normal((m, n)), f=rng.standard_normal(m),
-            F=rng.standard_normal((s, n)), g=rng.standard_normal(s),
-        )
-        wts = WeightScheme(*np.exp(rng.uniform(-2, 2, size=3)))
-        c = float(rng.uniform(-3, 3))
-        scaled = PerturbationQuadruple(E=c * pert.E, f=c * pert.f, F=c * pert.F, g=c * pert.g)
-        base = weighted_perturbation_norm(pert, wts)
-        res_hom.check(
-            abs(weighted_perturbation_norm(scaled, wts) - abs(c) * base) <= 1e-12 * (1 + abs(c) * base)
-        )
-        explicit = (
-            np.sum(pert.E**2) + wts.theta1**2 * np.sum(pert.f**2)
-            + wts.theta2**2 * np.sum(pert.F**2) + wts.theta3**2 * np.sum(pert.g**2)
-        )
-        res_sq.check(abs(base**2 - explicit) <= 1e-12 * (1 + explicit))
-    return [res_inv, res_hom, res_sq]
-
-
-def _px_solver(params: GenParams, w: WeightScheme, seed: int) -> list[PropertyResult]:
-    res_sym = PropertyResult("solver: augmented matrix is exactly symmetric")
-    res_res = PropertyResult("solver: augmented relative residual <= 1e-12 at paper dims")
-    res_ne = PropertyResult("solver: normal-equation residual scales with the data")
-    res_det = PropertyResult("solver: repeated solves are bitwise identical")
-
-    paper = GenParams(m=100, n=50, s=20, p=60, q=40, kappa_a=1e2, kappa_b=1e2, seed=0)
-    for k in range(3):
-        problem, _ = gen_ilse_instance(replace(paper, seed=subseed(seed, 101 + k)))
-        K, _ = assemble_augmented(problem)
-        res_sym.check(np.array_equal(K, K.T))
-        sol = solve_ilse(problem)
-        res_res.check(residual_gamma(problem, sol) <= 1e-12,
-                      f"gamma={residual_gamma(problem, sol):.2e}")
-
-    for k in range(10):
-        problem, _ = gen_ilse_instance(
-            replace(params, kappa_a=100.0, kappa_b=1000.0, seed=subseed(seed, 211 + k))
-        )
-        sol = solve_ilse(problem)
-        r1, r2 = normal_equation_residuals(problem, sol.x, sol.xi)
-        bound = 1e-10 * (
-            np.linalg.norm(problem.A) * np.linalg.norm(problem.b) + np.linalg.norm(problem.B)
-        )
-        res_ne.check(math.hypot(np.linalg.norm(r1), np.linalg.norm(r2)) <= bound)
-        sol2 = solve_ilse(problem)
-        res_det.check(
-            np.array_equal(sol.x, sol2.x) and np.array_equal(sol.xi, sol2.xi)
-        )
-    return [res_sym, res_res, res_ne, res_det]
-
-
-def _px_linearization(params: GenParams, w: WeightScheme, seed: int) -> list[PropertyResult]:
-    res_rank = PropertyResult("estimate: linearization has full row rank when r_y != 0")
-    res_min = PropertyResult("estimate: min-norm solution solves the system and is minimal")
-    res_opt = PropertyResult("estimate: least-squares multiplier minimizes the residual norm")
-    rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))
-
-    import scipy.linalg as sla
-
-    for k in range(100):
-        problem, sol, pert, psol = _case(params, 1e-4, subseed(seed, 301 + k), w)
-        y = psol.x
-        r_y = problem.residual(y)
-        if float(np.linalg.norm(r_y)) == 0.0:
-            for _ in range(10):
-                res_rank.skip("precondition unmet: r_y = 0")
-            continue
-        for _ in range(10):
-            xi = rng.standard_normal(problem.s) * (1.0 + float(rng.uniform(0, 3)))
-            sv = sla.svdvals(be.linearization_matrix(problem, y, xi, w).J)
-            res_rank.check(sv[-1] > 1e-10 * sv[0], f"sigma ratio {sv[-1] / sv[0]:.2e}")
-
-        if k < 25:
-            xi1 = be.least_squares_multiplier(problem, y)
-            z = be.min_norm_perturbation(problem, y, xi1, w)
-            op = be.linearization_matrix(problem, y, xi1, w)
-            rhs = be.rhs_vector(problem, y, xi1)
-            resid = np.linalg.norm(op.J @ z - rhs)
-            res_min.check(
-                resid <= 1e-10 * (np.linalg.norm(op.J) * np.linalg.norm(z) + np.linalg.norm(rhs))
-            )
-            v = rng.standard_normal(op.J.shape[1])
-            Q, _, _ = be._min_norm_factor(op.J)
-            null_dir = v - Q @ (Q.T @ v)
-            res_min.check(
-                np.linalg.norm(z) <= np.linalg.norm(z + null_dir) * (1 + 1e-12),
-                "null-space perturbation shrank the solution",
-            )
-            base = np.linalg.norm(rhs)
-            for _ in range(100 // 25):
-                xi = rng.standard_normal(problem.s)
-                res_opt.check(base <= np.linalg.norm(be.rhs_vector(problem, y, xi)) * (1 + 1e-12))
-    return [res_rank, res_min, res_opt]
-
-
-def _px_bounds(params: GenParams, w: WeightScheme, seed: int) -> list[PropertyResult]:
-    res_tau = PropertyResult("estimate: closed-form tau0 matches the explicit pseudoinverse norm")
-    res_alpha = PropertyResult("estimate: alpha respects its certified lower bound")
-    res_cons = PropertyResult("estimate: feasible perturbations satisfy the consistency inequality")
-    res_dist = PropertyResult("estimate: distance lower bound never exceeds the true distance")
-    res_mono = PropertyResult("estimate: lower-bound formula is nondecreasing")
-    rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))
-
-    tiny = GenParams(m=12, n=6, s=3, p=7, q=5, kappa_a=30.0, kappa_b=50.0, seed=0)
-    for k in range(100):
-        problem, sol, pert, psol = _case(tiny, 1e-3, subseed(seed, 401 + k), w)
-        wts = WeightScheme(*np.exp(rng.uniform(-1.5, 1.5, size=3)))
-        t_closed = be.pinv_norm_bound(problem, psol.x, wts)
-        t_svd = oracle.pinv_norm_bound_via_svd(problem, psol.x, wts)
-        res_tau.check(abs(t_closed - t_svd) <= 1e-8 * t_svd,
-                      f"closed={t_closed:.6e} svd={t_svd:.6e}")
-
-    for k in range(1000):
-        theta1 = (0.1, 1.0, 10.0)[k % 3]
-        wts = WeightScheme(theta1=theta1)
-        problem, sol, pert, psol = _case(params, 1e-3, subseed(seed, 1601 + k), wts)
-        y = psol.x
-        if float(np.linalg.norm(problem.residual(y))) == 0.0:
-            res_alpha.skip("precondition unmet: r_y = 0")
-            continue
-        a = be.stability_constant(problem, y, wts)
-        res_alpha.check(a >= be.stability_constant_lower_bound(problem, y, wts) * (1 - 1e-12))
-
-    for k in range(200):
-        problem, sol, pert, psol = _case(params, 1e-4, subseed(seed, 2701 + k), w)
-        y = psol.x
-        quad = _feasible_quadruple(problem, y, sol.xi, subseed(seed, 2901 + k))
-        lam = weighted_perturbation_norm(quad, w)
-        rho0 = be.backward_error_estimate(problem, y, sol.xi, w)
-        tau0 = be.pinv_norm_bound(problem, y, w)
-        scale = math.sqrt(1.0 / w.theta1**2 + float(y @ y))
-        res_cons.check(
-            rho0 <= (lam + tau0 * scale * lam**2) * (1 + 1e-8),
-            f"rho0={rho0:.3e} bound={(lam + tau0 * scale * lam**2):.3e}",
-        )
-        dist = be.solution_distance_lower_bound(problem, y)
-        res_dist.check(dist <= np.linalg.norm(sol.x - y) * (1 + 1e-12))
-
-    for _ in range(200):
-        a = float(np.exp(rng.uniform(-3, 3)))
-        t1, t2 = sorted(np.exp(rng.uniform(-10, 2, size=2)))
-        f = lambda t: 2 * t / (1 + math.sqrt(1 + 4 * a * t))
-        res_mono.check(f(t1) <= f(t2) * (1 + 1e-14))
-    return [res_tau, res_alpha, res_cons, res_dist, res_mono]
-
-
-def _px_oracle(params: GenParams, w: WeightScheme, seed: int) -> list[PropertyResult]:
-    res_start = PropertyResult("oracle: minimizer never exceeds the estimate at its start")
-    res_rep = PropertyResult("oracle: minimization is bitwise reproducible under a fixed seed")
-    res_gap = PropertyResult("oracle: estimate-to-minimum ratio is at least one")
-    small = replace(params, s=min(params.s, 3))
-    ratios = []
-    for k in range(8):
-        problem, sol, pert, psol = _case(small, 1e-4, subseed(seed, 501 + k), w)
-        y = psol.x
-        rho1 = be.backward_error_estimate(problem, y, be.least_squares_multiplier(problem, y), w)
-        result = oracle.minimize_estimate(problem, y, w, xi0=sol.xi, seed=subseed(seed, 601 + k))
-        res_start.check(result.rho_star <= rho1 * (1 + 1e-12))
-        if rho1 > 0:
-            ratios.append(rho1 / max(result.rho_star, 1e-300))
-            res_gap.check(ratios[-1] >= 1 - 1e-12)
-        again = oracle.minimize_estimate(problem, y, w, xi0=sol.xi, seed=subseed(seed, 601 + k))
-        res_rep.check(
-            result.rho_star == again.rho_star and np.array_equal(result.xi_star, again.xi_star)
-        )
-    if ratios:
-        res_gap.detail = (
-            f"ratio min={min(ratios):.3f} median={statistics.median(ratios):.3f} max={max(ratios):.3f}"
-        )
-    return [res_start, res_rep, res_gap]
-
-
-def _px_testgen(params: GenParams, w: WeightScheme, seed: int) -> list[PropertyResult]:
-    res_sig = PropertyResult("testgen: generated factors preserve the indefinite form")
-    res_det = PropertyResult("testgen: generators are bitwise reproducible")
-    res_lad = PropertyResult("testgen: geometric ladder is strictly decreasing")
-    res_wp = PropertyResult("testgen: emitted instances pass the well-posedness check")
-    rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))
-    sig_diag = lambda p, q: np.diag(SignatureMatrix(p, q).diagonal())
-    for k in range(20):
-        p = int(rng.integers(1, 20))
-        q = int(rng.integers(1, 20))
-        hb = float(rng.uniform(0, 2))
-        Q = testgen.gen_sigma_orthogonal(p, q, subseed(seed, 701 + k), hb)
-        S = sig_diag(p, q)
-        res_sig.check(np.max(np.abs(Q.T @ S @ Q - S)) <= 1e-12 * (p + q))
-        res_det.check(
-            np.array_equal(Q, testgen.gen_sigma_orthogonal(p, q, subseed(seed, 701 + k), hb))
-        )
-        kappa = float(np.exp(rng.uniform(0.1, 9)))
-        cols = int(rng.integers(2, 12))
-        ladder = np.diag(testgen.gen_geometric_diagonal(cols, cols, kappa))
-        res_lad.check(bool(np.all(np.diff(ladder) < 0)))
-    for k in range(10):
-        problem, _ = gen_ilse_instance(replace(params, seed=subseed(seed, 801 + k)))
-        res_wp.check(check_well_posedness(problem).well_posed)
-    return [res_sig, res_det, res_lad, res_wp]
-
-
-def _px_harness(params: GenParams, w: WeightScheme, seed: int) -> list[PropertyResult]:
-    res_eps = PropertyResult("harness: estimate scales linearly with the perturbation size")
-    res_mu = PropertyResult("harness: mu_1 equals the weighted norm at unit weights")
-    res_csv = PropertyResult("harness: csv emission round-trips")
-    res_replay = PropertyResult("harness: rows replay exactly from their recorded seed")
-
-    for k in range(5):
-        problem, _ = gen_ilse_instance(replace(params, seed=subseed(seed, 901 + k)))
-        direction = gen_perturbation(problem, 1.0, subseed(seed, 951 + k))
-        rhos = {}
-        for eps in (1e-6, 1e-8, 1e-10):
-            scaled = PerturbationQuadruple(
-                E=eps * direction.E, f=eps * direction.f, F=eps * direction.F, g=eps * direction.g
-            )
-            y = solve_ilse(perturbed_problem(problem, scaled)).x
-            rhos[eps] = be.backward_error_estimate(
-                problem, y, be.least_squares_multiplier(problem, y), w
-            )
-        for e1, e2 in ((1e-6, 1e-8), (1e-8, 1e-10), (1e-6, 1e-10)):
-            observed = rhos[e1] / rhos[e2]
-            expected = e1 / e2
-            res_eps.check(expected / 10 <= observed <= expected * 10,
-                          f"ratio {observed:.2e} vs {expected:.2e}")
-        mu = mu_one(direction)
-        res_mu.check(mu == weighted_perturbation_norm(direction, WeightScheme(1.0, 1.0, 1.0)))
-
-    config = ExperimentConfig(
-        m=params.m, n=params.n, s=params.s, p=params.p, q=params.q,
-        kappa_a_list=(50.0,), kappa_b_list=(100.0,), eps_list=(1e-6,),
-        trials_per_cell=3, base_seed=subseed(seed, 999),
-    )
-    rows, table = run_experiment(config)
-    parsed = parse_experiment_csv(table)
-    res_csv.check(len(parsed) == len(rows))
-    for rec, row in zip(parsed, rows):
-        res_csv.check(
-            rec["seed"] == row.seed
-            and rec["mu_1"] == float(_fmt(row.mu_1))
-            and rec["rho_xi1"] == float(_fmt(row.rho_xi1)),
-            "parsed values differ from emitted values",
-        )
-    for row in rows:
-        again = run_trial(
-            config.gen_params(row.kappa_a_nominal, row.kappa_b), row.eps, config.weights, row.seed
-        )
-        res_replay.check(
-            again.mu_1 == row.mu_1 and again.rho_xi1 == row.rho_xi1 and again.gamma == row.gamma
-        )
-    return [res_eps, res_mu, res_csv, res_replay]
-
-
-_PROPERTY_GROUPS = (
-    _px_core,
-    _px_solver,
-    _px_linearization,
-    _px_bounds,
-    _px_oracle,
-    _px_testgen,
-    _px_harness,
-)
-
-
-def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
-    """Run every module's invariant checks and collect per-property counts.
-
-    Dimensions default to a small well-posed family; an ExperimentConfig
-    overrides the dimensions, weights and seed. Checks that require
-    nonzero residuals skip (not fail) instances where the precondition is
-    unmet.
-    """
-    if config is not None:
-        params = GenParams(
-            m=config.m, n=config.n, s=config.s, p=config.p, q=config.q,
-            kappa_a=config.kappa_a_list[0], kappa_b=config.kappa_b_list[0],
-            seed=0, hyper_bound=config.hyper_bound,
-        )
-        w = config.weights
-        seed = config.base_seed
-    else:
-        params = _default_dims()
-        w = WeightScheme()
-        seed = 123456789
-
-    results: list[PropertyResult] = []
-    for group in _PROPERTY_GROUPS:
-        results.extend(group(params, w, seed))
-    return VerifyReport(results=tuple(results))

@@ -25,7 +25,7 @@ from .core import (
     WeightScheme,
     apply_signature,
 )
-from .backward_error import backward_error_estimate, least_squares_multiplier, rhs_vector
+from .backward_error import RANK_RTOL, backward_error_estimate, least_squares_multiplier, rhs_vector
 
 
 def _kron_linearization(problem, y, xi, w):
@@ -83,6 +83,17 @@ def pinv_norm_bound_via_svd(problem: IlseProblem, y: np.ndarray, w: WeightScheme
     if smin <= 0.0:
         raise RankDeficiencyError("zeroed linearization is singular", sigma_min=smin)
     return 1.0 / smin
+
+
+def linearization_pinv_norm(
+    problem: IlseProblem, y: np.ndarray, xi: np.ndarray, w: WeightScheme
+) -> float:
+    """tau(xi) = 1 / sigma_min(J(xi)), the pseudoinverse norm of J, from a
+    dense SVD of the Kronecker-built J."""
+    svals = sla.svdvals(_kron_linearization(problem, y, xi, w))
+    if svals[-1] <= RANK_RTOL * svals[0]:
+        raise RankDeficiencyError("linearization is rank deficient", sigma_min=float(svals[-1]))
+    return float(1.0 / svals[-1])
 
 
 def estimate_on_grid(

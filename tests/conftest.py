@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
+from ilse import properties
 from ilse import (
     GenParams,
     IlseProblem,
@@ -51,3 +54,15 @@ def solved_case(seed, eps=1e-4, **overrides):
     pert = gen_perturbation(problem, eps, subseed(seed, 0x9E37))
     psol = solve_ilse(perturbed_problem(problem, pert), check_well_posed=False)
     return problem, sol, pert, psol
+
+
+@functools.cache
+def row_result(prop):
+    """A property row's result at the default suite, run once per session
+    and shared by every test that reads it."""
+    return properties.run_row(prop, properties.Suite())
+
+
+def assert_row_passes(prop):
+    result = row_result(prop)
+    assert result.ok and result.passed > 0, result.line()

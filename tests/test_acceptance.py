@@ -21,25 +21,20 @@ import numpy as np
 import pytest
 
 from ilse import (
-    GenParams,
     WeightScheme,
     backward_error_estimate,
-    gen_ilse_instance,
-    gen_perturbation,
     least_squares_multiplier,
     minimize_estimate,
-    perturbed_problem,
     pinv_norm_bound,
-    pinv_norm_bound_via_svd,
+    properties,
     solution_distance_lower_bound,
     solve_ilse,
     stability_constant,
-    stability_constant_lower_bound,
-    weighted_perturbation_norm,
 )
-from ilse.harness import ExperimentConfig, _feasible_quadruple, run_experiment
+from ilse.harness import ExperimentConfig, run_experiment
 from ilse.oracle import estimate_on_grid, estimate_via_normal_equations
-from ilse.testgen import subseed
+
+from conftest import row_result
 
 W1 = WeightScheme(1.0, 1.0, 1.0)
 
@@ -64,16 +59,6 @@ def _report(num, name, ok, detail=""):
 def paper_rows():
     rows, _ = run_experiment(PAPER_GRID)
     return rows
-
-
-def _random_case(seed, m=24, n=12, s=5, p=14, q=10, kappa_a=50.0, kappa_b=100.0, eps=1e-4):
-    params = GenParams(m=m, n=n, s=s, p=p, q=q, kappa_a=kappa_a, kappa_b=kappa_b,
-                       seed=subseed(seed, 0xACCE))
-    problem, _ = gen_ilse_instance(params)
-    sol = solve_ilse(problem)
-    pert = gen_perturbation(problem, eps, subseed(seed, 0x5EED))
-    psol = solve_ilse(perturbed_problem(problem, pert), check_well_posed=False)
-    return problem, sol, pert, psol
 
 
 def test_criterion_01_table_magnitudes(paper_rows):
@@ -120,86 +105,41 @@ def test_criterion_02_residual_envelope(paper_rows):
     assert ok, offenders
 
 
+# Criteria 3-6, 9 and the first half of 7 are rows of the property table
+# (ilse.properties), which also holds their instance families and seeds.
+
 def test_criterion_03_tau0_equivalence():
-    rng = np.random.default_rng(303)
-    worst = 0.0
-    for k in range(100):
-        problem, sol, pert, psol = _random_case(
-            1000 + k, m=12, n=6, s=3, p=7, q=5, kappa_a=30.0, kappa_b=50.0, eps=1e-3
-        )
-        w = WeightScheme(*np.exp(rng.uniform(-1.5, 1.5, size=3)))
-        closed = pinv_norm_bound(problem, psol.x, w)
-        explicit = pinv_norm_bound_via_svd(problem, psol.x, w)
-        worst = max(worst, abs(closed - explicit) / explicit)
-    ok = worst <= 1e-8
-    _report(3, "tau0 equals explicit pseudoinverse norm on 100 small instances", ok,
+    result = row_result(properties.tau0_closed_form)
+    worst = max(result.values, default=math.nan)
+    _report(3, "tau0 equals explicit pseudoinverse norm on 100 small instances", result.ok,
             f"worst relative difference {worst:.2e}")
-    assert ok
+    assert result.ok, result.line()
 
 
 def test_criterion_04_alpha_lower_bound():
-    checked = 0
-    for k in range(1000):
-        theta1 = (0.1, 1.0, 10.0)[k % 3]
-        w = WeightScheme(theta1=theta1)
-        problem, sol, pert, psol = _random_case(2000 + k, m=20, n=8, s=3, p=12, q=8, eps=1e-3)
-        y = psol.x
-        if np.linalg.norm(problem.residual(y)) == 0.0:
-            continue
-        a = stability_constant(problem, y, w)
-        assert a >= stability_constant_lower_bound(problem, y, w) * (1 - 1e-12), (
-            f"instance {k}, theta1={theta1}"
-        )
-        checked += 1
+    result = row_result(properties.alpha_lower_bound)
+    assert result.ok, result.line()
     _report(4, "alpha >= certified lower bound", True,
-            f"{checked} instances across theta1 in {{0.1, 1, 10}}")
+            f"{result.passed} instances across theta1 in {{0.1, 1, 10}}")
 
 
-@pytest.fixture(scope="session")
-def constructed_instances():
-    cases = []
-    for k in range(200):
-        problem, sol, pert, psol = _random_case(3000 + k)
-        quad = _feasible_quadruple(problem, psol.x, sol.xi, subseed(3500 + k, 0xFEA5))
-        cases.append((problem, sol, psol, quad))
-    return cases
-
-
-def test_criterion_05_consistency_inequality(constructed_instances):
-    worst = 0.0
-    for problem, sol, psol, quad in constructed_instances:
-        y = psol.x
-        mu1 = weighted_perturbation_norm(quad, W1)
-        rho0 = backward_error_estimate(problem, y, sol.xi, W1)
-        tau0 = pinv_norm_bound(problem, y, W1)
-        bound = (mu1 + tau0 * math.sqrt(1.0 + float(y @ y)) * mu1**2) * (1 + 1e-8)
-        assert rho0 <= bound, f"rho0={rho0:.6e} > bound={bound:.6e}"
-        worst = max(worst, rho0 / bound)
+def test_criterion_05_consistency_inequality():
+    result = row_result(properties.consistency)
+    assert result.ok, result.line()
     _report(5, "consistency inequality on 200 feasible perturbations", True,
-            f"worst rho0/bound = {worst:.3f}")
+            f"worst rho0/bound = {max(result.values):.3f}")
 
 
-def test_criterion_06_distance_bound(constructed_instances):
-    violations = 0
-    for problem, sol, psol, _quad in constructed_instances:
-        y = psol.x
-        if solution_distance_lower_bound(problem, y) > np.linalg.norm(sol.x - y) * (1 + 1e-12):
-            violations += 1
-    _report(6, "distance lower bound never exceeds true distance", violations == 0,
-            f"{len(constructed_instances)} instances, {violations} violations")
-    assert violations == 0
+def test_criterion_06_distance_bound():
+    result = row_result(properties.distance_bound)
+    _report(6, "distance lower bound never exceeds true distance", result.ok,
+            f"{result.passed + result.failed} instances, {result.failed} violations")
+    assert result.ok, result.line()
 
 
 def test_criterion_07_oracle_gap(t1):
-    for k in range(50):
-        s = 1 + k % 5
-        problem, sol, pert, psol = _random_case(
-            4000 + k, m=16, n=8, s=s, p=10, q=6, eps=1e-4
-        )
-        y = psol.x
-        rho1 = backward_error_estimate(problem, y, least_squares_multiplier(problem, y), W1)
-        result = minimize_estimate(problem, y, W1, xi0=sol.xi, seed=4100 + k)
-        assert result.rho_star <= rho1 * (1 + 1e-12), f"instance {k}"
+    result = row_result(properties.minimizer_below_start)
+    assert result.ok, result.line()
 
     y = np.array([0.1])
     _, rho_grid = estimate_on_grid(t1, y, W1, 0.0, 2.0, 1e-4)
@@ -237,22 +177,10 @@ def test_criterion_08_hand_verified_micro_instance(t1):
 
 
 def test_criterion_09_full_row_rank():
-    import scipy.linalg as sla
-    from ilse import linearization_matrix
-
-    rng = np.random.default_rng(909)
-    worst = np.inf
-    for k in range(100):
-        problem, sol, pert, psol = _random_case(5000 + k)
-        y = psol.x
-        assert np.linalg.norm(problem.residual(y)) > 0.0
-        for _ in range(10):
-            xi = rng.standard_normal(problem.s) * float(rng.uniform(0.1, 5.0))
-            sv = sla.svdvals(linearization_matrix(problem, y, xi, W1).J)
-            worst = min(worst, sv[-1] / sv[0])
-            assert sv[-1] > 1e-10 * sv[0]
+    result = row_result(properties.full_row_rank)
+    assert result.ok and result.skipped == 0, result.line()
     _report(9, "linearization full row rank over 100 x 10 samples", True,
-            f"worst sigma_min/sigma_max = {worst:.2e}")
+            f"worst sigma_min/sigma_max = {min(result.values):.2e}")
 
 
 def test_criterion_10_experiment_determinism(tmp_path, capsys):

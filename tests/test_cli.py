@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from ilse import cli, harness
+from ilse import cli, harness, properties
 from ilse.harness import write_problem, write_vector
 
 
@@ -135,17 +136,34 @@ class TestExperiment:
 
 
 class TestVerify:
+    ROWS = (properties.involution, properties.homogeneous, properties.block_split)
+
     def test_wiring_and_exit_codes(self, capsys, monkeypatch):
-        from ilse.harness import PropertyResult, VerifyReport
-
-        good = VerifyReport(results=(PropertyResult("demo", passed=3),))
-        monkeypatch.setattr(harness, "verify_suite", lambda config=None: good)
-        code, out, _ = run_cli(capsys, "verify")
+        monkeypatch.setattr(properties, "TABLE", self.ROWS)
+        code, out, _ = run_cli(capsys, "verify", "--seed", "7")
         assert code == 0
-        assert "[PASS] demo" in out
+        assert out.splitlines()[0] == f"[PASS] {self.ROWS[0].name}: passed=50 failed=0 skipped=0"
+        assert out.splitlines()[-1] == "verify: ALL PROPERTIES PASS"
 
-        bad = VerifyReport(results=(PropertyResult("demo", passed=1, failed=2, detail="boom"),))
-        monkeypatch.setattr(harness, "verify_suite", lambda config=None: bad)
+        broken = dataclasses.replace(self.ROWS[1], check=lambda case: properties.Outcome(False, "boom"))
+        monkeypatch.setattr(properties, "TABLE", (self.ROWS[0], broken))
         code, out, _ = run_cli(capsys, "verify")
         assert code == 3
-        assert "[FAIL] demo" in out
+        assert f"[FAIL] {broken.name}: passed=0 failed=50 skipped=0 (boom)" in out
+
+    def test_raising_check_fails_only_its_row(self, capsys, monkeypatch):
+        from ilse import RankDeficiencyError
+
+        def raising(case):
+            raise RankDeficiencyError("forced", sigma_min=0.0)
+
+        rows = (self.ROWS[0], dataclasses.replace(self.ROWS[1], check=raising), self.ROWS[2])
+        monkeypatch.setattr(properties, "TABLE", rows)
+        code, out, _ = run_cli(capsys, "verify")
+        lines = out.splitlines()
+        assert code == 3
+        assert lines[0].startswith(f"[PASS] {rows[0].name}")
+        assert lines[1].startswith(f"[FAIL] {rows[1].name}: passed=0 failed=50")
+        assert "RankDeficiencyError: forced" in lines[1]
+        assert lines[2].startswith(f"[PASS] {rows[2].name}")
+        assert lines[3] == "verify: PROPERTY FAILURES PRESENT"

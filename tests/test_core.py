@@ -12,6 +12,9 @@ from ilse import (
     perturbed_problem,
     weighted_perturbation_norm,
 )
+from ilse import properties
+
+from conftest import assert_row_passes
 
 
 class TestApplySignature:
@@ -24,19 +27,10 @@ class TestApplySignature:
         assert np.array_equal(apply_signature(sig, [3.0, 4.0]), [3.0, 4.0])
 
     def test_involution(self):
-        sig = SignatureMatrix(1, 1)
-        v = np.array([2.0, -5.0])
-        assert np.array_equal(apply_signature(sig, apply_signature(sig, v)), v)
+        assert_row_passes(properties.involution)
 
     def test_involution_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            p, q = int(rng.integers(0, 8)), int(rng.integers(0, 8))
-            if p + q == 0:
-                continue
-            sig = SignatureMatrix(p, q)
-            v = rng.standard_normal(p + q)
-            assert np.array_equal(apply_signature(sig, apply_signature(sig, v)), v)
+        assert_row_passes(properties.involution)
 
     def test_matrix_rows(self):
         sig = SignatureMatrix(1, 2)
@@ -83,27 +77,8 @@ class TestWeightedPerturbationNorm:
             WeightScheme(1.0, 1.0, math.inf)
 
     def test_homogeneity_and_block_identity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(40):
-            m, n, s = 5, 3, 2
-            pert = PerturbationQuadruple(
-                E=rng.standard_normal((m, n)),
-                f=rng.standard_normal(m),
-                F=rng.standard_normal((s, n)),
-                g=rng.standard_normal(s),
-            )
-            w = WeightScheme(*np.exp(rng.uniform(-2, 2, size=3)))
-            c = float(rng.uniform(-4, 4))
-            scaled = PerturbationQuadruple(E=c * pert.E, f=c * pert.f, F=c * pert.F, g=c * pert.g)
-            base = weighted_perturbation_norm(pert, w)
-            assert weighted_perturbation_norm(scaled, w) == pytest.approx(abs(c) * base, rel=1e-12)
-            explicit = (
-                np.sum(pert.E**2)
-                + w.theta1**2 * np.sum(pert.f**2)
-                + w.theta2**2 * np.sum(pert.F**2)
-                + w.theta3**2 * np.sum(pert.g**2)
-            )
-            assert base**2 == pytest.approx(explicit, rel=1e-12)
+        assert_row_passes(properties.homogeneous)
+        assert_row_passes(properties.block_split)
 
 
 class TestIlseProblem:

@@ -14,15 +14,14 @@ from ilse import (
     run_experiment,
     run_trial,
     solve_ilse,
-    weighted_perturbation_norm,
     write_problem,
 )
 from ilse import backward_error as be
-from ilse import harness
+from ilse import properties
 from ilse.harness import CSV_HEADER, ExperimentConfig, format_rows
 from ilse.testgen import gen_ilse_instance
 
-from conftest import SMALL_DIMS, small_params
+from conftest import SMALL_DIMS, assert_row_passes, small_params
 
 
 def small_config(**overrides):
@@ -53,13 +52,7 @@ class TestMuOne:
         assert mu_one(pert) == pytest.approx(math.sqrt(5.0))
 
     def test_equals_weighted_norm_at_unit_weights(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            pert = PerturbationQuadruple(
-                E=rng.standard_normal((4, 3)), f=rng.standard_normal(4),
-                F=rng.standard_normal((2, 3)), g=rng.standard_normal(2),
-            )
-            assert mu_one(pert) == weighted_perturbation_norm(pert, WeightScheme(1, 1, 1))
+        assert_row_passes(properties.mu_one_unit_weights)
 
 
 class TestResidualGamma:
@@ -105,13 +98,7 @@ class TestRunTrial:
         assert mu_range[0] <= row.mu_1 <= mu_range[1]
 
     def test_replay_from_recorded_seed(self):
-        params = small_params(0)
-        row = run_trial(params, 1e-6, WeightScheme(), seed=10)
-        again = run_trial(params, 1e-6, WeightScheme(), seed=row.seed)
-        assert again.mu_1 == row.mu_1
-        assert again.rho_xi1 == row.rho_xi1
-        assert again.gamma == row.gamma
-        assert again.kappa_a == row.kappa_a
+        assert_row_passes(properties.row_replays)
 
 
 class TestRunExperiment:
@@ -178,18 +165,8 @@ def rows():
 
 class TestFormats:
 
-    def test_csv_round_trip(self, rows):
-        text = format_rows(rows, "csv")
-        parsed = parse_experiment_csv(text)
-        assert len(parsed) == len(rows)
-        for rec, row in zip(parsed, rows):
-            assert rec["seed"] == row.seed
-            assert rec["condition_flag"] == row.condition_flag
-            for key, value in (("mu_1", row.mu_1), ("rho_xi1", row.rho_xi1),
-                               ("gamma", row.gamma), ("kappa_A", row.kappa_a)):
-                assert rec[key] == float(f"{value:.5e}")
-        # emitting the parsed values reproduces the same text
-        assert format_rows(rows, "csv") == text
+    def test_csv_round_trip(self):
+        assert_row_passes(properties.csv_round_trip)
 
     def test_csv_summary_lines_commented(self, rows):
         text = format_rows(rows, "csv")
@@ -253,15 +230,17 @@ class TestProblemFiles:
 
 class TestVerifySuite:
     def test_property_result_bookkeeping(self):
-        from ilse.harness import PropertyResult
-
-        res = PropertyResult("demo")
-        res.check(True)
-        res.check(False, "broke")
-        res.skip("precondition unmet: r_y = 0")
-        assert (res.passed, res.failed, res.skipped) == (1, 1, 1)
-        assert not res.ok
-        assert "broke" in res.detail
+        result = properties.RowResult("demo")
+        result.add(properties.Outcome(True, value=2.0))
+        result.add(properties.Outcome(False, "broke"))
+        result.add(properties.SKIP_ZERO_RESIDUAL)
+        result.add(properties.SKIP_ZERO_RESIDUAL)
+        assert (result.passed, result.failed, result.skipped) == (1, 1, 2)
+        assert not result.ok
+        assert result.values == [2.0]
+        assert result.line() == (
+            "[FAIL] demo: passed=1 failed=1 skipped=2 (broke; precondition unmet: r_y = 0)"
+        )
 
     def test_mutation_in_assembly_is_caught(self, monkeypatch):
         # emulate a sign bug on one term of the first block (a full-block
@@ -281,9 +260,7 @@ class TestVerifySuite:
             return K
 
         monkeypatch.setattr(be, "_k_block", corrupted)
-        results = harness._px_bounds(small_params(0), WeightScheme(), seed=5)
-        tau_result = next(r for r in results if "tau0" in r.name)
-        assert tau_result.failed > 0
+        assert properties.run_row(properties.tau0_closed_form, properties.Suite(seed=5)).failed > 0
 
     def test_zero_residual_cases_are_skipped(self, monkeypatch):
         from ilse import IlseProblem, SignatureMatrix
@@ -294,12 +271,11 @@ class TestVerifySuite:
         )
         sol = solve_ilse(problem)
 
-        def fake_case(params, eps, seed, w):
+        def fake_case(dims, eps, seed):
             return problem, sol, None, sol
 
-        monkeypatch.setattr(harness, "_case", fake_case)
-        results = harness._px_linearization(small_params(0), WeightScheme(), seed=6)
-        rank_result = next(r for r in results if "full row rank" in r.name)
+        monkeypatch.setattr(properties, "solved_case", fake_case)
+        rank_result = properties.run_row(properties.full_row_rank, properties.Suite(seed=6))
         assert rank_result.skipped > 0
         assert rank_result.failed == 0
         assert "precondition unmet" in rank_result.detail

@@ -4,18 +4,17 @@ import pytest
 from ilse import (
     OptimizationError,
     RankDeficiencyError,
-    WeightScheme,
     backward_error_estimate,
-    estimate_gradient_fd,
     estimate_on_grid,
     estimate_via_normal_equations,
     least_squares_multiplier,
     minimize_estimate,
     solve_ilse,
 )
-from ilse import oracle
+from ilse import oracle, properties
+from ilse.oracle import estimate_gradient_fd
 
-from conftest import solved_case
+from conftest import assert_row_passes, solved_case
 
 Y01 = np.array([0.1])
 
@@ -33,26 +32,11 @@ class TestMinimizeEstimate:
         assert result.rho_star <= rho_grid + 1e-12
         assert abs(result.rho_star - rho_grid) <= 1e-3
 
-    def test_never_exceeds_estimate_at_start(self, unit_weights):
-        for seed in range(5):
-            problem, sol, pert, psol = solved_case(seed + 20, s=3)
-            y = psol.x
-            rho1 = backward_error_estimate(
-                problem, y, least_squares_multiplier(problem, y), unit_weights
-            )
-            result = minimize_estimate(problem, y, unit_weights, xi0=sol.xi, seed=seed)
-            assert result.rho_star <= rho1 * (1 + 1e-12)
-            assert result.iterations > 0
+    def test_never_exceeds_estimate_at_start(self):
+        assert_row_passes(properties.minimizer_below_start)
 
-    def test_bitwise_reproducible(self, unit_weights):
-        problem, sol, pert, psol = solved_case(77, s=3)
-        y = psol.x
-        a = minimize_estimate(problem, y, unit_weights, xi0=sol.xi, seed=99)
-        b = minimize_estimate(problem, y, unit_weights, xi0=sol.xi, seed=99)
-        assert a.rho_star == b.rho_star
-        assert np.array_equal(a.xi_star, b.xi_star)
-        assert a.iterations == b.iterations
-        assert a.converged == b.converged
+    def test_bitwise_reproducible(self):
+        assert_row_passes(properties.search_repeats)
 
     def test_all_failures_raise(self, t1, unit_weights, monkeypatch):
         def always_rank_deficient(problem, y, xi, w):

@@ -9,12 +9,11 @@ from ilse import (
     check_well_posedness,
     gen_ilse_instance,
     normal_equation_residuals,
-    residual_gamma,
     solve_ilse,
 )
-from ilse.testgen import GenParams
+from ilse import properties
 
-from conftest import small_params
+from conftest import assert_row_passes, small_params
 
 
 def indefinite_on_nullspace():
@@ -65,11 +64,7 @@ class TestAssembleAugmented:
         assert np.array_equal(rhs, [0.0, 1.0, 1.0, 0.0])
 
     def test_symmetric_bitwise(self):
-        rng = np.random.default_rng(3)
-        for seed in range(5):
-            problem, _ = gen_ilse_instance(small_params(seed))
-            K, _ = assemble_augmented(problem)
-            assert np.array_equal(K, K.T)
+        assert_row_passes(properties.symmetric)
 
     def test_no_constraints_rejected(self):
         problem = IlseProblem(
@@ -108,28 +103,13 @@ class TestSolveIlse:
         assert np.linalg.norm(sol.xi) <= 1e-10
 
     def test_paper_scale_residual(self):
-        params = GenParams(m=100, n=50, s=20, p=60, q=40, kappa_a=1e2, kappa_b=1e2, seed=42)
-        problem, _ = gen_ilse_instance(params)
-        sol = solve_ilse(problem)
-        assert residual_gamma(problem, sol) <= 1e-12
+        assert_row_passes(properties.small_residual)
 
     def test_normal_equation_residual_scale(self):
-        for seed in range(5):
-            problem, _ = gen_ilse_instance(small_params(seed, kappa_a=100.0, kappa_b=1000.0))
-            sol = solve_ilse(problem)
-            r1, r2 = normal_equation_residuals(problem, sol.x, sol.xi)
-            bound = 1e-10 * (
-                np.linalg.norm(problem.A) * np.linalg.norm(problem.b) + np.linalg.norm(problem.B)
-            )
-            assert np.hypot(np.linalg.norm(r1), np.linalg.norm(r2)) <= bound
+        assert_row_passes(properties.normal_equations)
 
     def test_deterministic(self):
-        problem, _ = gen_ilse_instance(small_params(123))
-        a = solve_ilse(problem)
-        b = solve_ilse(problem)
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.xi, b.xi)
-        assert np.array_equal(a.r, b.r)
+        assert_row_passes(properties.solves_repeat)
 
     def test_ill_posed_raises(self):
         with pytest.raises(IllPosedProblemError):

@@ -14,6 +14,9 @@ from ilse import (
     gen_random_orthogonal,
     gen_sigma_orthogonal,
 )
+from ilse import properties
+
+from conftest import assert_row_passes
 
 
 def signature_residual(Q, p, q):
@@ -38,13 +41,7 @@ class TestSigmaOrthogonal:
         assert signature_residual(Q, 60, 40) <= 1e-12 * 100
 
     def test_residual_across_seeds_and_bounds(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            p = int(rng.integers(1, 15))
-            q = int(rng.integers(1, 15))
-            hb = float(rng.uniform(0, 2))
-            Q = gen_sigma_orthogonal(p, q, seed=int(rng.integers(0, 2**32)), hyper_bound=hb)
-            assert signature_residual(Q, p, q) <= 1e-12 * (p + q)
+        assert_row_passes(properties.signature_preserved)
 
     def test_definite_cases(self):
         Q = gen_sigma_orthogonal(4, 0, seed=3)
@@ -53,9 +50,7 @@ class TestSigmaOrthogonal:
         assert np.max(np.abs(Q.T @ Q - np.eye(3))) <= 1e-13 * 3
 
     def test_deterministic(self):
-        a = gen_sigma_orthogonal(6, 4, seed=11, hyper_bound=0.8)
-        b = gen_sigma_orthogonal(6, 4, seed=11, hyper_bound=0.8)
-        assert np.array_equal(a, b)
+        assert_row_passes(properties.generator_repeats)
 
 
 class TestRandomOrthogonal:
@@ -93,8 +88,7 @@ class TestGeometricDiagonal:
             assert ladder[0] / ladder[-1] == pytest.approx(kappa, rel=1e-12)
 
     def test_strictly_decreasing(self):
-        ladder = np.diag(gen_geometric_diagonal(12, 12, 37.0))
-        assert np.all(np.diff(ladder) < 0)
+        assert_row_passes(properties.ladder_decreasing)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
