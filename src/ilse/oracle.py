@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import minimize as _nelder_mead
 
 from .core import (
     IlseProblem,
@@ -146,6 +145,11 @@ def minimize_estimate(
     resolve to the earlier start, and fixed seeds give bitwise-identical
     output.
     """
+    # Imported here, not at module level: scipy.optimize adds about 20 MB
+    # of resident memory and 0.2 s to every `import ilse`, and this search
+    # is its only user.
+    from scipy.optimize import minimize as _nelder_mead
+
     y = np.asarray(y, dtype=float)
     s = problem.s
     if max_iters is None:

@@ -14,11 +14,11 @@ from ilse import (
     perturbed_problem,
     solve_ilse,
 )
+from ilse.oracle import estimate_on_grid
 from ilse.testgen import subseed
 
 
-@pytest.fixture
-def t1():
+def t1_problem():
     """Hand-checkable micro instance: p=q=1, A=[1;0], b=(1,1), B=[1], d=(0).
 
     Exact solution x=0 with multiplier xi=1; the candidate y=0.1 exercises
@@ -31,6 +31,11 @@ def t1():
         d=np.array([0.0]),
         sig=SignatureMatrix(1, 1),
     )
+
+
+@pytest.fixture
+def t1():
+    return t1_problem()
 
 
 @pytest.fixture
@@ -61,6 +66,13 @@ def row_result(prop):
     """A property row's result at the default suite, run once per session
     and shared by every test that reads it."""
     return properties.run_row(prop, properties.Suite())
+
+
+@functools.cache
+def t1_grid_minimum():
+    """(xi, rho) of the 20001-point scan of rho on t1 at y = 0.1, unit
+    weights, xi in [0, 2] with step 1e-4; scanned once per session."""
+    return estimate_on_grid(t1_problem(), np.array([0.1]), WeightScheme(1.0, 1.0, 1.0), 0.0, 2.0, 1e-4)
 
 
 def assert_row_passes(prop):

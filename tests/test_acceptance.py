@@ -32,9 +32,9 @@ from ilse import (
     stability_constant,
 )
 from ilse.harness import ExperimentConfig, run_experiment
-from ilse.oracle import estimate_on_grid, estimate_via_normal_equations
+from ilse.oracle import estimate_via_normal_equations
 
-from conftest import row_result
+from conftest import row_result, t1_grid_minimum
 
 W1 = WeightScheme(1.0, 1.0, 1.0)
 
@@ -142,7 +142,7 @@ def test_criterion_07_oracle_gap(t1):
     assert result.ok, result.line()
 
     y = np.array([0.1])
-    _, rho_grid = estimate_on_grid(t1, y, W1, 0.0, 2.0, 1e-4)
+    _, rho_grid = t1_grid_minimum()
     result = minimize_estimate(t1, y, W1, seed=1)
     gap = abs(result.rho_star - rho_grid)
     ok = gap <= 1e-3

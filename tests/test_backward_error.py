@@ -20,7 +20,7 @@ from ilse import (
     stability_constant,
     stability_constant_lower_bound,
 )
-from ilse import properties
+from ilse import backward_error as be, properties
 from ilse.oracle import _kron_linearization, estimate_via_normal_equations, linearization_pinv_norm
 
 from conftest import assert_row_passes, solved_case
@@ -290,6 +290,17 @@ class TestBackwardErrorBounds:
         assert report.mu_lower is None
         assert not report.small_rho_condition
         assert report.alpha_lower == 0.0
+
+    def test_never_builds_the_dense_linearization(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the dense linearization J was built")
+
+        monkeypatch.setattr(be, "linearization_matrix", forbidden)
+        monkeypatch.setattr(be, "_k_block", forbidden)
+        problem, sol, _, psol = properties.solved_case(properties.PAPER, 1e-6, 7)
+        report = backward_error_bounds(problem, psol.x, WeightScheme(), xi0=sol.xi)
+        assert report.bounds_applicable
+        assert math.isfinite(report.rho_xi1) and math.isfinite(report.rho_xi0)
 
     def test_consistency_inequality_on_feasible_perturbations(self):
         assert_row_passes(properties.consistency)

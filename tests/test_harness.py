@@ -243,23 +243,22 @@ class TestVerifySuite:
         )
 
     def test_mutation_in_assembly_is_caught(self, monkeypatch):
-        # emulate a sign bug on one term of the first block (a full-block
-        # sign flip would be an orthogonal transformation and invisible to
-        # singular values): the closed-form bound and the explicit-SVD
-        # oracle must disagree and the property must fail
+        # emulate a sign bug on the -|y| A^T S term of the compressed
+        # assembly (a whole-block sign flip would be an orthogonal
+        # transformation and invisible to singular values): the closed-form
+        # bound and the explicit-SVD oracle on the Kronecker-built J must
+        # disagree and the property must fail
         from ilse.core import apply_signature
 
-        original = be._k_block
+        original = be._multiplier_free_blocks
 
-        def corrupted(problem, y):
-            K = original(problem, y).copy()
-            AtS = apply_signature(problem.sig, problem.A).T
-            m = problem.m
-            for j in range(problem.n):
-                K[:, j * m:(j + 1) * m] += 2.0 * y[j] * AtS
-            return K
+        def corrupted(problem, y, w):
+            u, y_norm, r_y, blocks = original(problem, y, w)
+            blocks = blocks.copy()
+            blocks[:, :problem.m] += 2.0 * y_norm * apply_signature(problem.sig, problem.A).T
+            return u, y_norm, r_y, blocks
 
-        monkeypatch.setattr(be, "_k_block", corrupted)
+        monkeypatch.setattr(be, "_multiplier_free_blocks", corrupted)
         assert properties.run_row(properties.tau0_closed_form, properties.Suite(seed=5)).failed > 0
 
     def test_zero_residual_cases_are_skipped(self, monkeypatch):

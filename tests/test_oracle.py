@@ -14,7 +14,7 @@ from ilse import (
 from ilse import oracle, properties
 from ilse.oracle import estimate_gradient_fd
 
-from conftest import assert_row_passes, solved_case
+from conftest import assert_row_passes, solved_case, t1_grid_minimum
 
 Y01 = np.array([0.1])
 
@@ -27,7 +27,7 @@ class TestMinimizeEstimate:
         assert result.xi_star == pytest.approx(sol.xi, abs=1e-4)
 
     def test_matches_exhaustive_grid_on_t1(self, t1, unit_weights):
-        xi_grid, rho_grid = estimate_on_grid(t1, Y01, unit_weights, 0.0, 2.0, 1e-4)
+        xi_grid, rho_grid = t1_grid_minimum()
         result = minimize_estimate(t1, Y01, unit_weights, seed=3)
         assert result.rho_star <= rho_grid + 1e-12
         assert abs(result.rho_star - rho_grid) <= 1e-3
@@ -61,7 +61,7 @@ class TestGrid:
 
 class TestGradient:
     def test_small_at_grid_minimum(self, t1, unit_weights):
-        xi_star, _ = estimate_on_grid(t1, Y01, unit_weights, 0.0, 2.0, 1e-4)
+        xi_star, _ = t1_grid_minimum()
         h = 1e-4
         grad = estimate_gradient_fd(t1, Y01, np.array([xi_star]), unit_weights, h=h)
         assert abs(grad[0]) <= 10 * h
