@@ -39,14 +39,15 @@ tau0 = max(theta3, 1/alpha) come from it. The minimum-norm solution is
 z = J^T v for v = (C C^T)^-1 rhs, applied block by block; its E block is
 the rank-2 matrix S (r_y v_top^T - A v_top y^T).
 
-linearization_matrix still assembles the dense J, as the reference that
-the tests and the property table compare C against.
+linearization_matrix is the one dense builder of J: it assembles the
+formula above term by term with Kronecker products, as the reference that
+the tests, the property table and the oracle compare C against. Nothing
+on the estimator's path calls it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -66,23 +67,6 @@ from .core import (
 RANK_RTOL = 10.0 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class LinearizationOperator:
-    """Dense linearization matrix J together with the multiplier and
-    weights it was assembled with.
-
-    J has n + s rows and n*m + m + n*s + s columns; the column blocks act
-    on (vec(E), theta1*f, theta2*vec(F), theta3*g) in that order.
-    """
-
-    J: np.ndarray
-    xi: np.ndarray
-    weights: WeightScheme
-    m: int
-    n: int
-    s: int
-
-
 def _check_candidate(problem: IlseProblem, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (problem.n,):
@@ -97,43 +81,31 @@ def _check_multiplier(problem: IlseProblem, xi: np.ndarray) -> np.ndarray:
     return xi
 
 
-def _k_block(problem: IlseProblem, y: np.ndarray) -> np.ndarray:
-    """The n x (n*m) block I_n (x) (r_y^T S) - A^T S (y^T (x) I_m).
-
-    Column block j (of width m) is -y_j * A^T S, with r_y^T S added to
-    its j-th row.
-    """
-    m, n = problem.m, problem.n
-    r_y = problem.residual(y)
-    sr = apply_signature(problem.sig, r_y)
-    AtS = apply_signature(problem.sig, problem.A).T
-    K = np.empty((n, n * m))
-    for j in range(n):
-        block = K[:, j * m:(j + 1) * m]
-        np.multiply(AtS, -y[j], out=block)
-        block[j] += sr
-    return K
-
-
 def linearization_matrix(
     problem: IlseProblem, y: np.ndarray, xi: np.ndarray, w: WeightScheme
-) -> LinearizationOperator:
-    """Assemble the dense linearization matrix J at (y, xi)."""
+) -> np.ndarray:
+    """The dense (n+s) x (nm+m+ns+s) matrix J(xi), assembled term by term
+    from the Kronecker formula in the module docstring; its column blocks
+    act on (vec(E), theta1 f, theta2 vec(F), theta3 g)."""
     y = _check_candidate(problem, y)
     xi = _check_multiplier(problem, xi)
     m, n, s = problem.m, problem.n, problem.s
-    nm, ns = n * m, n * s
+    sr = apply_signature(problem.sig, problem.residual(y))
+    AtS = apply_signature(problem.sig, problem.A).T
 
-    J = np.zeros((n + s, nm + m + ns + s))
-    J[:n, :nm] = _k_block(problem, y)
-    J[:n, nm:nm + m] = apply_signature(problem.sig, problem.A).T / w.theta1
-    for j in range(n):
-        J[j, nm + m + j * s:nm + m + (j + 1) * s] = -xi / w.theta2
-    for j in range(n):
-        block = J[n:, nm + m + j * s:nm + m + (j + 1) * s]
-        np.fill_diagonal(block, y[j] / w.theta2)
-    np.fill_diagonal(J[n:, nm + m + ns:], -1.0 / w.theta3)
-    return LinearizationOperator(J=J, xi=xi, weights=w, m=m, n=n, s=s)
+    K = np.kron(np.eye(n), sr[None, :]) - AtS @ np.kron(y[None, :], np.eye(m))
+    top = np.hstack([
+        K,
+        AtS / w.theta1,
+        -np.kron(np.eye(n), xi[None, :]) / w.theta2,
+        np.zeros((n, s)),
+    ])
+    bottom = np.hstack([
+        np.zeros((s, n * m + m)),
+        np.kron(y[None, :], np.eye(s)) / w.theta2,
+        -np.eye(s) / w.theta3,
+    ])
+    return np.vstack([top, bottom])
 
 
 def rhs_vector(problem: IlseProblem, y: np.ndarray, xi: np.ndarray) -> np.ndarray:

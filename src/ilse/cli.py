@@ -91,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--trials", type=int, default=None, help="trials per grid cell")
     p_exp.add_argument("--seed", type=int, default=None, help="base seed")
     p_exp.add_argument("--hyper-bound", type=float, default=None)
-    p_exp.add_argument("--jobs", type=int, default=None, help="worker threads")
     p_exp.add_argument("--format", choices=("csv", "markdown", "json"), default=None)
     p_exp.add_argument("--out", default=None, help="write the table here instead of stdout")
     _add_weight_flags(p_exp)
@@ -168,8 +167,7 @@ def _cmd_experiment(args) -> int:
     for name, value in (
         ("m", args.m), ("n", args.n), ("s", args.s), ("p", args.p), ("q", args.q),
         ("trials_per_cell", args.trials), ("base_seed", args.seed),
-        ("hyper_bound", args.hyper_bound), ("jobs", args.jobs),
-        ("output_format", args.format),
+        ("hyper_bound", args.hyper_bound), ("output_format", args.format),
     ):
         if value is not None:
             overrides[name] = value

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -34,9 +33,10 @@ from .core import (
     PerturbationQuadruple,
     SignatureMatrix,
     WeightScheme,
+    apply_signature,
     perturbed_problem,
 )
-from .solver import assemble_augmented, solve_ilse
+from .solver import solve_ilse
 from .testgen import GenParams, gen_ilse_instance, gen_perturbation, subseed
 
 CSV_HEADER = "eps,kappa_A,kappa_B,gamma,gamma_bar,mu_1,rho_xi1,rho_xi0,tau0,condition_flag,seed"
@@ -65,13 +65,22 @@ def mu_one(pert: PerturbationQuadruple) -> float:
 def residual_gamma(problem: IlseProblem, sol: IlseSolution) -> float:
     """Relative residual of the augmented system at a solution bundle.
 
-    |K u - rhs|_2 / (|K|_F |u|_2 + |rhs|_2) with u = (lam, s_vec, x).
+    |K u - rhs|_2 / (|K|_F |u|_2 + |rhs|_2) with u = (lam, s_vec, x),
+    for the augmented matrix K and right-hand side (d, b, 0) of
+    ``solver.assemble_augmented``. K is never built: block by block,
+    K u - rhs = (B x - d, S s_vec + A x - b, B^T lam + A^T s_vec) and
+    |K|_F^2 = 2 |B|_F^2 + m + 2 |A|_F^2.
     """
-    K, rhs = assemble_augmented(problem)
+    A, B = problem.A, problem.B
+    residual = np.concatenate([
+        B @ sol.x - problem.d,
+        apply_signature(problem.sig, sol.s_vec) + A @ sol.x - problem.b,
+        B.T @ sol.lam + A.T @ sol.s_vec,
+    ])
+    K_norm = math.sqrt(2.0 * np.linalg.norm(B) ** 2 + problem.m + 2.0 * np.linalg.norm(A) ** 2)
     u = np.concatenate([sol.lam, sol.s_vec, sol.x])
-    num = float(np.linalg.norm(K @ u - rhs))
-    den = float(np.linalg.norm(K) * np.linalg.norm(u) + np.linalg.norm(rhs))
-    return num / den if den > 0.0 else 0.0
+    den = float(K_norm * np.linalg.norm(u) + np.linalg.norm(np.concatenate([problem.d, problem.b])))
+    return float(np.linalg.norm(residual)) / den if den > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -118,7 +127,8 @@ def run_trial(params: GenParams, eps: float, w: WeightScheme, seed: int) -> Expe
     try:
         gen_params = replace(params, seed=subseed(seed, _STREAM_TRIAL_GEN))
         problem, achieved = gen_ilse_instance(gen_params)
-        sol = solve_ilse(problem)
+        # gen_ilse_instance only returns instances that passed check_well_posedness.
+        sol = solve_ilse(problem, check_well_posed=False)
         gamma = residual_gamma(problem, sol)
 
         pert = gen_perturbation(problem, eps, subseed(seed, _STREAM_TRIAL_PERT))
@@ -170,7 +180,6 @@ class ExperimentConfig:
     weights: WeightScheme = field(default_factory=WeightScheme)
     output_format: str = "csv"
     hyper_bound: float = 1.0
-    jobs: int = 1
 
     def __post_init__(self):
         if not self.eps_list or not self.kappa_a_list or not self.kappa_b_list:
@@ -179,8 +188,6 @@ class ExperimentConfig:
             raise ValueError("trials_per_cell must be >= 1")
         if self.output_format not in ("csv", "markdown", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         object.__setattr__(self, "kappa_a_list", tuple(float(x) for x in self.kappa_a_list))
         object.__setattr__(self, "kappa_b_list", tuple(float(x) for x in self.kappa_b_list))
         object.__setattr__(self, "eps_list", tuple(float(x) for x in self.eps_list))
@@ -204,7 +211,6 @@ class ExperimentConfig:
             "theta3": self.weights.theta3,
             "output_format": self.output_format,
             "hyper_bound": self.hyper_bound,
-            "jobs": self.jobs,
         }
 
     @classmethod
@@ -233,9 +239,8 @@ def derive_trial_seed(base_seed: int, index: int) -> int:
 def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRow], str]:
     """Run the Cartesian grid eps x kappa_A x kappa_B x trials.
 
-    Rows come back in deterministic grid order regardless of the worker
-    count, followed by per-cell median summaries in the formatted table.
-    Raises IlseError when every trial failed.
+    Rows come back in grid order, followed by per-cell median summaries
+    in the formatted table. Raises IlseError when every trial failed.
     """
     cells = [
         (eps, ka, kb, t)
@@ -245,16 +250,11 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRow], str]:
         for t in range(config.trials_per_cell)
     ]
 
-    def work(item):
-        index, (eps, ka, kb, _t) = item
-        seed = derive_trial_seed(config.base_seed, index)
-        return run_trial(config.gen_params(ka, kb), eps, config.weights, seed)
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(work, enumerate(cells)))
-    else:
-        rows = [work(item) for item in enumerate(cells)]
+    rows = [
+        run_trial(config.gen_params(ka, kb), eps, config.weights,
+                  derive_trial_seed(config.base_seed, index))
+        for index, (eps, ka, kb, _t) in enumerate(cells)
+    ]
 
     if all(row.failed for row in rows):
         raise IlseError("all trials failed; see row reasons")

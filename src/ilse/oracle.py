@@ -1,7 +1,8 @@
 """Independent verification paths for the backward-error machinery.
 
 Everything here is deliberately redundant with the main implementation:
-the linearization is rebuilt with literal Kronecker products, the
+the estimate is recomputed from the dense Kronecker-built J
+(backward_error.linearization_matrix) instead of the compressed C, the
 minimum-norm solve is redone through the normal equations of the
 transposed system, the uniform pseudoinverse bound is recomputed from an
 explicit SVD, and the minimization over multipliers is done numerically
@@ -22,34 +23,14 @@ from .core import (
     OptimizationError,
     RankDeficiencyError,
     WeightScheme,
-    apply_signature,
 )
-from .backward_error import RANK_RTOL, backward_error_estimate, least_squares_multiplier, rhs_vector
-
-
-def _kron_linearization(problem, y, xi, w):
-    # Literal Kronecker-product assembly; independent of the block fills
-    # used by backward_error.linearization_matrix.
-    m, n, s = problem.m, problem.n, problem.s
-    y = np.asarray(y, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    r_y = problem.residual(y)
-    sr = apply_signature(problem.sig, r_y)
-    AtS = apply_signature(problem.sig, problem.A).T
-
-    K = np.kron(np.eye(n), sr[None, :]) - AtS @ np.kron(y[None, :], np.eye(m))
-    top = np.hstack([
-        K,
-        AtS / w.theta1,
-        -np.kron(np.eye(n), xi[None, :]) / w.theta2,
-        np.zeros((n, s)),
-    ])
-    bottom = np.hstack([
-        np.zeros((s, n * m + m)),
-        np.kron(y[None, :], np.eye(s)) / w.theta2,
-        -np.eye(s) / w.theta3,
-    ])
-    return np.vstack([top, bottom])
+from .backward_error import (
+    RANK_RTOL,
+    backward_error_estimate,
+    least_squares_multiplier,
+    linearization_matrix,
+    rhs_vector,
+)
 
 
 def estimate_via_normal_equations(
@@ -60,7 +41,7 @@ def estimate_via_normal_equations(
     Squares the conditioning, so only trustworthy on benign instances;
     that is exactly what makes it a useful cross-check for the QR path.
     """
-    J = _kron_linearization(problem, y, xi, w)
+    J = linearization_matrix(problem, y, xi, w)
     rhs = rhs_vector(problem, y, xi)
     G = J @ J.T
     wvec = sla.solve(0.5 * (G + G.T), rhs, assume_a="pos")
@@ -75,7 +56,7 @@ def pinv_norm_bound_via_svd(problem: IlseProblem, y: np.ndarray, w: WeightScheme
     (n+s) x (nm+m+ns+s) matrix.
     """
     n, s = problem.n, problem.s
-    M = _kron_linearization(problem, y, np.zeros(s), w)
+    M = linearization_matrix(problem, y, np.zeros(s), w)
     M[:, n * problem.m + problem.m:n * problem.m + problem.m + n * s] = 0.0
     svals = sla.svdvals(M)
     smin = float(svals[-1])
@@ -89,7 +70,7 @@ def linearization_pinv_norm(
 ) -> float:
     """tau(xi) = 1 / sigma_min(J(xi)), the pseudoinverse norm of J, from a
     dense SVD of the Kronecker-built J."""
-    svals = sla.svdvals(_kron_linearization(problem, y, xi, w))
+    svals = sla.svdvals(linearization_matrix(problem, y, xi, w))
     if svals[-1] <= RANK_RTOL * svals[0]:
         raise RankDeficiencyError("linearization is rank deficient", sigma_min=float(svals[-1]))
     return float(1.0 / svals[-1])
@@ -138,8 +119,13 @@ def minimize_estimate(
     """Numerically minimize rho over multipliers with multi-start Nelder-Mead.
 
     Starting points are the least-squares multiplier, optionally xi0, and
-    ``starts`` random Gaussian points; max_iters caps the total number of
-    rho evaluations (default 200 per multiplier dimension). Trial points
+    ``starts`` random Gaussian points. max_iters (default 200 per
+    multiplier dimension) is split over the start points and does not cap
+    the total number of rho evaluations: each start point costs one
+    evaluation of its own plus a Nelder-Mead search of at most
+    max(max_iters // number_of_start_points, 2s + 4) evaluations. So the
+    default with xi0 at s = 4 makes 5 x (1 + 160) = 805 evaluations, and
+    max_iters=0 still makes up to 2s + 5 per start point. Trial points
     where the linearization is rank deficient are skipped. The result
     never exceeds rho at the least-squares multiplier, ties between starts
     resolve to the earlier start, and fixed seeds give bitwise-identical

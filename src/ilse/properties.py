@@ -460,7 +460,7 @@ def full_row_rank(case):
     problem, y, xi, w = case
     if float(np.linalg.norm(problem.residual(y))) == 0.0:
         return SKIP_ZERO_RESIDUAL
-    sv = sla.svdvals(be.linearization_matrix(problem, y, xi, w).J)
+    sv = sla.svdvals(be.linearization_matrix(problem, y, xi, w))
     ratio = float(sv[-1] / sv[0])
     return Outcome(sv[-1] > 1e-10 * sv[0], f"sigma ratio {ratio:.2e}", ratio)
 
@@ -473,7 +473,7 @@ def min_norm(case):
     problem, y, w, v = case
     xi1 = be.least_squares_multiplier(problem, y)
     z = be.min_norm_perturbation(problem, y, xi1, w)
-    J = be.linearization_matrix(problem, y, xi1, w).J
+    J = be.linearization_matrix(problem, y, xi1, w)
     rhs = be.rhs_vector(problem, y, xi1)
     Q, _ = sla.qr(J.T, mode="economic")
     checks = {
@@ -494,7 +494,7 @@ def min_norm(case):
 )
 def compressed_matches_kron(case):
     problem, y, xi, w = case
-    J = oracle._kron_linearization(problem, y, xi, w)
+    J = be.linearization_matrix(problem, y, xi, w)
     sv_J = sla.svdvals(J)
     sv_C = sla.svdvals(be._compressed_linearization(problem, y, xi, w))
     rhs = be.rhs_vector(problem, y, xi)

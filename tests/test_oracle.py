@@ -5,16 +5,14 @@ from ilse import (
     OptimizationError,
     RankDeficiencyError,
     backward_error_estimate,
-    estimate_on_grid,
-    estimate_via_normal_equations,
     least_squares_multiplier,
     minimize_estimate,
     solve_ilse,
 )
-from ilse import oracle, properties
-from ilse.oracle import estimate_gradient_fd
+from ilse import oracle
+from ilse.oracle import estimate_gradient_fd, estimate_on_grid, estimate_via_normal_equations
 
-from conftest import assert_row_passes, solved_case, t1_grid_minimum
+from conftest import solved_case, t1_grid_minimum
 
 Y01 = np.array([0.1])
 
@@ -31,12 +29,6 @@ class TestMinimizeEstimate:
         result = minimize_estimate(t1, Y01, unit_weights, seed=3)
         assert result.rho_star <= rho_grid + 1e-12
         assert abs(result.rho_star - rho_grid) <= 1e-3
-
-    def test_never_exceeds_estimate_at_start(self):
-        assert_row_passes(properties.minimizer_below_start)
-
-    def test_bitwise_reproducible(self):
-        assert_row_passes(properties.search_repeats)
 
     def test_all_failures_raise(self, t1, unit_weights, monkeypatch):
         def always_rank_deficient(problem, y, xi, w):

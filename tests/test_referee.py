@@ -50,7 +50,7 @@ def referee_rho(problem, y, xi, w) -> mpmath.mpf:
 
 def dense_rho(problem, y, xi, w) -> float:
     """rho through the QR of the dense J^T, the route the estimator replaced."""
-    J = be.linearization_matrix(problem, y, xi, w).J
+    J = be.linearization_matrix(problem, y, xi, w)
     R = sla.qr(J.T, mode="economic")[1]
     return float(np.linalg.norm(sla.solve_triangular(R, be.rhs_vector(problem, y, xi), trans="T")))
 
