@@ -39,6 +39,20 @@ tau0 = max(theta3, 1/alpha) come from it. The minimum-norm solution is
 z = J^T v for v = (C C^T)^-1 rhs, applied block by block; its E block is
 the rank-2 matrix S (r_y v_top^T - A v_top y^T).
 
+One kernel, _min_norm_factor, evaluates rho for backward_error_estimate
+and min_norm_perturbation. Per call it computes r_y, S r_y and A^T S
+once, gathers C^T, its rows sorted by decreasing norm, into one
+Fortran-ordered buffer, factors that buffer in place with LAPACK geqrf,
+and solves R^T w = rhs with trtrs, so rho = |w|_2; orgqr forms Q from
+the same geqrf output when z is wanted. The rank test needs sigma_min and
+sigma_max of R, and a certified pre-test replaces the SVD where it can:
+sigma_min(R) >= 1/|R^-1|_F and sigma_max(R) <= |R|_F, so when trtri
+inverts R, |R^-1|_F is finite and 1/|R^-1|_F > 100 RANK_RTOL |R|_F, the
+singular-value test sigma_min > RANK_RTOL sigma_max holds. The factor
+100 (PRETEST_MARGIN) absorbs the rounding in the computed R^-1. In every
+other case the SVD of R decides, and a RankDeficiencyError carries its
+sigma_min.
+
 linearization_matrix is the one dense builder of J: it assembles the
 formula above term by term with Kronecker products, as the reference that
 the tests, the property table and the oracle compare C against. Nothing
@@ -51,6 +65,7 @@ import math
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr, dtrtri, dtrtrs
 
 from .core import (
     IlseProblem,
@@ -66,11 +81,18 @@ from .core import (
 # at condition extremes, so only rounding-level singularity is flagged.
 RANK_RTOL = 10.0 * np.finfo(float).eps
 
+# The rank pre-test skips the SVD only when its certified bound on
+# sigma_min/sigma_max clears RANK_RTOL by this factor, a margin for the
+# rounding in the computed R^-1.
+PRETEST_MARGIN = 100.0
+
 
 def _check_candidate(problem: IlseProblem, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (problem.n,):
         raise ValueError(f"candidate y must have length {problem.n}, got shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("candidate y contains non-finite entries")
     return y
 
 
@@ -78,6 +100,8 @@ def _check_multiplier(problem: IlseProblem, xi: np.ndarray) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (problem.s,):
         raise ValueError(f"multiplier must have length {problem.s}, got shape {xi.shape}")
+    if not np.isfinite(xi).all():
+        raise ValueError("multiplier xi contains non-finite entries")
     return xi
 
 
@@ -112,9 +136,11 @@ def rhs_vector(problem: IlseProblem, y: np.ndarray, xi: np.ndarray) -> np.ndarra
     """Stacked optimality residual (B^T xi - A^T S r_y, d - B y)."""
     y = _check_candidate(problem, y)
     xi = _check_multiplier(problem, xi)
-    r_y = problem.residual(y)
-    top = problem.B.T @ xi - problem.A.T @ apply_signature(problem.sig, r_y)
-    return np.concatenate([top, problem.d - problem.B @ y])
+    return _rhs(problem, y, xi, apply_signature(problem.sig, problem.residual(y)))
+
+
+def _rhs(problem: IlseProblem, y: np.ndarray, xi: np.ndarray, sr: np.ndarray) -> np.ndarray:
+    return np.concatenate([problem.B.T @ xi - problem.A.T @ sr, problem.d - problem.B @ y])
 
 
 def _unit_direction(y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -124,34 +150,54 @@ def _unit_direction(y: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _multiplier_free_blocks(problem: IlseProblem, y: np.ndarray, w: WeightScheme):
-    """u, |y|, r_y and the n x 2m block [u (S r_y)^T - |y| A^T S, A^T S/theta1]
+    """u, |y|, r_y, S r_y and the n x 2m block [u (S r_y)^T - |y| A^T S, A^T S/theta1]
     that C and the stability matrix share."""
     m, n = problem.m, problem.n
     u, y_norm = _unit_direction(y)
     r_y = problem.residual(y)
+    sr = apply_signature(problem.sig, r_y)
     AtS = apply_signature(problem.sig, problem.A).T
     blocks = np.empty((n, 2 * m))
     np.multiply(AtS, -y_norm, out=blocks[:, :m])
-    blocks[:, :m] += np.outer(u, apply_signature(problem.sig, r_y))
+    blocks[:, :m] += np.outer(u, sr)
     np.divide(AtS, w.theta1, out=blocks[:, m:])
-    return u, y_norm, r_y, blocks
+    return u, y_norm, r_y, sr, blocks
 
 
-def _compressed_linearization(
+def _sorted_compressed_transpose(
     problem: IlseProblem, y: np.ndarray, xi: np.ndarray, w: WeightScheme
-) -> np.ndarray:
-    """C(xi), the (n+s) x (2m+n+2s) matrix with C C^T = J(xi) J(xi)^T."""
+):
+    """(order, C(xi)^T with its rows sorted by decreasing norm, u, S r_y, c):
+    row i of the Fortran-ordered matrix is row order[i] of C^T, so geqrf
+    factors it in place.
+
+    The top n rows of C are assembled once in natural order, and their
+    column norms summed as np.linalg.norm(C, axis=0) sums them, so ties
+    break as on the dense C. One gather writes them, sorted, into the
+    factored buffer, and the 2s nonzeros of the bottom rows go straight to
+    their sorted columns.
+    """
     m, n, s = problem.m, problem.n, problem.s
-    u, y_norm, r_y, blocks = _multiplier_free_blocks(problem, y, w)
+    N = 2 * m + n + 2 * s
+    u, y_norm, r_y, sr, blocks = _multiplier_free_blocks(problem, y, w)
     c = math.hypot(float(np.linalg.norm(r_y)), float(np.linalg.norm(xi)) / w.theta2)
-    C = np.zeros((n + s, 2 * m + n + 2 * s))
-    C[:n, :2 * m] = blocks
-    C[:n, 2 * m:2 * m + s] = np.outer(u, xi / -w.theta2)
-    C[:n, 2 * m + s:2 * m + s + n] = c * (np.eye(n) - np.outer(u, u))
+    top = np.zeros((n, N))
+    top[:, :2 * m] = blocks
+    top[:, 2 * m:2 * m + s] = np.outer(u, xi / -w.theta2)
+    top[:, 2 * m + s:2 * m + s + n] = c * (np.eye(n) - np.outer(u, u))
+    bottom_xi, bottom_g = y_norm / w.theta2, -1.0 / w.theta3
+    sq = np.add.reduce(top * top, axis=0)
+    sq[2 * m:2 * m + s] += bottom_xi * bottom_xi
+    sq[2 * m + s + n:] = bottom_g * bottom_g
+    order = np.argsort(-np.sqrt(sq), kind="stable")
+    pos = np.empty_like(order)
+    pos[order] = np.arange(N)
+    C_sorted = np.zeros((n + s, N))
+    np.take(top, order, axis=1, out=C_sorted[:n])
     rows = n + np.arange(s)
-    C[rows, 2 * m + np.arange(s)] = y_norm / w.theta2
-    C[rows, 2 * m + s + n + np.arange(s)] = -1.0 / w.theta3
-    return C
+    C_sorted[rows, pos[2 * m:2 * m + s]] = bottom_xi
+    C_sorted[rows, pos[2 * m + s + n:]] = bottom_g
+    return order, C_sorted.T, u, sr, c
 
 
 def _require_full_row_rank(svals: np.ndarray) -> None:
@@ -163,27 +209,44 @@ def _require_full_row_rank(svals: np.ndarray) -> None:
         )
 
 
+def _certainly_full_rank(R: np.ndarray) -> bool:
+    """The rank pre-test on the upper triangle of R: True only when
+    sigma_min(R) >= 1/|R^-1|_F exceeds PRETEST_MARGIN * RANK_RTOL * |R|_F
+    >= PRETEST_MARGIN * RANK_RTOL * sigma_max(R), so that the
+    singular-value test would pass as well."""
+    L = np.triu(R).T
+    r_fro = float(np.linalg.norm(L))
+    L_inv, info = dtrtri(L, lower=1, overwrite_c=1)
+    if info != 0:
+        return False
+    inv_fro = float(np.linalg.norm(L_inv))
+    return math.isfinite(inv_fro) and 1.0 / inv_fro > PRETEST_MARGIN * RANK_RTOL * r_fro
+
+
 def _min_norm_factor(
     problem: IlseProblem, y: np.ndarray, xi: np.ndarray, w: WeightScheme, with_q: bool = False
 ):
-    """The QR of C(xi)^T, after the full-row-rank check on the singular
-    values of R (those of J): (order, Q or None, R, R^-T rhs(xi)), where
-    row i of the factored matrix is row order[i] of C^T.
+    """The rho kernel: the Householder QR of C(xi)^T with its rows sorted by
+    decreasing norm, the full-row-rank check on R (whose singular values
+    are those of J), and wvec = R^-T rhs(xi), so that rho = |wvec|_2.
 
-    The rows of C^T enter the QR in order of decreasing norm, which leaves
-    C C^T unchanged; Householder QR is row-wise stable with sorted rows (Cox
-    & Higham, BIT 1998). At kappa_B = 1e8, where |xi| and |y| reach 1e13
-    and 1e8, unsorted rows gave rho up to 60 times further from a 50-digit
-    referee than the dense QR of J^T did; sorted, they give the closer value.
+    Returns (order, Q or None, wvec, u, S r_y, c), where row i of the
+    factored matrix is row order[i] of C^T; min_norm_perturbation maps z
+    back with the last three.
+
+    Householder QR is row-wise stable with sorted rows (Cox & Higham, BIT
+    1998). At kappa_B = 1e8, where |xi| and |y| reach 1e13 and 1e8,
+    unsorted rows gave rho up to 60 times further from a 50-digit referee
+    than the dense QR of J^T did; sorted, they give the closer value.
     """
-    C = _compressed_linearization(problem, y, xi, w)
-    order = np.argsort(-np.linalg.norm(C, axis=0), kind="stable")
-    if with_q:
-        Q, R = sla.qr(C[:, order].T, mode="economic")
-    else:
-        Q, R = None, np.linalg.qr(C[:, order].T, mode="r")
-    _require_full_row_rank(sla.svdvals(R))
-    return order, Q, R, sla.solve_triangular(R, rhs_vector(problem, y, xi), trans="T")
+    order, CT, u, sr, c = _sorted_compressed_transpose(problem, y, xi, w)
+    qr, tau, _, _ = dgeqrf(CT, lwork=int(dgeqrf_lwork(*CT.shape)[0]), overwrite_a=1)
+    R = qr[:CT.shape[1]]
+    if not _certainly_full_rank(R):
+        _require_full_row_rank(sla.svdvals(np.triu(R)))
+    wvec, _ = dtrtrs(qr, _rhs(problem, y, xi, sr), trans=1)
+    Q = dorgqr(qr, tau, overwrite_a=1)[0] if with_q else None
+    return order, Q, wvec, u, sr, c
 
 
 def backward_error_estimate(
@@ -192,8 +255,7 @@ def backward_error_estimate(
     """rho(xi): norm of the minimum-norm solution of J(xi) z = rhs(xi)."""
     y = _check_candidate(problem, y)
     xi = _check_multiplier(problem, xi)
-    *_, wvec = _min_norm_factor(problem, y, xi, w)
-    return float(np.linalg.norm(wvec))
+    return float(np.linalg.norm(_min_norm_factor(problem, y, xi, w)[2]))
 
 
 def min_norm_perturbation(
@@ -219,15 +281,12 @@ def min_norm_perturbation(
     y = _check_candidate(problem, y)
     xi = _check_multiplier(problem, xi)
     m, n, s = problem.m, problem.n, problem.s
-    order, Q, _, wvec = _min_norm_factor(problem, y, xi, w, with_q=True)
+    order, Q, wvec, u, sr, c = _min_norm_factor(problem, y, xi, w, with_q=True)
     z_c = np.empty(Q.shape[0])
     z_c[order] = Q @ wvec
     a1, a2, a3, a4, a5 = np.split(z_c, np.cumsum([m, m, s, n]))
-    u, _ = _unit_direction(y)
-    r_y = problem.residual(y)
-    c = math.hypot(float(np.linalg.norm(r_y)), float(np.linalg.norm(xi)) / w.theta2)
     p = (a4 - u * (u @ a4)) / c if c > 0.0 else a4
-    E = np.outer(a1, u) + np.outer(apply_signature(problem.sig, r_y), p)
+    E = np.outer(a1, u) + np.outer(sr, p)
     F = np.outer(a3, u) - np.outer(xi, p) / w.theta2
     return np.concatenate([E.ravel(order="F"), a2, F.ravel(order="F"), a5])
 
@@ -252,7 +311,7 @@ def least_squares_multiplier(problem: IlseProblem, y: np.ndarray) -> np.ndarray:
 def _stability_matrix(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> np.ndarray:
     """[u (S r_y)^T - |y| A^T S, A^T S/theta1, |r_y| (I_n - u u^T)]: n x (2m + n),
     with the singular values of the multiplier-free block [K, A^T S/theta1] of J."""
-    u, _, r_y, blocks = _multiplier_free_blocks(problem, y, w)
+    u, _, r_y, _, blocks = _multiplier_free_blocks(problem, y, w)
     deflated = float(np.linalg.norm(r_y)) * (np.eye(problem.n) - np.outer(u, u))
     return np.hstack([blocks, deflated])
 

@@ -30,6 +30,7 @@ from . import oracle
 from .core import (
     IlseProblem,
     PerturbationQuadruple,
+    RankDeficiencyError,
     SignatureMatrix,
     WeightScheme,
     apply_signature,
@@ -316,6 +317,30 @@ def _linearization_cases(fam, suite):
         yield problem, y, rng.standard_normal(s), WeightScheme(*np.exp(rng.uniform(-1, 1, size=3)))
 
 
+def _rank_threshold_cases(fam, suite):
+    """The _linearization_cases, then cases around the rank threshold:
+    candidates at kappa_A in {1e2, 1e8}, kappa_B = 1e8 and eps = 1e-12 with
+    the least-squares multiplier scaled by 1, 1e3, 1e6 and 1e9, which takes
+    sigma_min/sigma_max of C from about 1e-5 to below 1e-20; and y = 0 with
+    b = 0, so r_y = 0, at the zero and at a Gaussian multiplier."""
+    yield from _linearization_cases(fam, suite)
+    rng = _philox(fam.aux_seed(suite, 1))
+    for k, ka in enumerate((1e2, 1e2, 1e2, 1e8, 1e8, 1e8)):
+        dims = replace(fam.params(suite), kappa_a=ka, kappa_b=1e8)
+        problem, _, _, psol = solved_case(dims, 1e-12, fam.instance_seed(suite, 100 + k))
+        xi1 = be.least_squares_multiplier(problem, psol.x)
+        for scale in (1.0, 1e3, 1e6, 1e9):
+            yield problem, psol.x, scale * xi1, WeightScheme()
+    m, n, s, p, q = 12, 6, 3, 7, 5
+    for _ in range(2):
+        problem = IlseProblem(
+            A=rng.standard_normal((m, n)), b=np.zeros(m),
+            B=rng.standard_normal((s, n)), d=rng.standard_normal(s), sig=SignatureMatrix(p, q),
+        )
+        yield problem, np.zeros(n), np.zeros(s), WeightScheme()
+        yield problem, np.zeros(n), rng.standard_normal(s), WeightScheme()
+
+
 def _random_weight_cases(fam, suite):
     """Cases with weights exp(U(-1.5, 1.5)) from one stream."""
     rng = np.random.default_rng(fam.aux_seed(suite))
@@ -496,7 +521,7 @@ def compressed_matches_kron(case):
     problem, y, xi, w = case
     J = be.linearization_matrix(problem, y, xi, w)
     sv_J = sla.svdvals(J)
-    sv_C = sla.svdvals(be._compressed_linearization(problem, y, xi, w))
+    sv_C = sla.svdvals(be._sorted_compressed_transpose(problem, y, xi, w)[1])
     rhs = be.rhs_vector(problem, y, xi)
     R = sla.qr(J.T, mode="economic")[1]
     rho_J = float(np.linalg.norm(sla.solve_triangular(R, rhs, trans="T")))
@@ -511,6 +536,26 @@ def compressed_matches_kron(case):
     }
     detail = ", ".join(f"{k} {v:.1e}" for k, v in errors.items())
     return Outcome(all(errors[k] <= tol for k, tol in COMPRESSED_RTOL.items()), detail, errors["rho"])
+
+
+@_row(
+    "estimate: rank pre-test agrees with the SVD test",
+    Family(_rank_threshold_cases, count=41, seed=1500, aux=1550, dims=TINY),
+    summary=lambda accepted: f"pre-test skipped the SVD in {int(sum(accepted))} of {len(accepted)}",
+)
+def rank_pretest(case):
+    """Wherever the pre-test accepts full row rank, the singular-value test
+    on the same R accepts it too."""
+    problem, y, xi, w = case
+    CT = be._sorted_compressed_transpose(problem, y, xi, w)[1]
+    R = sla.qr(CT, mode="r")[0][:CT.shape[1]]
+    accepted = be._certainly_full_rank(R)
+    svals = sla.svdvals(R)
+    try:
+        be._require_full_row_rank(svals)
+    except RankDeficiencyError as exc:
+        return Outcome(not accepted, f"pre-test accepted what the SVD rejects: {exc}", float(accepted))
+    return Outcome(True, value=float(accepted))
 
 
 @_row(

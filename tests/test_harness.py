@@ -260,10 +260,10 @@ class TestVerifySuite:
         original = be._multiplier_free_blocks
 
         def corrupted(problem, y, w):
-            u, y_norm, r_y, blocks = original(problem, y, w)
+            u, y_norm, r_y, sr, blocks = original(problem, y, w)
             blocks = blocks.copy()
             blocks[:, :problem.m] += 2.0 * y_norm * apply_signature(problem.sig, problem.A).T
-            return u, y_norm, r_y, blocks
+            return u, y_norm, r_y, sr, blocks
 
         monkeypatch.setattr(be, "_multiplier_free_blocks", corrupted)
         assert properties.run_row(properties.tau0_closed_form, properties.Suite(seed=5)).failed > 0
