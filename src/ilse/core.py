@@ -102,6 +102,11 @@ class IlseProblem:
     Shapes: A is m x n with m >= n, b has length m, B is s x n with
     s <= n, d has length s, and sig.p + sig.q = m. All entries must be
     finite. Arrays are copied and marked read-only.
+
+    The problem may carry its default-tolerance WellPosednessReport, kept
+    by solver.check_well_posedness in the instance __dict__. It is not a
+    field: ==, repr and dataclasses.replace ignore it, and a replaced or
+    perturbed problem starts without one.
     """
 
     A: np.ndarray

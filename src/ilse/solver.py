@@ -8,15 +8,21 @@ its symmetric augmented system
 with s = S r, r = b - A x and lam = -xi. The coefficient matrix is
 invertible exactly when B has full row rank and A^T S A is positive
 definite on the null space of B.
+
+The coefficient matrix K is assembled bitwise symmetric, so its C-ordered
+buffer is also the Fortran-ordered array of K: LAPACK's getrf factors it
+in place and getrs solves with the factors, with no copy of K. The
+default-tolerance well-posedness report is computed at most once per
+problem object and kept on it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .core import (
     IllPosedProblemError,
@@ -26,6 +32,10 @@ from .core import (
 )
 
 _EPS = np.finfo(float).eps
+
+# Instance-dict key of an IlseProblem's default-tolerance report. It is not
+# a dataclass field, so ==, repr and dataclasses.replace ignore it.
+_REPORT_KEY = "_well_posedness_report"
 
 
 @dataclass(frozen=True)
@@ -63,7 +73,17 @@ def check_well_posedness(
     projected matrix Z^T A^T S A Z must have smallest eigenvalue above
     pd_tolerance, which defaults to eps * |A^T S A|_2. Always returns a
     report; nothing is raised here.
+
+    With both tolerances left at None the report is computed once per
+    problem object: it is kept in the instance __dict__ (the way
+    functools.cached_property keeps a value) and the same frozen report
+    is returned on every later call. The problem's arrays are read-only
+    copies, so the kept report cannot go stale. Explicit tolerances
+    always recompute and leave the kept report as it was.
     """
+    memoize = rank_tolerance is None and pd_tolerance is None
+    if memoize and _REPORT_KEY in problem.__dict__:
+        return problem.__dict__[_REPORT_KEY]
     A, B, sig = problem.A, problem.B, problem.sig
     n, s = problem.n, problem.s
 
@@ -92,13 +112,16 @@ def check_well_posedness(
         proj = 0.5 * (proj + proj.T)
         min_eig = float(sla.eigvalsh(proj)[0])
 
-    return WellPosednessReport(
+    report = WellPosednessReport(
         rank_ok=rank_ok,
         projected_pd_ok=bool(min_eig > pd_tolerance),
         min_projected_eig=min_eig,
         rank_tolerance=rank_tolerance,
         pd_tolerance=pd_tolerance,
     )
+    if memoize:
+        problem.__dict__[_REPORT_KEY] = report
+    return report
 
 
 def assemble_augmented(problem: IlseProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +139,7 @@ def assemble_augmented(problem: IlseProblem) -> tuple[np.ndarray, np.ndarray]:
     K = np.zeros((order, order))
     K[:s, s + m:] = problem.B
     K[s + m:, :s] = problem.B.T
-    K[s:s + m, s:s + m] = np.diag(problem.sig.diagonal())
+    np.fill_diagonal(K[s:s + m, s:s + m], problem.sig.diagonal())
     K[s:s + m, s + m:] = problem.A
     K[s + m:, s:s + m] = problem.A.T
     rhs = np.concatenate([problem.d, problem.b, np.zeros(n)])
@@ -125,6 +148,12 @@ def assemble_augmented(problem: IlseProblem) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_ilse(problem: IlseProblem, check_well_posed: bool = True) -> IlseSolution:
     """Solve the ILSE problem by LU factorization of the augmented system.
+
+    The symmetric K from assemble_augmented is handed to LAPACK's dgetrf
+    as K.T, the Fortran-ordered view of the same matrix, and factored in
+    place; dgetrs then solves with the factors. The check reuses the
+    problem's default-tolerance report when check_well_posedness has
+    already computed it (a problem from gen_ilse_instance carries one).
 
     Raises IllPosedProblemError if the well-posedness check fails or the
     factorization meets an exactly singular pivot. The residual r and the
@@ -148,12 +177,11 @@ def solve_ilse(problem: IlseProblem, check_well_posed: bool = True) -> IlseSolut
             )
 
     K, rhs = assemble_augmented(problem)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(K)
+    # K == K.T bitwise, so K.T is the Fortran array of K itself: no copy.
+    lu, piv, _ = lapack.dgetrf(K.T, overwrite_a=1)
     if np.any(np.diag(lu) == 0.0):
         raise IllPosedProblemError("augmented matrix is numerically singular")
-    u = sla.lu_solve((lu, piv), rhs)
+    u, _ = lapack.dgetrs(lu, piv, rhs, overwrite_b=1)
     if not np.all(np.isfinite(u)):
         raise IllPosedProblemError("augmented solve produced non-finite values")
 

@@ -1,19 +1,26 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from ilse import (
+    GenParams,
     IllPosedProblemError,
     IlseProblem,
     SignatureMatrix,
     assemble_augmented,
     check_well_posedness,
     gen_ilse_instance,
+    gen_perturbation,
     normal_equation_residuals,
+    perturbed_problem,
     solve_ilse,
 )
-from ilse import properties
+from ilse import solver
 
-from conftest import assert_row_passes, small_params
+from conftest import small_params
 
 
 def indefinite_on_nullspace():
@@ -51,6 +58,62 @@ class TestWellPosedness:
         assert report.projected_pd_ok == (report.min_projected_eig > report.pd_tolerance)
 
 
+class TestReportMemo:
+    def test_default_calls_return_the_same_report(self):
+        problem, _ = gen_ilse_instance(small_params(3))
+        report = check_well_posedness(problem)
+        assert check_well_posedness(problem) is report
+        fresh = IlseProblem(problem.A, problem.b, problem.B, problem.d, problem.sig)
+        assert check_well_posedness(fresh) is not report
+        assert check_well_posedness(fresh) == report
+
+    def test_explicit_tolerances_recompute_and_leave_the_memo(self):
+        problem = indefinite_on_nullspace()
+        loose = check_well_posedness(problem, rank_tolerance=0.5)
+        assert loose.rank_tolerance == 0.5
+        default = check_well_posedness(problem)
+        assert default.rank_tolerance == 2 * np.finfo(float).eps
+        strict = check_well_posedness(problem, pd_tolerance=-2.0)
+        assert strict.projected_pd_ok and strict is not default
+        assert check_well_posedness(problem, rank_tolerance=0.5) is not loose
+        assert check_well_posedness(problem) is default
+
+    def test_derived_problems_start_without_a_report(self):
+        problem, _ = gen_ilse_instance(small_params(4))
+        report = check_well_posedness(problem)
+        replaced = dataclasses.replace(problem)
+        assert check_well_posedness(replaced) is not report
+        assert check_well_posedness(replaced) == report
+        pert = gen_perturbation(problem, 1e-6, 9)
+        perturbed = check_well_posedness(perturbed_problem(problem, pert))
+        assert perturbed is not report
+        assert perturbed.min_projected_eig != report.min_projected_eig
+        ill = dataclasses.replace(problem, B=np.vstack([problem.B[:1], problem.B[1:-1], problem.B[:1]]))
+        assert not check_well_posedness(ill).rank_ok
+
+    def test_generated_problem_is_not_checked_again(self, monkeypatch):
+        problem, _ = gen_ilse_instance(small_params(5))
+        # Any recomputation would reach scipy.linalg through this name.
+        monkeypatch.setattr(solver, "sla", None)
+        assert check_well_posedness(problem).well_posed
+        solve_ilse(problem)
+
+    def test_memo_keeps_an_ill_posed_verdict(self):
+        problem = indefinite_on_nullspace()
+        assert not check_well_posedness(problem).well_posed
+        with pytest.raises(IllPosedProblemError):
+            solve_ilse(problem)
+        with pytest.raises(IllPosedProblemError):
+            solve_ilse(problem)
+
+    def test_problem_fields_and_repr_unchanged(self):
+        problem = indefinite_on_nullspace()
+        before = repr(problem)
+        check_well_posedness(problem)
+        assert repr(problem) == before
+        assert [f.name for f in dataclasses.fields(IlseProblem)] == ["A", "b", "B", "d", "sig"]
+
+
 class TestAssembleAugmented:
     def test_t1_exact(self, t1):
         K, rhs = assemble_augmented(t1)
@@ -62,9 +125,6 @@ class TestAssembleAugmented:
         ])
         assert np.array_equal(K, expected)
         assert np.array_equal(rhs, [0.0, 1.0, 1.0, 0.0])
-
-    def test_symmetric_bitwise(self):
-        assert_row_passes(properties.symmetric)
 
     def test_no_constraints_rejected(self):
         problem = IlseProblem(
@@ -102,18 +162,39 @@ class TestSolveIlse:
         assert np.linalg.norm(sol.r) <= 1e-12 * np.linalg.norm(consistent.b)
         assert np.linalg.norm(sol.xi) <= 1e-10
 
-    def test_paper_scale_residual(self):
-        assert_row_passes(properties.small_residual)
-
-    def test_normal_equation_residual_scale(self):
-        assert_row_passes(properties.normal_equations)
-
-    def test_deterministic(self):
-        assert_row_passes(properties.solves_repeat)
-
     def test_ill_posed_raises(self):
         with pytest.raises(IllPosedProblemError):
             solve_ilse(indefinite_on_nullspace())
+
+    @pytest.mark.parametrize("params", [
+        *(pytest.param(small_params(seed, kappa_a=ka, kappa_b=kb), id=f"kA={ka:g},kB={kb:g}")
+          for seed, (ka, kb) in enumerate([(50.0, 100.0), (1e4, 1e2), (1e8, 1e8), (1e2, 1e6)])),
+        pytest.param(small_params(21, s=12), id="s=n"),
+        pytest.param(GenParams(m=3, n=1, s=1, p=2, q=1, kappa_a=1.0, kappa_b=1.0, seed=22), id="n=1"),
+        pytest.param(GenParams(m=6, n=3, s=3, p=0, q=6, kappa_a=10.0, kappa_b=10.0, seed=23), id="p=0"),
+        pytest.param(small_params(24, p=24, q=0), id="q=0"),
+    ])
+    def test_bitwise_equal_to_scipy_lu(self, params):
+        # The old route: lu_factor/lu_solve on the assembled K.
+        problem, _ = gen_ilse_instance(params)
+        K, rhs = assemble_augmented(problem)
+        u = sla.lu_solve(sla.lu_factor(K), rhs)
+        s, m = problem.s, problem.m
+        sol = solve_ilse(problem)
+        assert sol.x.tobytes() == u[s + m:].tobytes()
+        assert sol.lam.tobytes() == u[:s].tobytes()
+        assert sol.xi.tobytes() == (-u[:s]).tobytes()
+
+    def test_singular_augmented_matrix_raises_without_warning(self):
+        problem = IlseProblem(
+            A=np.eye(2), b=np.ones(2),
+            B=np.array([[1.0, 0.0], [1.0, 0.0]]), d=np.ones(2),
+            sig=SignatureMatrix(2, 0),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllPosedProblemError, match="^augmented matrix is numerically singular$"):
+                solve_ilse(problem, check_well_posed=False)
 
 
 class TestNormalEquationResiduals:
