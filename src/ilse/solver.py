@@ -9,11 +9,10 @@ with s = S r, r = b - A x and lam = -xi. The coefficient matrix is
 invertible exactly when B has full row rank and A^T S A is positive
 definite on the null space of B.
 
-The coefficient matrix K is assembled bitwise symmetric, so its C-ordered
-buffer is also the Fortran-ordered array of K: LAPACK's getrf factors it
-in place and getrs solves with the factors, with no copy of K. The
-default-tolerance well-posedness report is computed at most once per
-problem object and kept on it.
+K is assembled bitwise symmetric, so its C-ordered buffer is also its
+Fortran array: LAPACK's getrf factors it in place and getrs solves with
+the factors. The default-tolerance well-posedness report is computed at
+most once per problem object and kept on it.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from .core import (
 
 _EPS = np.finfo(float).eps
 
-# Instance-dict key of an IlseProblem's default-tolerance report. It is not
-# a dataclass field, so ==, repr and dataclasses.replace ignore it.
+# Instance-dict key of an IlseProblem's default-tolerance report.
 _REPORT_KEY = "_well_posedness_report"
 
 
@@ -177,7 +175,6 @@ def solve_ilse(problem: IlseProblem, check_well_posed: bool = True) -> IlseSolut
             )
 
     K, rhs = assemble_augmented(problem)
-    # K == K.T bitwise, so K.T is the Fortran array of K itself: no copy.
     lu, piv, _ = lapack.dgetrf(K.T, overwrite_a=1)
     if np.any(np.diag(lu) == 0.0):
         raise IllPosedProblemError("augmented matrix is numerically singular")

@@ -63,9 +63,6 @@ class TestReportMemo:
         problem, _ = gen_ilse_instance(small_params(3))
         report = check_well_posedness(problem)
         assert check_well_posedness(problem) is report
-        fresh = IlseProblem(problem.A, problem.b, problem.B, problem.d, problem.sig)
-        assert check_well_posedness(fresh) is not report
-        assert check_well_posedness(fresh) == report
 
     def test_explicit_tolerances_recompute_and_leave_the_memo(self):
         problem = indefinite_on_nullspace()
@@ -88,8 +85,9 @@ class TestReportMemo:
         perturbed = check_well_posedness(perturbed_problem(problem, pert))
         assert perturbed is not report
         assert perturbed.min_projected_eig != report.min_projected_eig
-        ill = dataclasses.replace(problem, B=np.vstack([problem.B[:1], problem.B[1:-1], problem.B[:1]]))
-        assert not check_well_posedness(ill).rank_ok
+        B = problem.B.copy()
+        B[-1] = B[0]
+        assert not check_well_posedness(dataclasses.replace(problem, B=B)).rank_ok
 
     def test_generated_problem_is_not_checked_again(self, monkeypatch):
         problem, _ = gen_ilse_instance(small_params(5))
