@@ -198,21 +198,6 @@ class ExperimentConfig:
             kappa_a=kappa_a, kappa_b=kappa_b, seed=seed, hyper_bound=self.hyper_bound,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m, "n": self.n, "s": self.s, "p": self.p, "q": self.q,
-            "kappa_a_list": list(self.kappa_a_list),
-            "kappa_b_list": list(self.kappa_b_list),
-            "eps_list": list(self.eps_list),
-            "trials_per_cell": self.trials_per_cell,
-            "base_seed": self.base_seed,
-            "theta1": self.weights.theta1,
-            "theta2": self.weights.theta2,
-            "theta3": self.weights.theta3,
-            "output_format": self.output_format,
-            "hyper_bound": self.hyper_bound,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)

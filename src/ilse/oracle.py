@@ -95,6 +95,13 @@ def estimate_on_grid(
     return best_xi, best_rho
 
 
+# Nelder-Mead budget per multiplier dimension, shared by the start points;
+# relative stopping tolerance of each search; random start points.
+_EVALS_PER_DIMENSION = 200
+_SEARCH_TOL = 1e-8
+_RANDOM_STARTS = 3
+
+
 @dataclass(frozen=True)
 class MinimizeResult:
     """Best multiplier found, its estimate value, the total number of
@@ -111,25 +118,22 @@ def minimize_estimate(
     y: np.ndarray,
     w: WeightScheme,
     xi0: np.ndarray | None = None,
-    max_iters: int | None = None,
-    tol: float = 1e-8,
-    starts: int = 3,
     seed: int = 0,
 ) -> MinimizeResult:
     """Numerically minimize rho over multipliers with multi-start Nelder-Mead.
 
     Starting points are the least-squares multiplier, optionally xi0, and
-    ``starts`` random Gaussian points. max_iters (default 200 per
-    multiplier dimension) is split over the start points and does not cap
+    _RANDOM_STARTS random Gaussian points. A budget of 200 evaluations per
+    multiplier dimension is split over the start points and does not cap
     the total number of rho evaluations: each start point costs one
     evaluation of its own plus a Nelder-Mead search of at most
-    max(max_iters // number_of_start_points, 2s + 4) evaluations. So the
-    default with xi0 at s = 4 makes 5 x (1 + 160) = 805 evaluations, and
-    max_iters=0 still makes up to 2s + 5 per start point. Trial points
-    where the linearization is rank deficient are skipped. The result
-    never exceeds rho at the least-squares multiplier, ties between starts
-    resolve to the earlier start, and fixed seeds give bitwise-identical
-    output.
+    max(200 s // number_of_start_points, 2s + 4) evaluations. So a search
+    with xi0 at s = 4 makes 5 x (1 + 160) = 805 evaluations. Each search
+    stops once its values and points agree to a relative _SEARCH_TOL.
+    Trial points where the linearization is rank deficient are skipped.
+    The result never exceeds rho at the least-squares multiplier, ties
+    between starts resolve to the earlier start, and fixed seeds give
+    bitwise-identical output.
     """
     # Imported here, not at module level: scipy.optimize adds about 20 MB
     # of resident memory and 0.2 s to every `import ilse`, and this search
@@ -138,8 +142,6 @@ def minimize_estimate(
 
     y = np.asarray(y, dtype=float)
     s = problem.s
-    if max_iters is None:
-        max_iters = 200 * max(s, 1)
 
     xi1 = least_squares_multiplier(problem, y)
     points = [xi1]
@@ -147,7 +149,7 @@ def minimize_estimate(
         points.append(np.asarray(xi0, dtype=float))
     rng = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
     spread = 1.0 + float(np.linalg.norm(xi1))
-    for _ in range(starts):
+    for _ in range(_RANDOM_STARTS):
         points.append(spread * rng.standard_normal(s))
 
     evals = 0
@@ -165,7 +167,7 @@ def minimize_estimate(
     best_rho = math.inf
     best_xi = xi1
     converged = False
-    budget_per_start = max(max_iters // len(points), 2 * s + 4)
+    budget_per_start = max(_EVALS_PER_DIMENSION * max(s, 1) // len(points), 2 * s + 4)
     for x0 in points:
         f0 = objective(x0)
         if f0 < best_rho:
@@ -178,8 +180,8 @@ def minimize_estimate(
             method="Nelder-Mead",
             options={
                 "maxfev": budget_per_start,
-                "fatol": tol * max(f0, 1e-300),
-                "xatol": tol * (1.0 + float(np.linalg.norm(x0))),
+                "fatol": _SEARCH_TOL * max(f0, 1e-300),
+                "xatol": _SEARCH_TOL * (1.0 + float(np.linalg.norm(x0))),
                 "disp": False,
             },
         )
@@ -202,16 +204,14 @@ def estimate_gradient_fd(
     y: np.ndarray,
     xi: np.ndarray,
     w: WeightScheme,
-    h: float | None = None,
+    h: float,
 ) -> np.ndarray:
-    """Central finite-difference gradient of xi -> rho(xi).
+    """Central finite-difference gradient of xi -> rho(xi) with step h.
 
     Diagnostic only: rho involves extreme singular values and need not be
-    differentiable everywhere. Default step is 1e-6 * (1 + |xi|).
+    differentiable everywhere.
     """
     xi = np.asarray(xi, dtype=float)
-    if h is None:
-        h = 1e-6 * (1.0 + float(np.linalg.norm(xi)))
     grad = np.empty(xi.shape[0])
     for i in range(xi.shape[0]):
         step = np.zeros_like(xi)

@@ -11,8 +11,8 @@ definite on the null space of B.
 
 K is assembled bitwise symmetric, so its C-ordered buffer is also its
 Fortran array: LAPACK's getrf factors it in place and getrs solves with
-the factors. The default-tolerance well-posedness report is computed at
-most once per problem object and kept on it.
+the factors. The well-posedness report is computed once per problem
+object and kept on it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .core import (
 
 _EPS = np.finfo(float).eps
 
-# Instance-dict key of an IlseProblem's default-tolerance report.
+# Instance-dict key of an IlseProblem's well-posedness report.
 _REPORT_KEY = "_well_posedness_report"
 
 
@@ -42,7 +42,7 @@ class WellPosednessReport:
 
     min_projected_eig is the smallest eigenvalue of Z^T (A^T S A) Z for an
     orthonormal null-space basis Z of B; it is +inf when the null space is
-    trivial. The resolved tolerances are recorded so the booleans can be
+    trivial. The tolerances used are recorded so the booleans can be
     re-derived.
     """
 
@@ -57,37 +57,28 @@ class WellPosednessReport:
         return self.rank_ok and self.projected_pd_ok
 
 
-def check_well_posedness(
-    problem: IlseProblem,
-    rank_tolerance: float | None = None,
-    pd_tolerance: float | None = None,
-) -> WellPosednessReport:
+def check_well_posedness(problem: IlseProblem) -> WellPosednessReport:
     """Verify rank(B) = s and positive definiteness of A^T S A on N(B).
 
     The rank test compares the s-th singular value of B against
-    rank_tolerance * sigma_max(B); the default tolerance is
-    max(s, n) * eps. The null-space basis Z is taken from the full
-    orthogonal factorization of B^T (last n-s columns of Q), and the
-    projected matrix Z^T A^T S A Z must have smallest eigenvalue above
-    pd_tolerance, which defaults to eps * |A^T S A|_2. Always returns a
-    report; nothing is raised here.
+    rank_tolerance * sigma_max(B) with rank_tolerance = max(s, n) * eps.
+    The null-space basis Z is taken from the full orthogonal
+    factorization of B^T (last n-s columns of Q), and the projected
+    matrix Z^T A^T S A Z must have smallest eigenvalue above
+    pd_tolerance = eps * |A^T S A|_2. Always returns a report; nothing is
+    raised here.
 
-    With both tolerances left at None the report is computed once per
-    problem object: it is kept in the instance __dict__ (the way
-    functools.cached_property keeps a value) and the same frozen report
-    is returned on every later call. The problem's arrays are read-only
-    copies, so the kept report cannot go stale. Explicit tolerances
-    always recompute and leave the kept report as it was.
+    The report is computed once per problem object: it is kept in the
+    instance __dict__ (the way functools.cached_property keeps a value)
+    and the same frozen report is returned on every later call. The
+    problem's arrays are read-only copies, so the kept report cannot go
+    stale.
     """
-    memoize = rank_tolerance is None and pd_tolerance is None
-    if memoize and _REPORT_KEY in problem.__dict__:
+    if _REPORT_KEY in problem.__dict__:
         return problem.__dict__[_REPORT_KEY]
     A, B, sig = problem.A, problem.B, problem.sig
     n, s = problem.n, problem.s
-
-    if rank_tolerance is None:
-        rank_tolerance = max(s, n) * _EPS
-    rank_tolerance = float(rank_tolerance)
+    rank_tolerance = float(max(s, n) * _EPS)
 
     if s == 0:
         rank_ok = True
@@ -99,9 +90,7 @@ def check_well_posedness(
         Z = Q[:, s:]
 
     M = A.T @ apply_signature(sig, A)
-    if pd_tolerance is None:
-        pd_tolerance = _EPS * float(np.max(np.abs(sla.eigvalsh(M)))) if n > 0 else _EPS
-    pd_tolerance = float(pd_tolerance)
+    pd_tolerance = float(_EPS * np.max(np.abs(sla.eigvalsh(M)))) if n > 0 else float(_EPS)
 
     if Z.shape[1] == 0:
         min_eig = np.inf
@@ -117,8 +106,7 @@ def check_well_posedness(
         rank_tolerance=rank_tolerance,
         pd_tolerance=pd_tolerance,
     )
-    if memoize:
-        problem.__dict__[_REPORT_KEY] = report
+    problem.__dict__[_REPORT_KEY] = report
     return report
 
 
@@ -127,12 +115,11 @@ def assemble_augmented(problem: IlseProblem) -> tuple[np.ndarray, np.ndarray]:
 
     Unknown ordering is (lam, s, x). Assembly is exactly symmetric: the
     (B, B^T) and (A, A^T) blocks are written from the same floats, so the
-    returned matrix equals its transpose bitwise. Problems with s = 0 are
-    rejected; the unconstrained problem is outside this solver's scope.
+    returned matrix equals its transpose bitwise. With s = 0 the lam block
+    is empty and K is the augmented matrix of plain indefinite least
+    squares.
     """
     m, n, s = problem.m, problem.n, problem.s
-    if s == 0:
-        raise ValueError("augmented system requires at least one constraint row (s >= 1)")
     order = s + m + n
     K = np.zeros((order, order))
     K[:s, s + m:] = problem.B
@@ -150,8 +137,10 @@ def solve_ilse(problem: IlseProblem, check_well_posed: bool = True) -> IlseSolut
     The symmetric K from assemble_augmented is handed to LAPACK's dgetrf
     as K.T, the Fortran-ordered view of the same matrix, and factored in
     place; dgetrs then solves with the factors. The check reuses the
-    problem's default-tolerance report when check_well_posedness has
-    already computed it (a problem from gen_ilse_instance carries one).
+    problem's report when check_well_posedness has already computed it (a
+    problem from gen_ilse_instance carries one). A problem with s = 0 is
+    solved as plain indefinite least squares: x solves A^T S A x = A^T S b
+    and xi is empty.
 
     Raises IllPosedProblemError if the well-posedness check fails or the
     factorization meets an exactly singular pivot. The residual r and the

@@ -73,8 +73,3 @@ def t1_grid_minimum():
     """(xi, rho) of the 20001-point scan of rho on t1 at y = 0.1, unit
     weights, xi in [0, 2] with step 1e-4; scanned once per session."""
     return estimate_on_grid(t1_problem(), np.array([0.1]), WeightScheme(1.0, 1.0, 1.0), 0.0, 2.0, 1e-4)
-
-
-def assert_row_passes(prop):
-    result = row_result(prop)
-    assert result.ok and result.passed > 0, result.line()

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ilse import cli, harness, properties
+from ilse import GenParams, WeightScheme, cli, harness, properties
 from ilse.harness import write_problem, write_vector
 
 
@@ -106,13 +106,15 @@ class TestExperiment:
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_config_file_with_overrides(self, capsys, tmp_path):
-        config = harness.ExperimentConfig(
-            m=24, n=12, s=5, p=14, q=10,
-            kappa_a_list=(50.0,), kappa_b_list=(100.0,), eps_list=(1e-6,),
-            trials_per_cell=1, base_seed=1,
-        )
+        config = {
+            "m": 24, "n": 12, "s": 5, "p": 14, "q": 10,
+            "kappa_a_list": [50.0], "kappa_b_list": [100.0], "eps_list": [1e-6],
+            "trials_per_cell": 1, "base_seed": 1,
+            "theta1": 1.0, "theta2": 1.0, "theta3": 1.0,
+            "output_format": "csv", "hyper_bound": 1.0,
+        }
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config.to_dict()))
+        cfg_path.write_text(json.dumps(config))
         code, out, _ = run_cli(
             capsys, "experiment", "--config", str(cfg_path), "--format", "json",
             "--trials", "2",
@@ -167,3 +169,31 @@ class TestVerify:
         assert "RankDeficiencyError: forced" in lines[1]
         assert lines[2].startswith(f"[PASS] {rows[2].name}")
         assert lines[3] == "verify: PROPERTY FAILURES PRESENT"
+
+    def test_config_file_reaches_the_suite_and_seed_overrides_it(self, capsys, monkeypatch, tmp_path):
+        seen = []
+
+        def record(prop, suite):
+            seen.append(suite)
+            return properties.RowResult(prop.name, passed=1)
+
+        monkeypatch.setattr(properties, "run_row", record)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "m": 10, "n": 5, "s": 2, "p": 6, "q": 4,
+            "kappa_a_list": [30.0, 40.0], "kappa_b_list": [20.0, 70.0],
+            "theta1": 2.0, "theta2": 3.0, "theta3": 0.5,
+            "base_seed": 99, "hyper_bound": 0.5,
+        }))
+        expected = properties.Suite(
+            dims=GenParams(m=10, n=5, s=2, p=6, q=4, kappa_a=30.0, kappa_b=20.0,
+                           seed=0, hyper_bound=0.5),
+            weights=WeightScheme(2.0, 3.0, 0.5),
+            seed=99,
+        )
+        assert run_cli(capsys, "verify", "--config", str(cfg_path))[0] == 0
+        assert seen == [expected] * len(properties.TABLE)
+
+        seen.clear()
+        assert run_cli(capsys, "verify", "--config", str(cfg_path), "--seed", "7")[0] == 0
+        assert seen == [dataclasses.replace(expected, seed=7)] * len(properties.TABLE)

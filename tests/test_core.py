@@ -12,10 +12,6 @@ from ilse import (
     perturbed_problem,
     weighted_perturbation_norm,
 )
-from ilse import properties
-
-from conftest import assert_row_passes
-
 
 class TestApplySignature:
     def test_mixed_signs(self):
@@ -25,12 +21,6 @@ class TestApplySignature:
     def test_identity_when_q_zero(self):
         sig = SignatureMatrix(2, 0)
         assert np.array_equal(apply_signature(sig, [3.0, 4.0]), [3.0, 4.0])
-
-    def test_involution(self):
-        assert_row_passes(properties.involution)
-
-    def test_involution_random(self):
-        assert_row_passes(properties.involution)
 
     def test_matrix_rows(self):
         sig = SignatureMatrix(1, 2)
@@ -75,10 +65,6 @@ class TestWeightedPerturbationNorm:
             WeightScheme(1.0, -2.0, 1.0)
         with pytest.raises(ValueError):
             WeightScheme(1.0, 1.0, math.inf)
-
-    def test_homogeneity_and_block_identity(self):
-        assert_row_passes(properties.homogeneous)
-        assert_row_passes(properties.block_split)
 
 
 class TestIlseProblem:

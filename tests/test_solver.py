@@ -55,6 +55,7 @@ class TestWellPosedness:
 
     def test_report_booleans_match_tolerances(self):
         report = check_well_posedness(indefinite_on_nullspace())
+        assert report.rank_tolerance == 2 * np.finfo(float).eps
         assert report.projected_pd_ok == (report.min_projected_eig > report.pd_tolerance)
 
 
@@ -63,17 +64,6 @@ class TestReportMemo:
         problem, _ = gen_ilse_instance(small_params(3))
         report = check_well_posedness(problem)
         assert check_well_posedness(problem) is report
-
-    def test_explicit_tolerances_recompute_and_leave_the_memo(self):
-        problem = indefinite_on_nullspace()
-        loose = check_well_posedness(problem, rank_tolerance=0.5)
-        assert loose.rank_tolerance == 0.5
-        default = check_well_posedness(problem)
-        assert default.rank_tolerance == 2 * np.finfo(float).eps
-        strict = check_well_posedness(problem, pd_tolerance=-2.0)
-        assert strict.projected_pd_ok and strict is not default
-        assert check_well_posedness(problem, rank_tolerance=0.5) is not loose
-        assert check_well_posedness(problem) is default
 
     def test_derived_problems_start_without_a_report(self):
         problem, _ = gen_ilse_instance(small_params(4))
@@ -124,15 +114,24 @@ class TestAssembleAugmented:
         assert np.array_equal(K, expected)
         assert np.array_equal(rhs, [0.0, 1.0, 1.0, 0.0])
 
-    def test_no_constraints_rejected(self):
-        problem = IlseProblem(
+    def test_no_constraints_solved_as_plain_ils(self):
+        # s = 0: well posed exactly when A^T S A is positive definite, and
+        # then x solves the normal equations A^T S A x = A^T S b.
+        A = np.array([[2.0, 0.0], [0.0, 2.0], [1.0, 0.0], [1.0, 1.0]])
+        b = np.array([1.0, 2.0, 3.0, 4.0])
+        problem = IlseProblem(A=A, b=b, B=np.zeros((0, 2)), d=np.zeros(0),
+                              sig=SignatureMatrix(3, 1))
+        sol = solve_ilse(problem)
+        ATS = A.T @ np.diag([1.0, 1.0, 1.0, -1.0])
+        assert sol.x == pytest.approx(np.linalg.solve(ATS @ A, ATS @ b), rel=1e-14)
+        assert sol.xi.shape == (0,)
+
+        indefinite = IlseProblem(
             A=np.eye(2), b=np.zeros(2), B=np.zeros((0, 2)), d=np.zeros(0),
             sig=SignatureMatrix(1, 1),
         )
-        with pytest.raises(ValueError):
-            assemble_augmented(problem)
-        with pytest.raises((ValueError, IllPosedProblemError)):
-            solve_ilse(problem)
+        with pytest.raises(IllPosedProblemError):
+            solve_ilse(indefinite)
 
 
 class TestSolveIlse:
