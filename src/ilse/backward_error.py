@@ -403,32 +403,19 @@ def backward_error_bounds(
     rho0 = try_rho(_check_multiplier(problem, xi0)) if xi0 is not None else None
 
     scale = math.sqrt(1.0 / w.theta1**2 + float(y @ y))
-    if r_zero or math.isnan(rho1):
-        return BackwardErrorReport(
-            rho_xi1=rho1,
-            rho_xi0=rho0,
-            tau0=tau0,
-            alpha=a,
-            alpha_lower=a_low,
-            small_rho_condition=False,
-            mu_upper=None,
-            mu_lower=None,
-            distance_lower=dist,
-            bounds_applicable=False,
-        )
-
-    condition = 4.0 * tau0 * rho1 * scale < 1.0
-    mu_upper = 2.0 * rho1 if condition else None
-    mu_lower = 2.0 * rho1 / (1.0 + math.sqrt(1.0 + 4.0 * tau0 * scale * rho1))
+    # A NaN rho that did not raise (overflow, say) voids the bounds as r_y = 0 does.
+    applicable = not (r_zero or math.isnan(rho1))
+    condition = applicable and 4.0 * tau0 * rho1 * scale < 1.0
     return BackwardErrorReport(
         rho_xi1=rho1,
         rho_xi0=rho0,
         tau0=tau0,
         alpha=a,
         alpha_lower=a_low,
-        small_rho_condition=bool(condition),
-        mu_upper=mu_upper,
-        mu_lower=mu_lower,
+        small_rho_condition=condition,
+        mu_upper=2.0 * rho1 if condition else None,
+        mu_lower=(2.0 * rho1 / (1.0 + math.sqrt(1.0 + 4.0 * tau0 * scale * rho1))
+                  if applicable else None),
         distance_lower=dist,
-        bounds_applicable=True,
+        bounds_applicable=applicable,
     )

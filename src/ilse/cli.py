@@ -14,6 +14,7 @@ ill-posed), 3 property failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -82,16 +83,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run an experiment grid")
     p_exp.add_argument("--config", default=None, help="JSON config file; flags override it")
     _add_dim_flags(p_exp)
+    # Each dest is the ExperimentConfig field the flag overrides.
     p_exp.add_argument("--kappa-a", type=float, action="append", default=None,
+                       dest="kappa_a_list", metavar="KAPPA_A",
                        help="nominal condition of A (repeatable)")
     p_exp.add_argument("--kappa-b", type=float, action="append", default=None,
-                       help="condition of B (repeatable)")
+                       dest="kappa_b_list", metavar="KAPPA_B", help="condition of B (repeatable)")
     p_exp.add_argument("--eps", type=float, action="append", default=None,
-                       help="perturbation magnitude (repeatable)")
-    p_exp.add_argument("--trials", type=int, default=None, help="trials per grid cell")
-    p_exp.add_argument("--seed", type=int, default=None, help="base seed")
+                       dest="eps_list", metavar="EPS", help="perturbation magnitude (repeatable)")
+    p_exp.add_argument("--trials", type=int, default=None, dest="trials_per_cell",
+                       metavar="TRIALS", help="trials per grid cell")
+    p_exp.add_argument("--seed", type=int, default=None, dest="base_seed", metavar="SEED",
+                       help="base seed")
     p_exp.add_argument("--hyper-bound", type=float, default=None)
-    p_exp.add_argument("--format", choices=("csv", "markdown", "json"), default=None)
+    p_exp.add_argument("--format", choices=("csv", "markdown", "json"), default=None,
+                       dest="output_format")
     p_exp.add_argument("--out", default=None, help="write the table here instead of stdout")
     _add_weight_flags(p_exp)
 
@@ -161,28 +167,15 @@ def _cmd_experiment(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    config = harness.ExperimentConfig.from_dict(data) if data else harness.ExperimentConfig()
+    config = harness.ExperimentConfig.from_dict(data)
 
-    overrides = {}
-    for name, value in (
-        ("m", args.m), ("n", args.n), ("s", args.s), ("p", args.p), ("q", args.q),
-        ("trials_per_cell", args.trials), ("base_seed", args.seed),
-        ("hyper_bound", args.hyper_bound), ("output_format", args.format),
-    ):
-        if value is not None:
-            overrides[name] = value
-    if args.kappa_a:
-        overrides["kappa_a_list"] = tuple(args.kappa_a)
-    if args.kappa_b:
-        overrides["kappa_b_list"] = tuple(args.kappa_b)
-    if args.eps:
-        overrides["eps_list"] = tuple(args.eps)
+    fields = {f.name for f in dataclasses.fields(config)}
+    overrides = {
+        name: value for name, value in vars(args).items() if name in fields and value is not None
+    }
     if args.theta1 is not None or args.theta2 is not None or args.theta3 is not None:
         overrides["weights"] = _weights(args, fallback=config.weights)
-    if overrides:
-        import dataclasses
-
-        config = dataclasses.replace(config, **overrides)
+    config = dataclasses.replace(config, **overrides)
 
     _, table = harness.run_experiment(config)
     if args.out:
@@ -194,8 +187,6 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    import dataclasses
-
     from . import properties
 
     suite = properties.Suite()

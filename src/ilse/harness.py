@@ -11,8 +11,10 @@ individually.
 This module also owns the on-disk formats: whitespace matrix files
 (first line "rows cols", then row-major entries), problem bundles
 (directory with files A, b, B, d, sig), and the csv/markdown/json
-experiment tables. The invariants that ``ilse verify`` checks live in
-``ilse.properties``.
+experiment tables. ``COLUMNS`` is the one list of table columns, each a
+(column name, ExperimentRow field) pair: the csv header, the cells of
+every format and the csv parser are all read off it. The invariants that
+``ilse verify`` checks live in ``ilse.properties``.
 """
 
 from __future__ import annotations
@@ -35,11 +37,20 @@ from .core import (
     WeightScheme,
     apply_signature,
     perturbed_problem,
+    weighted_perturbation_norm,
 )
 from .solver import solve_ilse
 from .testgen import GenParams, gen_ilse_instance, gen_perturbation, subseed
 
-CSV_HEADER = "eps,kappa_A,kappa_B,gamma,gamma_bar,mu_1,rho_xi1,rho_xi0,tau0,condition_flag,seed"
+# The experiment table: (column name, ExperimentRow field) in csv order. The
+# json rows carry these columns, then _JSON_EXTRA.
+COLUMNS = (
+    ("eps", "eps"), ("kappa_A", "kappa_a"), ("kappa_B", "kappa_b"), ("gamma", "gamma"),
+    ("gamma_bar", "gamma_bar"), ("mu_1", "mu_1"), ("rho_xi1", "rho_xi1"), ("rho_xi0", "rho_xi0"),
+    ("tau0", "tau0"), ("condition_flag", "condition_flag"), ("seed", "seed"),
+)
+_JSON_EXTRA = (("kappa_A_nominal", "kappa_a_nominal"), ("failed", "failed"), ("reason", "reason"))
+CSV_HEADER = ",".join(name for name, _ in COLUMNS)
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -57,9 +68,7 @@ def mu_one(pert: PerturbationQuadruple) -> float:
     The experimental stand-in for the backward error: the magnitude of
     the perturbation that was actually injected.
     """
-    return math.sqrt(
-        float(np.sum(pert.E**2) + np.sum(pert.f**2) + np.sum(pert.F**2) + np.sum(pert.g**2))
-    )
+    return weighted_perturbation_norm(pert, WeightScheme())
 
 
 def residual_gamma(problem: IlseProblem, sol: IlseSolution) -> float:
@@ -200,6 +209,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
         data = dict(data)
         weights = WeightScheme(
             theta1=data.pop("theta1", 1.0),
@@ -210,9 +221,6 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("kappa_a_list", "kappa_b_list", "eps_list"):
-            if key in data:
-                data[key] = tuple(data[key])
         return cls(weights=weights, **data)
 
 
@@ -275,12 +283,17 @@ def summarize_rows(rows: list[ExperimentRow]) -> list[str]:
     return lines
 
 
+# (cell text, cell parser) of each csv column, by its field's declared type.
+_CODECS = {
+    "float": (_fmt, float),
+    "int": (str, int),
+    "bool": (lambda flag: str(int(flag)), lambda text: bool(int(text))),
+}
+_COLUMN_CODECS = [_CODECS[ExperimentRow.__dataclass_fields__[name].type] for _, name in COLUMNS]
+
+
 def _row_record(row: ExperimentRow) -> list[str]:
-    return [
-        _fmt(row.eps), _fmt(row.kappa_a), _fmt(row.kappa_b), _fmt(row.gamma),
-        _fmt(row.gamma_bar), _fmt(row.mu_1), _fmt(row.rho_xi1), _fmt(row.rho_xi0),
-        _fmt(row.tau0), str(int(row.condition_flag)), str(row.seed),
-    ]
+    return [text(getattr(row, name)) for (_, name), (text, _) in zip(COLUMNS, _COLUMN_CODECS)]
 
 
 def format_rows(rows: list[ExperimentRow], fmt: str = "csv") -> str:
@@ -296,25 +309,14 @@ def format_rows(rows: list[ExperimentRow], fmt: str = "csv") -> str:
         lines += [f"# {s}" for s in summary]
         return "\n".join(lines) + "\n"
     if fmt == "markdown":
-        cols = CSV_HEADER.split(",")
-        lines = ["| " + " | ".join(cols) + " |",
-                 "|" + "|".join(["---"] * len(cols)) + "|"]
+        lines = ["| " + " | ".join(name for name, _ in COLUMNS) + " |",
+                 "|" + "|".join(["---"] * len(COLUMNS)) + "|"]
         lines += ["| " + " | ".join(_row_record(row)) + " |" for row in rows]
         lines += [""] + summary
         return "\n".join(lines) + "\n"
     if fmt == "json":
         payload = {
-            "rows": [
-                {
-                    "eps": row.eps, "kappa_A": row.kappa_a, "kappa_B": row.kappa_b,
-                    "gamma": row.gamma, "gamma_bar": row.gamma_bar, "mu_1": row.mu_1,
-                    "rho_xi1": row.rho_xi1, "rho_xi0": row.rho_xi0, "tau0": row.tau0,
-                    "condition_flag": bool(row.condition_flag), "seed": row.seed,
-                    "kappa_A_nominal": row.kappa_a_nominal,
-                    "failed": row.failed, "reason": row.reason,
-                }
-                for row in rows
-            ],
+            "rows": [{key: getattr(row, name) for key, name in COLUMNS + _JSON_EXTRA} for row in rows],
             "summary": summary,
         }
         return json.dumps(payload, indent=2, allow_nan=True) + "\n"
@@ -327,21 +329,14 @@ def parse_experiment_csv(text: str) -> list[dict]:
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("missing or unexpected csv header")
-    cols = CSV_HEADER.split(",")
     out = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != len(cols):
+        if len(parts) != len(COLUMNS):
             raise ValueError(f"malformed csv row: {ln!r}")
-        rec: dict = dict(zip(cols, parts))
-        for key in cols:
-            if key == "seed":
-                rec[key] = int(rec[key])
-            elif key == "condition_flag":
-                rec[key] = bool(int(rec[key]))
-            else:
-                rec[key] = float(rec[key])
-        out.append(rec)
+        out.append({
+            key: parse(part) for (key, _), (_, parse), part in zip(COLUMNS, _COLUMN_CODECS, parts)
+        })
     return out
 
 

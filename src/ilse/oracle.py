@@ -133,7 +133,8 @@ def minimize_estimate(
     Trial points where the linearization is rank deficient are skipped.
     The result never exceeds rho at the least-squares multiplier, ties
     between starts resolve to the earlier start, and fixed seeds give
-    bitwise-identical output.
+    bitwise-identical output. At s = 0 there is nothing to search: the
+    result is rho at the empty multiplier after one evaluation.
     """
     # Imported here, not at module level: scipy.optimize adds about 20 MB
     # of resident memory and 0.2 s to every `import ilse`, and this search
@@ -172,6 +173,10 @@ def minimize_estimate(
         f0 = objective(x0)
         if f0 < best_rho:
             best_rho, best_xi = f0, np.array(x0, dtype=float)
+        if s == 0:
+            # rho does not depend on an empty multiplier: one evaluation is the minimum.
+            converged = True
+            break
         if not math.isfinite(f0):
             continue
         res = _nelder_mead(

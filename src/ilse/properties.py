@@ -75,12 +75,8 @@ class Suite:
     @classmethod
     def from_config(cls, config: ExperimentConfig) -> "Suite":
         """The dimensions, first kappa pair, weights and base seed of a config."""
-        dims = GenParams(
-            m=config.m, n=config.n, s=config.s, p=config.p, q=config.q,
-            kappa_a=config.kappa_a_list[0], kappa_b=config.kappa_b_list[0],
-            seed=0, hyper_bound=config.hyper_bound,
-        )
-        return cls(dims=dims, weights=config.weights, seed=config.base_seed)
+        return cls(dims=config.gen_params(config.kappa_a_list[0], config.kappa_b_list[0]),
+                   weights=config.weights, seed=config.base_seed)
 
 
 @dataclass(frozen=True)

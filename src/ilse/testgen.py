@@ -155,9 +155,12 @@ def gen_geometric_diagonal(rows: int, cols: int, kappa: float) -> np.ndarray:
 
 def gen_conditioned_matrix(s: int, n: int, kappa: float, seed: int) -> np.ndarray:
     """s x n matrix with unit spectral norm and singular values decaying
-    geometrically to 1/kappa (condition number exactly kappa)."""
+    geometrically to 1/kappa (condition number exactly kappa). At s = 0 it
+    is the empty 0 x n matrix, and no random number is drawn."""
     if s > n:
         raise ValueError(f"need s <= n, got s={s}, n={n}")
+    if s == 0:
+        return np.zeros((0, n))
     U = gen_random_orthogonal(s, subseed(seed, _STREAM_B_LEFT))
     V = gen_random_orthogonal(n, subseed(seed, _STREAM_B_RIGHT))
     D = gen_geometric_diagonal(n, s, kappa).T

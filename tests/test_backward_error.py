@@ -283,6 +283,17 @@ class TestBackwardErrorBounds:
         assert report.alpha == pytest.approx(math.sqrt(2.64), rel=1e-12)
         assert report.distance_lower == pytest.approx(0.0707, abs=1e-4)
 
+    def test_condition_fails_where_the_bounds_apply(self, t1, unit_weights):
+        # At y = 1, r_y = (0, 1) and tau0 = 1, so 4 tau0 rho sqrt(1 + |y|^2) = 4.
+        report = backward_error_bounds(t1, np.array([1.0]), unit_weights)
+        assert report.rho_xi1 == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+        assert report.alpha == pytest.approx(math.sqrt(3.0), rel=1e-12)
+        assert report.distance_lower == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+        assert not report.small_rho_condition
+        assert report.mu_upper is None
+        assert report.mu_lower == pytest.approx(math.sqrt(2.0) / (1.0 + math.sqrt(5.0)), rel=1e-12)
+        assert report.bounds_applicable
+
     def test_zero_residual_marks_bounds_inapplicable(self, unit_weights):
         report = backward_error_bounds(residual_free_problem(), np.array([0.5]), unit_weights)
         assert not report.bounds_applicable

@@ -74,6 +74,19 @@ class TestBackwardError:
 
 
 class TestGen:
+    def test_gen_without_constraints_then_solve(self, capsys, tmp_path):
+        out_dir = tmp_path / "inst"
+        code, _, _ = run_cli(
+            capsys, "gen", "--m", "12", "--n", "6", "--s", "0", "--p", "7", "--q", "5",
+            "--out", str(out_dir),
+        )
+        assert code == 0
+        code, out, _ = run_cli(capsys, "solve", "--problem", str(out_dir))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["xi"] == [] and payload["lambda"] == []
+        assert payload["gamma"] <= 1e-12
+
     def test_gen_then_solve(self, capsys, tmp_path):
         out_dir = tmp_path / "inst"
         code, out, _ = run_cli(
@@ -122,6 +135,12 @@ class TestExperiment:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["rows"]) == 2
+
+    def test_every_grid_flag_is_named_after_a_config_field(self):
+        # _cmd_experiment overrides the config field each flag's dest names.
+        flags = set(vars(cli.build_parser().parse_args(["experiment"])))
+        flags -= {"command", "config", "out", "theta1", "theta2", "theta3"}
+        assert flags <= {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
 
     def test_markdown_format(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGS, "--format", "markdown")

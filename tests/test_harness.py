@@ -27,6 +27,16 @@ from ilse.testgen import gen_ilse_instance
 from conftest import SMALL_DIMS, small_params
 
 
+# (json key, ExperimentRow field) of a json table row, in order; the first 11
+# are the csv columns.
+JSON_SCHEMA = [
+    ("eps", "eps"), ("kappa_A", "kappa_a"), ("kappa_B", "kappa_b"), ("gamma", "gamma"),
+    ("gamma_bar", "gamma_bar"), ("mu_1", "mu_1"), ("rho_xi1", "rho_xi1"), ("rho_xi0", "rho_xi0"),
+    ("tau0", "tau0"), ("condition_flag", "condition_flag"), ("seed", "seed"),
+    ("kappa_A_nominal", "kappa_a_nominal"), ("failed", "failed"), ("reason", "reason"),
+]
+
+
 def small_config(**overrides):
     kwargs = dict(
         SMALL_DIMS,
@@ -161,6 +171,8 @@ class TestRunExperiment:
             small_config(output_format="tsv")
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"bogus_key": 1})
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict(None)
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +191,7 @@ class TestFormats:
         text = format_rows(rows, "markdown")
         lines = text.splitlines()
         assert lines[0].startswith("| eps |")
+        assert lines[0].strip("| ").split(" | ") == CSV_HEADER.split(",")
         assert len([ln for ln in lines if ln.startswith("| ")]) == len(rows) + 1
 
     def test_json(self, rows):
@@ -186,8 +199,11 @@ class TestFormats:
 
         payload = json.loads(format_rows(rows, "json"))
         assert len(payload["rows"]) == len(rows)
-        assert payload["rows"][0]["seed"] == rows[0].seed
-        assert "kappa_A_nominal" in payload["rows"][0]
+        assert CSV_HEADER == ",".join(key for key, _ in JSON_SCHEMA[:11])
+        for record, row in zip(payload["rows"], rows):
+            assert list(record) == [key for key, _ in JSON_SCHEMA]
+            np.testing.assert_equal(record, {key: getattr(row, name) for key, name in JSON_SCHEMA})
+            assert isinstance(record["condition_flag"], bool)
         assert payload["summary"]
 
     def test_parse_rejects_bad_header(self):

@@ -30,6 +30,13 @@ class TestMinimizeEstimate:
         assert result.rho_star <= rho_grid + 1e-12
         assert abs(result.rho_star - rho_grid) <= 1e-3
 
+    def test_no_constraints_evaluates_once(self, unit_weights):
+        problem, sol, _, psol = solved_case(21, s=0)
+        result = minimize_estimate(problem, psol.x, unit_weights, xi0=sol.xi, seed=2)
+        assert result.converged and result.iterations == 1
+        assert result.xi_star.shape == (0,)
+        assert result.rho_star == backward_error_estimate(problem, psol.x, np.zeros(0), unit_weights)
+
     def test_all_failures_raise(self, t1, unit_weights, monkeypatch):
         def always_rank_deficient(problem, y, xi, w):
             raise RankDeficiencyError("forced", sigma_min=0.0)

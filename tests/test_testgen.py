@@ -13,6 +13,8 @@ from ilse import (
     gen_perturbation,
     gen_random_orthogonal,
     gen_sigma_orthogonal,
+    residual_gamma,
+    solve_ilse,
 )
 
 def signature_residual(Q, p, q):
@@ -123,6 +125,12 @@ class TestGenInstance:
         assert np.array_equal(p1.B, p2.B)
         assert np.array_equal(p1.d, p2.d)
         assert k1 == k2
+
+    def test_no_constraints(self):
+        problem, _ = gen_ilse_instance(GenParams(12, 6, 0, 7, 5, kappa_a=30.0, kappa_b=20.0, seed=4))
+        assert problem.B.shape == (0, 6)
+        assert check_well_posedness(problem).well_posed
+        assert residual_gamma(problem, solve_ilse(problem)) <= 1e-12
 
     def test_hopeless_family_errors_after_retries(self):
         # q = m makes A^T S A negative definite, so the uniqueness condition
