@@ -39,19 +39,32 @@ tau0 = max(theta3, 1/alpha) come from it. The minimum-norm solution is
 z = J^T v for v = (C C^T)^-1 rhs, applied block by block; its E block is
 the rank-2 matrix S (r_y v_top^T - A v_top y^T).
 
+Only s + n of C's 2m + n + 2s columns depend on xi. The rest, and every
+other multiplier-free quantity, is built once per (problem, y, w) into a
+private context: u and |y|, |r_y|, S r_y and A^T S r_y, e = d - B y, the
+n x 2m block [u (S r_y)^T - |y| A^T S, theta1^-1 A^T S] with its column
+squared norms, P = I_n - u u^T, the geqrf workspace size, and alpha once
+stability_constant has computed it. A one-entry module cache holds the
+last context. Its key is the problem object (by identity, which is sound
+because a problem's arrays are read-only), the bytes of y, and w; a y
+changed in place therefore misses. The cache keeps that one problem
+alive and nothing else, and every value is the same floating-point
+operation on the same inputs as without it, so no output bit depends on
+whether a call hit. Each call validates y and xi before it looks.
+
 One kernel, _min_norm_factor, evaluates rho for backward_error_estimate
-and min_norm_perturbation. Per call it computes r_y, S r_y and A^T S
-once, gathers C^T, its rows sorted by decreasing norm, into one
-Fortran-ordered buffer, factors that buffer in place with LAPACK geqrf,
-and solves R^T w = rhs with trtrs, so rho = |w|_2; orgqr forms Q from
-the same geqrf output when z is wanted. The rank test needs sigma_min and
-sigma_max of R, and a certified pre-test replaces the SVD where it can:
-sigma_min(R) >= 1/|R^-1|_F and sigma_max(R) <= |R|_F, so when trtri
-inverts R, |R^-1|_F is finite and 1/|R^-1|_F > 100 RANK_RTOL |R|_F, the
-singular-value test sigma_min > RANK_RTOL sigma_max holds. The factor
-100 (PRETEST_MARGIN) absorbs the rounding in the computed R^-1. In every
-other case the SVD of R decides, and a RankDeficiencyError carries its
-sigma_min.
+and min_norm_perturbation. Per xi it builds the xi columns and
+c (I_n - u u^T), gathers C^T, its rows sorted by decreasing norm, into
+one Fortran-ordered buffer, factors that buffer in place with LAPACK
+geqrf, and solves R^T w = rhs with trtrs, so rho = |w|_2; orgqr forms Q
+from the same geqrf output when z is wanted. The rank test needs
+sigma_min and sigma_max of R, and a certified pre-test replaces the SVD
+where it can: sigma_min(R) >= 1/|R^-1|_F and sigma_max(R) <= |R|_F, so
+when trtri inverts R, |R^-1|_F is finite and
+1/|R^-1|_F > 100 RANK_RTOL |R|_F, the singular-value test
+sigma_min > RANK_RTOL sigma_max holds. The factor 100 (PRETEST_MARGIN)
+absorbs the rounding in the computed R^-1. In every other case the SVD of
+R decides, and a RankDeficiencyError carries its sigma_min.
 
 linearization_matrix is the one dense builder of J: it assembles the
 formula above term by term with Kronecker products, as the reference that
@@ -65,7 +78,7 @@ import math
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr, dtrtri, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dlantr, dorgqr, dtrtri, dtrtrs
 
 from .core import (
     IlseProblem,
@@ -136,11 +149,14 @@ def rhs_vector(problem: IlseProblem, y: np.ndarray, xi: np.ndarray) -> np.ndarra
     """Stacked optimality residual (B^T xi - A^T S r_y, d - B y)."""
     y = _check_candidate(problem, y)
     xi = _check_multiplier(problem, xi)
-    return _rhs(problem, y, xi, apply_signature(problem.sig, problem.residual(y)))
-
-
-def _rhs(problem: IlseProblem, y: np.ndarray, xi: np.ndarray, sr: np.ndarray) -> np.ndarray:
+    sr = apply_signature(problem.sig, problem.residual(y))
     return np.concatenate([problem.B.T @ xi - problem.A.T @ sr, problem.d - problem.B @ y])
+
+
+def _norm(v: np.ndarray) -> float:
+    """|v|_2 of a vector, as np.linalg.norm computes it (sqrt of v.dot(v)),
+    without its dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def _unit_direction(y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -164,40 +180,90 @@ def _multiplier_free_blocks(problem: IlseProblem, y: np.ndarray, w: WeightScheme
     return u, y_norm, r_y, sr, blocks
 
 
+class _Context:
+    """What rho(xi) and alpha need from (problem, y, w) but not from xi.
+
+    Built once per key (problem object, y bytes, w) by _context; its
+    arrays are read-only, and alpha is filled in by the first
+    stability_constant call.
+    """
+
+    __slots__ = ("problem", "w", "y_bytes", "u", "y_norm", "r_norm", "sr", "AtSr", "e",
+                 "blocks", "blocks_sq", "P", "lwork", "alpha")
+
+    def __init__(self, problem: IlseProblem, y: np.ndarray, w: WeightScheme):
+        m, n, s = problem.m, problem.n, problem.s
+        self.problem, self.w, self.y_bytes = problem, w, y.tobytes()
+        # Through the module attribute, so a patched builder is seen.
+        self.u, self.y_norm, r_y, self.sr, self.blocks = _multiplier_free_blocks(problem, y, w)
+        self.r_norm = float(np.linalg.norm(r_y))
+        self.AtSr = problem.A.T @ self.sr
+        self.e = problem.d - problem.B @ y
+        # The first 2m column sums of C's top rows, summed row by row as
+        # np.add.reduce sums a C-ordered matrix with two or more columns.
+        self.blocks_sq = np.add.reduce(self.blocks * self.blocks, axis=0)
+        self.P = np.eye(n) - np.outer(self.u, self.u)
+        self.lwork = int(dgeqrf_lwork(2 * m + n + 2 * s, n + s)[0])
+        self.alpha = None
+        for a in (self.u, self.sr, self.AtSr, self.e, self.blocks, self.blocks_sq, self.P):
+            a.flags.writeable = False
+
+
+# The one-entry cache: the context of the last (problem, y, w) seen. It
+# keeps that problem alive and nothing else.
+_last_context: _Context | None = None
+
+
+def _context(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> _Context:
+    """The context of (problem, y, w): the cached one when its key matches,
+    else a new one, which replaces it. Each caller keeps the context whose
+    key it checked, so concurrent callers never mix two contexts."""
+    global _last_context
+    ctx = _last_context
+    if ctx is None or ctx.problem is not problem or ctx.w != w or ctx.y_bytes != y.tobytes():
+        ctx = _last_context = _Context(problem, y, w)
+    return ctx
+
+
 def _sorted_compressed_transpose(
     problem: IlseProblem, y: np.ndarray, xi: np.ndarray, w: WeightScheme
 ):
-    """(order, C(xi)^T with its rows sorted by decreasing norm, u, S r_y, c):
+    """(order, C(xi)^T with its rows sorted by decreasing norm, context, c):
     row i of the Fortran-ordered matrix is row order[i] of C^T, so geqrf
     factors it in place.
 
-    The top n rows of C are assembled once in natural order, and their
-    column norms summed as np.linalg.norm(C, axis=0) sums them, so ties
-    break as on the dense C. One gather writes them, sorted, into the
-    factored buffer, and the 2s nonzeros of the bottom rows go straight to
-    their sorted columns.
+    Only the s xi columns and the n columns c (I - u u^T) of C's top rows
+    are built per xi, in one n x (s + n) buffer. Their column norms are
+    summed row by row, as np.linalg.norm(C, axis=0) sums them, so with the
+    context's sums for the other 2m columns ties break as on the dense C.
+    Scatters write the top rows into the factored buffer at their sorted
+    columns, and the 2s nonzeros of the bottom rows go there too.
     """
+    ctx = _context(problem, y, w)
     m, n, s = problem.m, problem.n, problem.s
     N = 2 * m + n + 2 * s
-    u, y_norm, r_y, sr, blocks = _multiplier_free_blocks(problem, y, w)
-    c = math.hypot(float(np.linalg.norm(r_y)), float(np.linalg.norm(xi)) / w.theta2)
-    top = np.zeros((n, N))
-    top[:, :2 * m] = blocks
-    top[:, 2 * m:2 * m + s] = np.outer(u, xi / -w.theta2)
-    top[:, 2 * m + s:2 * m + s + n] = c * (np.eye(n) - np.outer(u, u))
-    bottom_xi, bottom_g = y_norm / w.theta2, -1.0 / w.theta3
-    sq = np.add.reduce(top * top, axis=0)
+    c = math.hypot(ctx.r_norm, _norm(xi) / w.theta2)
+    # Two or more columns (or a single entry) keep the sums row by row:
+    # numpy sums a lone contiguous column pairwise.
+    X = np.empty((n, s + n))
+    np.multiply(ctx.u[:, None], xi / -w.theta2, out=X[:, :s])
+    np.multiply(ctx.P, c, out=X[:, s:])
+    bottom_xi, bottom_g = ctx.y_norm / w.theta2, -1.0 / w.theta3
+    sq = np.empty(N)
+    sq[:2 * m] = ctx.blocks_sq
+    np.add.reduce(X * X, axis=0, out=sq[2 * m:2 * m + s + n])
     sq[2 * m:2 * m + s] += bottom_xi * bottom_xi
     sq[2 * m + s + n:] = bottom_g * bottom_g
-    order = np.argsort(-np.sqrt(sq), kind="stable")
+    order = (-np.sqrt(sq)).argsort(kind="stable")
     pos = np.empty_like(order)
     pos[order] = np.arange(N)
     C_sorted = np.zeros((n + s, N))
-    np.take(top, order, axis=1, out=C_sorted[:n])
+    C_sorted[:n, pos[:2 * m]] = ctx.blocks
+    C_sorted[:n, pos[2 * m:2 * m + s + n]] = X
     rows = n + np.arange(s)
     C_sorted[rows, pos[2 * m:2 * m + s]] = bottom_xi
     C_sorted[rows, pos[2 * m + s + n:]] = bottom_g
-    return order, C_sorted.T, u, sr, c
+    return order, C_sorted.T, ctx, c
 
 
 def _require_full_row_rank(svals: np.ndarray) -> None:
@@ -214,12 +280,11 @@ def _certainly_full_rank(R: np.ndarray) -> bool:
     sigma_min(R) >= 1/|R^-1|_F exceeds PRETEST_MARGIN * RANK_RTOL * |R|_F
     >= PRETEST_MARGIN * RANK_RTOL * sigma_max(R), so that the
     singular-value test would pass as well."""
-    L = np.triu(R).T
-    r_fro = float(np.linalg.norm(L))
-    L_inv, info = dtrtri(L, lower=1, overwrite_c=1)
+    r_fro = dlantr("F", R, uplo="U")
+    R_inv, info = dtrtri(R, lower=0)
     if info != 0:
         return False
-    inv_fro = float(np.linalg.norm(L_inv))
+    inv_fro = dlantr("F", R_inv, uplo="U")
     return math.isfinite(inv_fro) and 1.0 / inv_fro > PRETEST_MARGIN * RANK_RTOL * r_fro
 
 
@@ -230,23 +295,24 @@ def _min_norm_factor(
     decreasing norm, the full-row-rank check on R (whose singular values
     are those of J), and wvec = R^-T rhs(xi), so that rho = |wvec|_2.
 
-    Returns (order, Q or None, wvec, u, S r_y, c), where row i of the
+    Returns (order, Q or None, wvec, context, c), where row i of the
     factored matrix is row order[i] of C^T; min_norm_perturbation maps z
-    back with the last three.
+    back with the last two.
 
     Householder QR is row-wise stable with sorted rows (Cox & Higham, BIT
     1998). At kappa_B = 1e8, where |xi| and |y| reach 1e13 and 1e8,
     unsorted rows gave rho up to 60 times further from a 50-digit referee
     than the dense QR of J^T did; sorted, they give the closer value.
     """
-    order, CT, u, sr, c = _sorted_compressed_transpose(problem, y, xi, w)
-    qr, tau, _, _ = dgeqrf(CT, lwork=int(dgeqrf_lwork(*CT.shape)[0]), overwrite_a=1)
+    order, CT, ctx, c = _sorted_compressed_transpose(problem, y, xi, w)
+    qr, tau, _, _ = dgeqrf(CT, lwork=ctx.lwork, overwrite_a=1)
     R = qr[:CT.shape[1]]
     if not _certainly_full_rank(R):
         _require_full_row_rank(sla.svdvals(np.triu(R)))
-    wvec, _ = dtrtrs(qr, _rhs(problem, y, xi, sr), trans=1)
+    rhs = np.concatenate([problem.B.T @ xi - ctx.AtSr, ctx.e])
+    wvec, _ = dtrtrs(qr, rhs, trans=1)
     Q = dorgqr(qr, tau, overwrite_a=1)[0] if with_q else None
-    return order, Q, wvec, u, sr, c
+    return order, Q, wvec, ctx, c
 
 
 def backward_error_estimate(
@@ -255,7 +321,7 @@ def backward_error_estimate(
     """rho(xi): norm of the minimum-norm solution of J(xi) z = rhs(xi)."""
     y = _check_candidate(problem, y)
     xi = _check_multiplier(problem, xi)
-    return float(np.linalg.norm(_min_norm_factor(problem, y, xi, w)[2]))
+    return _norm(_min_norm_factor(problem, y, xi, w)[2])
 
 
 def min_norm_perturbation(
@@ -281,7 +347,8 @@ def min_norm_perturbation(
     y = _check_candidate(problem, y)
     xi = _check_multiplier(problem, xi)
     m, n, s = problem.m, problem.n, problem.s
-    order, Q, wvec, u, sr, c = _min_norm_factor(problem, y, xi, w, with_q=True)
+    order, Q, wvec, ctx, c = _min_norm_factor(problem, y, xi, w, with_q=True)
+    u, sr = ctx.u, ctx.sr
     z_c = np.empty(Q.shape[0])
     z_c[order] = Q @ wvec
     a1, a2, a3, a4, a5 = np.split(z_c, np.cumsum([m, m, s, n]))
@@ -308,19 +375,20 @@ def least_squares_multiplier(problem: IlseProblem, y: np.ndarray) -> np.ndarray:
     return xi
 
 
-def _stability_matrix(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> np.ndarray:
+def _stability_matrix(ctx: _Context) -> np.ndarray:
     """[u (S r_y)^T - |y| A^T S, A^T S/theta1, |r_y| (I_n - u u^T)]: n x (2m + n),
     with the singular values of the multiplier-free block [K, A^T S/theta1] of J."""
-    u, _, r_y, _, blocks = _multiplier_free_blocks(problem, y, w)
-    deflated = float(np.linalg.norm(r_y)) * (np.eye(problem.n) - np.outer(u, u))
-    return np.hstack([blocks, deflated])
+    return np.hstack([ctx.blocks, ctx.r_norm * ctx.P])
 
 
 def stability_constant(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> float:
     """alpha: smallest singular value of the n x (nm + m) block of J that
-    does not depend on the multiplier."""
+    does not depend on the multiplier. Kept on the context of (problem, y, w)."""
     y = _check_candidate(problem, y)
-    return float(sla.svdvals(_stability_matrix(problem, y, w))[-1])
+    ctx = _context(problem, y, w)
+    if ctx.alpha is None:
+        ctx.alpha = float(sla.svdvals(_stability_matrix(ctx))[-1])
+    return ctx.alpha
 
 
 def stability_constant_lower_bound(
@@ -328,8 +396,7 @@ def stability_constant_lower_bound(
 ) -> float:
     """Certified lower bound |r_y|_2 / sqrt(1 + theta1^2 |y|_2^2) on alpha."""
     y = _check_candidate(problem, y)
-    r_norm = float(np.linalg.norm(problem.residual(y)))
-    return r_norm / math.sqrt(1.0 + w.theta1**2 * float(y @ y))
+    return _context(problem, y, w).r_norm / math.sqrt(1.0 + w.theta1**2 * float(y @ y))
 
 
 def pinv_norm_bound(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> float:
@@ -383,10 +450,8 @@ def backward_error_bounds(
     bounds_applicable=False and mu_upper/mu_lower set to None.
     """
     y = _check_candidate(problem, y)
-    r_y = problem.residual(y)
-    r_zero = float(np.linalg.norm(r_y)) == 0.0
-
     a = stability_constant(problem, y, w)
+    r_zero = _context(problem, y, w).r_norm == 0.0
     a_low = stability_constant_lower_bound(problem, y, w)
     tau0 = pinv_norm_bound(problem, y, w)
     dist = solution_distance_lower_bound(problem, y)

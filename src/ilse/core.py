@@ -7,7 +7,12 @@ where S = diag(I_p, -I_q) is a signature matrix. This module holds the
 value types shared by the solver, the backward-error machinery, the test
 generators and the experiment harness, plus the two norms everything else
 is built on. All types are immutable after construction and every function
-is pure, so instances can be shared freely across threads.
+is pure, so instances can be shared freely across threads. backward_error
+keeps one module-level cache, of the multiplier-free part of the
+linearization for the last (problem, y, w). It is invisible in output and
+safe under threads, since each call uses the context whose key it
+checked; threads that alternate problems only make it miss, which is
+slower.
 """
 
 from __future__ import annotations

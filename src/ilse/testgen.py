@@ -82,19 +82,28 @@ class GenParams:
 
 def gen_random_orthogonal(n: int, seed: int) -> np.ndarray:
     """Random n x n orthogonal matrix: n-1 Gaussian Householder reflectors
-    applied to the identity."""
+    applied to the identity. Reflector k takes the next n - k Gaussians of
+    the stream, drawn for several reflectors at a time."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = _rng(seed)
     Q = np.eye(n)
+    draws, start = np.empty(0), 0
     for k in range(n - 1):
-        x = rng.standard_normal(n - k)
-        v = x.copy()
-        v[0] += math.copysign(np.linalg.norm(x), x[0])  # sign choice avoids cancellation
+        if start == draws.size:
+            # The next r reflectors' Gaussians, at most 8n values, in one
+            # call: Philox yields the same stream as one call per reflector,
+            # with fewer calls and a buffer far smaller than Q.
+            r = min(max(1, 8 * n // (n - k)), n - 1 - k)
+            draws, start = rng.standard_normal(r * (n - k) - r * (r - 1) // 2), 0
+        v = draws[start:start + n - k]
+        start += n - k
+        v[0] += math.copysign(math.sqrt(v.dot(v)), v[0])  # sign choice avoids cancellation
         vv = float(v @ v)
         if vv == 0.0:
             continue
-        Q[k:, :] -= np.outer(v, (2.0 / vv) * (v @ Q[k:, :]))
+        rows = Q[k:]
+        rows -= v[:, None] * ((2.0 / vv) * (v @ rows))
     return Q
 
 
@@ -172,7 +181,11 @@ def gen_ilse_instance(params: GenParams) -> tuple[IlseProblem, float]:
     condition number of A.
 
     Ill-posed draws (possible at extreme conditioning) are regenerated
-    from a derived sub-seed, up to 10 attempts.
+    from a derived sub-seed, up to 10 attempts. With no constraints
+    (s = 0) the whole of A^T S A must be positive definite, not only its
+    projection on the null space of B, with its smallest eigenvalue above
+    eps |A^T S A|_2. Near kappa_a = 1/sqrt(eps) that fails in most draws,
+    and the error then says so.
     """
     for attempt in range(10):
         seed = params.seed if attempt == 0 else subseed(params.seed, _STREAM_RETRY * attempt)
@@ -189,9 +202,14 @@ def gen_ilse_instance(params: GenParams) -> tuple[IlseProblem, float]:
         if check_well_posedness(problem).well_posed:
             achieved = float(sv[0] / sv[-1])
             return problem, achieved
+    cause = (
+        "; with no constraints (s = 0) the whole of A^T S A must be positive definite, "
+        "with its smallest eigenvalue above eps |A^T S A|_2: try a smaller kappa_a or hyper_bound"
+        if params.s == 0 else ""
+    )
     raise GenerationError(
         f"no well-posed instance after 10 attempts (seed={params.seed}, "
-        f"kappa_a={params.kappa_a:g}, kappa_b={params.kappa_b:g})"
+        f"kappa_a={params.kappa_a:g}, kappa_b={params.kappa_b:g}){cause}"
     )
 
 

@@ -1,4 +1,8 @@
+import gc
 import math
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from ilse import backward_error as be, properties
 from ilse.backward_error import linearization_matrix
 from ilse.oracle import estimate_via_normal_equations, linearization_pinv_norm
 
-from conftest import solved_case
+from conftest import solved_case, t1_problem
 
 Y01 = np.array([0.1])
 XI09 = np.array([0.9])
@@ -312,3 +316,105 @@ class TestBackwardErrorBounds:
         report = backward_error_bounds(problem, psol.x, WeightScheme(), xi0=sol.xi)
         assert report.bounds_applicable
         assert math.isfinite(report.rho_xi1) and math.isfinite(report.rho_xi0)
+
+
+def cold(fn, *args):
+    """fn(*args) with the context cache emptied first."""
+    be._last_context = None
+    return fn(*args)
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestContextCache:
+    """The one-entry context cache changes no bit and keeps one problem."""
+
+    def test_warm_calls_equal_cold_calls(self):
+        problem, sol, _, psol = solved_case(3, eps=1e-8, kappa_a=1e8, kappa_b=1e8)
+        y, w = psol.x, WeightScheme(2.0, 0.5, 3.0)
+        xis = [sol.xi, least_squares_multiplier(problem, y), np.zeros(problem.s)]
+        for xi in xis:
+            rho = cold(backward_error_estimate, problem, y, xi, w)
+            z = cold(be.min_norm_perturbation, problem, y, xi, w)
+            alpha = cold(stability_constant, problem, y, w)
+            backward_error_estimate(problem, y, xis[0] + 1.0, w)
+            ctx = be._last_context
+            assert bits(backward_error_estimate(problem, y, xi, w)) == bits(rho)
+            assert bits(be.min_norm_perturbation(problem, y, xi, w)) == bits(z)
+            assert bits(stability_constant(problem, y, w)) == bits(alpha)
+            assert be._last_context is ctx
+
+    def test_candidate_mutated_in_place_misses(self):
+        problem, sol, _, psol = solved_case(4)
+        y = psol.x.copy()
+        backward_error_estimate(problem, y, sol.xi, WeightScheme())
+        ctx = be._last_context
+        y[0] += 1e-3
+        rho = backward_error_estimate(problem, y, sol.xi, WeightScheme())
+        assert be._last_context is not ctx
+        assert bits(rho) == bits(cold(backward_error_estimate, problem, y, sol.xi, WeightScheme()))
+
+    def test_equal_but_distinct_problem_misses(self):
+        problem, sol, _, psol = solved_case(5)
+        twin = IlseProblem(A=problem.A, b=problem.b, B=problem.B, d=problem.d, sig=problem.sig)
+        assert all(np.array_equal(getattr(twin, f), getattr(problem, f)) for f in "AbBd")
+        stability_constant(problem, psol.x, WeightScheme())
+        stability_constant(twin, psol.x, WeightScheme())
+        assert be._last_context.problem is twin
+
+    def test_changed_weights_miss(self):
+        problem, sol, _, psol = solved_case(6)
+        w = WeightScheme(1.0, 10.0, 0.1)
+        backward_error_estimate(problem, psol.x, sol.xi, WeightScheme())
+        rho = backward_error_estimate(problem, psol.x, sol.xi, w)
+        assert be._last_context.w == w
+        assert bits(rho) == bits(cold(backward_error_estimate, problem, psol.x, sol.xi, w))
+
+    def test_zero_candidate_and_zero_residual_use_the_context(self, t1, unit_weights):
+        y = np.zeros(1)
+        rho = cold(backward_error_estimate, t1, y, XI09, unit_weights)
+        assert be._last_context.y_norm == 0.0
+        assert be._last_context.u.tolist() == [1.0]
+        assert bits(backward_error_estimate(t1, y, XI09, unit_weights)) == bits(rho)
+        problem, y = residual_free_problem(), np.array([0.5])
+        report = cold(backward_error_bounds, problem, y, unit_weights)
+        assert be._last_context.r_norm == 0.0
+        assert repr(backward_error_bounds(problem, y, unit_weights)) == repr(report)
+
+    def test_keeps_at_most_one_problem(self, unit_weights):
+        first, second = t1_problem(), t1_problem()
+        ref = weakref.ref(first)
+        backward_error_estimate(first, Y01, XI09, unit_weights)
+        backward_error_estimate(second, Y01, XI09, unit_weights)
+        del first
+        gc.collect()
+        assert ref() is None
+        assert be._last_context.problem is second
+
+    def test_threads_alternating_problems_get_their_own_values(self, unit_weights):
+        # More threads than cores, switching every microsecond, each call on
+        # a different (problem, y) than the one before: a call that used a
+        # context built for another key would return another value.
+        cases = [(problem, psol.x, sol.xi) for problem, sol, _, psol in map(solved_case, (7, 8, 9))]
+        expected = [
+            (bits(cold(backward_error_estimate, p, y, xi, unit_weights)),
+             bits(cold(stability_constant, p, y, unit_weights)))
+            for p, y, xi in cases
+        ]
+
+        def call(i):
+            p, y, xi = cases[i % 3]
+            return (bits(backward_error_estimate(p, y, xi, unit_weights)),
+                    bits(stability_constant(p, y, unit_weights)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(call, i) for i in range(120)]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [expected[i % 3] for i in range(120)]

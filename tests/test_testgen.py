@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -62,6 +65,27 @@ class TestRandomOrthogonal:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             gen_random_orthogonal(0, seed=1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 40, 50, 60, 100, 200])
+    def test_bitwise_equal_to_the_reflector_loop(self, n):
+        # The literal loop the generator replaced: one draw per reflector,
+        # np.linalg.norm and an np.outer update. The seeded instances of
+        # every table depend on these bits.
+        def reference(n, seed):
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            Q = np.eye(n)
+            for k in range(n - 1):
+                x = rng.standard_normal(n - k)
+                v = x.copy()
+                v[0] += math.copysign(np.linalg.norm(x), x[0])
+                vv = float(v @ v)
+                if vv == 0.0:
+                    continue
+                Q[k:, :] -= np.outer(v, (2.0 / vv) * (v @ Q[k:, :]))
+            return Q
+
+        for seed in (0, 1, 7, 2**63 + 5, 20240901):
+            assert gen_random_orthogonal(n, seed).tobytes() == reference(n, seed).tobytes()
 
 
 class TestGeometricDiagonal:
@@ -138,6 +162,24 @@ class TestGenInstance:
         params = GenParams(m=4, n=2, s=1, p=0, q=4, kappa_a=2.0, kappa_b=2.0, seed=1)
         with pytest.raises(GenerationError):
             gen_ilse_instance(params)
+
+    def test_no_constraints_failure_names_its_cause(self):
+        # At s = 0 nothing projects A^T S A, and at kappa_a = 1e8 seed 0
+        # draws no definite one in 10 attempts; a smaller kappa_a does.
+        params = GenParams(12, 6, 0, 7, 5, kappa_a=1e8, kappa_b=1.0, seed=0)
+        with pytest.raises(GenerationError, match=r"\(s = 0\) the whole of A\^T S A must be positive "
+                                                  r"definite, .*: try a smaller kappa_a or hyper_bound$"):
+            gen_ilse_instance(params)
+        problem, _ = gen_ilse_instance(dataclasses.replace(params, kappa_a=1e6))
+        assert check_well_posedness(problem).well_posed
+
+    def test_constrained_failure_keeps_its_message(self):
+        params = GenParams(m=4, n=2, s=1, p=0, q=4, kappa_a=2.0, kappa_b=2.0, seed=1)
+        with pytest.raises(GenerationError) as excinfo:
+            gen_ilse_instance(params)
+        assert str(excinfo.value) == (
+            "no well-posed instance after 10 attempts (seed=1, kappa_a=2, kappa_b=2)"
+        )
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
