@@ -80,6 +80,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dlantr, dorgqr, dtrtri, dtrtrs
 
+from . import solver
 from .core import (
     IlseProblem,
     RankDeficiencyError,
@@ -146,11 +147,11 @@ def linearization_matrix(
 
 
 def rhs_vector(problem: IlseProblem, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Stacked optimality residual (B^T xi - A^T S r_y, d - B y)."""
+    """Stacked optimality residual (B^T xi - A^T S r_y, d - B y), the two
+    blocks of solver.normal_equation_residuals at (y, xi)."""
     y = _check_candidate(problem, y)
     xi = _check_multiplier(problem, xi)
-    sr = apply_signature(problem.sig, problem.residual(y))
-    return np.concatenate([problem.B.T @ xi - problem.A.T @ sr, problem.d - problem.B @ y])
+    return np.concatenate(solver.normal_equation_residuals(problem, y, xi))
 
 
 def _norm(v: np.ndarray) -> float:

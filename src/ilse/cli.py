@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -50,13 +51,22 @@ def _add_weight_flags(p):
     p.add_argument("--theta3", type=float, default=None, help="weight on the d perturbation")
 
 
-def _weights(args, fallback=None) -> WeightScheme:
-    base = fallback if fallback is not None else WeightScheme()
-    return WeightScheme(
-        theta1=args.theta1 if args.theta1 is not None else base.theta1,
-        theta2=args.theta2 if args.theta2 is not None else base.theta2,
-        theta3=args.theta3 if args.theta3 is not None else base.theta3,
-    )
+def _weights(args) -> WeightScheme:
+    return WeightScheme(**{
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(WeightScheme) if getattr(args, f.name) is not None
+    })
+
+
+def _print_json(payload: dict) -> None:
+    """Print payload as JSON (RFC 8259, which has no NaN or Infinity): a
+    non-finite float, also inside a list, is printed as null."""
+    def finite(v):
+        if isinstance(v, list):
+            return [finite(x) for x in v]
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+
+    print(json.dumps({k: finite(v) for k, v in payload.items()}, indent=2, allow_nan=False))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +135,7 @@ def _cmd_solve(args) -> int:
         ],
         "min_projected_eig": report.min_projected_eig,
     }
-    print(json.dumps(payload, indent=2))
+    _print_json(payload)
     return 0
 
 
@@ -134,28 +144,12 @@ def _cmd_backward_error(args) -> int:
     y = harness.read_vector(args.y)
     xi0 = harness.read_vector(args.xi0) if args.xi0 else None
     report = be.backward_error_bounds(problem, y, _weights(args), xi0=xi0)
-    payload = {
-        "rho_xi1": report.rho_xi1,
-        "rho_xi0": report.rho_xi0,
-        "tau0": report.tau0,
-        "alpha": report.alpha,
-        "alpha_lower": report.alpha_lower,
-        "small_rho_condition": report.small_rho_condition,
-        "mu_upper": report.mu_upper,
-        "mu_lower": report.mu_lower,
-        "distance_lower": report.distance_lower,
-        "bounds_applicable": report.bounds_applicable,
-    }
-    print(json.dumps(payload, indent=2))
+    _print_json(dataclasses.asdict(report))
     return 0
 
 
 def _cmd_gen(args) -> int:
-    params = GenParams(
-        m=args.m, n=args.n, s=args.s, p=args.p, q=args.q,
-        kappa_a=args.kappa_a, kappa_b=args.kappa_b,
-        seed=args.seed, hyper_bound=args.hyper_bound,
-    )
+    params = GenParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GenParams)})
     problem, achieved = gen_ilse_instance(params)
     harness.write_problem(args.out, problem)
     print(f"wrote problem bundle to {args.out} (achieved kappa_A = {achieved:.5e})")
@@ -167,15 +161,11 @@ def _cmd_experiment(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+    # A flag overrides the config key its dest names: a config field or a weight.
+    keys = {f.name for f in dataclasses.fields(harness.ExperimentConfig) + dataclasses.fields(WeightScheme)}
+    if isinstance(data, dict):  # from_dict rejects any other JSON value
+        data.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
     config = harness.ExperimentConfig.from_dict(data)
-
-    fields = {f.name for f in dataclasses.fields(config)}
-    overrides = {
-        name: value for name, value in vars(args).items() if name in fields and value is not None
-    }
-    if args.theta1 is not None or args.theta2 is not None or args.theta3 is not None:
-        overrides["weights"] = _weights(args, fallback=config.weights)
-    config = dataclasses.replace(config, **overrides)
 
     _, table = harness.run_experiment(config)
     if args.out:

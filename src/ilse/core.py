@@ -18,6 +18,7 @@ slower.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,7 +105,7 @@ def apply_signature(sig: SignatureMatrix, v: np.ndarray) -> np.ndarray:
 class IlseProblem:
     """The data quadruple (A, b, B, d) plus its signature matrix.
 
-    Shapes: A is m x n with m >= n, b has length m, B is s x n with
+    Shapes: A is m x n with m >= n >= 1, b has length m, B is s x n with
     s <= n, d has length s, and sig.p + sig.q = m. All entries must be
     finite. Arrays are copied and marked read-only.
 
@@ -128,6 +129,8 @@ class IlseProblem:
         if A.ndim != 2:
             raise ValueError("A must be a matrix")
         m, n = A.shape
+        if n == 0:
+            raise ValueError(f"A must have at least one column, got shape {A.shape}")
         if m < n:
             raise ValueError(f"need m >= n, got A of shape {A.shape}")
         if b.shape != (m,):
@@ -198,10 +201,10 @@ class WeightScheme:
 
     def __post_init__(self):
         for name in ("theta1", "theta2", "theta3"):
-            v = float(getattr(self, name))
-            if not (v > 0.0) or not math.isfinite(v):
-                raise ValueError(f"{name} must be strictly positive and finite, got {v}")
-            object.__setattr__(self, name, v)
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Real) or not (v > 0.0) or not math.isfinite(v):
+                raise ValueError(f"{name} must be a strictly positive finite number, got {v!r}")
+            object.__setattr__(self, name, float(v))
 
 
 @dataclass(frozen=True)
@@ -280,16 +283,18 @@ class BackwardErrorReport:
     lower bound on the distance from y to the exact solution.
 
     bounds_applicable is False when r_y = 0, where the bound theory does
-    not apply; mu_upper/mu_lower are then None.
+    not apply; mu_upper/mu_lower are then None. rho_xi0 is None when no
+    multiplier was supplied. ``ilse backward-error`` prints the fields in
+    this order.
     """
 
     rho_xi1: float
+    rho_xi0: float | None
     tau0: float
     alpha: float
     alpha_lower: float
     small_rho_condition: bool
+    mu_upper: float | None
     mu_lower: float | None
     distance_lower: float
-    mu_upper: float | None = None
-    rho_xi0: float | None = None
-    bounds_applicable: bool = True
+    bounds_applicable: bool

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -172,9 +173,29 @@ def run_trial(params: GenParams, eps: float, w: WeightScheme, seed: int) -> Expe
 # Experiment grid
 # ---------------------------------------------------------------------------
 
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# What a config field of each declared type accepts, and its name in an error.
+_CONFIG_TYPES = {
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
+    "float": (_is_number, "a number"),
+    "tuple[float, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+                          "a list of numbers"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "WeightScheme": (lambda v: isinstance(v, WeightScheme), "a WeightScheme"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid specification for an experiment table."""
+    """Grid specification for an experiment table.
+
+    Each field is checked against its declared type, so a wrongly typed
+    value (a config file's "3" or 1.5 trials, say) raises a ValueError
+    that names its key.
+    """
 
     m: int = 100
     n: int = 50
@@ -191,6 +212,10 @@ class ExperimentConfig:
     hyper_bound: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            accepts, kind = _CONFIG_TYPES[f.type]
+            if not accepts(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be {kind}, got {getattr(self, f.name)!r}")
         if not self.eps_list or not self.kappa_a_list or not self.kappa_b_list:
             raise ValueError("eps/kappa lists must be nonempty")
         if self.trials_per_cell < 1:

@@ -90,7 +90,7 @@ def check_well_posedness(problem: IlseProblem) -> WellPosednessReport:
         Z = Q[:, s:]
 
     M = A.T @ apply_signature(sig, A)
-    pd_tolerance = float(_EPS * np.max(np.abs(sla.eigvalsh(M)))) if n > 0 else float(_EPS)
+    pd_tolerance = float(_EPS * np.max(np.abs(sla.eigvalsh(M))))
 
     if Z.shape[1] == 0:
         min_eig = np.inf

@@ -68,6 +68,9 @@ class GenParams:
     hyper_bound: float = 1.0
 
     def __post_init__(self):
+        for name in ("kappa_a", "kappa_b", "hyper_bound"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.p + self.q != self.m:
             raise ValueError(f"p + q must equal m: {self.p} + {self.q} != {self.m}")
         if self.m < self.n:
@@ -219,8 +222,8 @@ def gen_perturbation(problem: IlseProblem, eps: float, seed: int) -> Perturbatio
     E and F are eps times standard Gaussian matrices; the right-hand-side
     perturbations are additionally scaled by |b|_2 and |d|_2.
     """
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     rng = _rng(seed)
     m, n, s = problem.m, problem.n, problem.s
     E = eps * rng.standard_normal((m, n))

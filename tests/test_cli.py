@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from ilse import GenParams, WeightScheme, cli, harness, properties
+from ilse import backward_error as be
 from ilse.harness import write_problem, write_vector
 
 
@@ -19,6 +21,89 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """Parse text as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise AssertionError(f"output is not JSON: it contains {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+SOLVE_KEYS = [
+    "x", "xi", "lambda", "residual_norm", "gamma", "normal_equation_residual_norms",
+    "min_projected_eig",
+]
+BACKWARD_ERROR_KEYS = [
+    "rho_xi1", "rho_xi0", "tau0", "alpha", "alpha_lower", "small_rho_condition", "mu_upper",
+    "mu_lower", "distance_lower", "bounds_applicable",
+]
+
+
+def test_json_outputs_keep_their_key_order_and_print_non_finite_values_as_null(
+    capsys, monkeypatch, tmp_path, t1_bundle
+):
+    code, out, _ = run_cli(capsys, "solve", "--problem", str(t1_bundle))
+    payload = strict_json(out)
+    assert code == 0 and list(payload) == SOLVE_KEYS
+    assert payload["min_projected_eig"] is None  # t1 has s = n: the null space of B is trivial
+
+    yfile = tmp_path / "y"
+    write_vector(yfile, np.array([0.1]))
+    argv = ("backward-error", "--problem", str(t1_bundle), "--y", str(yfile))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and list(strict_json(out)) == BACKWARD_ERROR_KEYS
+
+    bounds = be.backward_error_bounds
+    monkeypatch.setattr(be, "backward_error_bounds", lambda *args, **kwargs: dataclasses.replace(
+        bounds(*args, **kwargs), rho_xi1=math.nan, alpha=math.inf))
+    code, out, _ = run_cli(capsys, *argv)
+    payload = strict_json(out)
+    assert code == 0 and list(payload) == BACKWARD_ERROR_KEYS
+    assert payload["rho_xi1"] is None and payload["alpha"] is None
+
+
+def _bundle(directory, A, b, B, d, sig):
+    """Problem-bundle files with the given contents, bypassing IlseProblem."""
+    names = ("A", "b", "B", "d", "sig")
+    return {f"{directory}/{name}": text for name, text in zip(names, (A, b, B, d, sig))}
+
+
+_GEN = ["gen", "--m", "6", "--n", "3", "--s", "1", "--p", "4", "--q", "2", "--out", "{tmp}/out"]
+_GRID = ["experiment", "--m", "12", "--n", "6", "--s", "2", "--p", "7", "--q", "5",
+         "--kappa-a", "10", "--kappa-b", "10"]
+_BAD_CONFIGS = {
+    "string-trials": ('{"trials_per_cell": "3"}', "trials_per_cell"),
+    "fractional-trials": ('{"trials_per_cell": 1.5}', "trials_per_cell"),
+    "scalar-kappa-list": ('{"kappa_a_list": 5}', "kappa_a_list"),
+}
+
+
+# (argv, files to write, the field the error must name); "{tmp}" is the test's directory.
+@pytest.mark.parametrize("argv, files, field", [
+    pytest.param(["backward-error", "--problem", "{tmp}/p", "--y", "{tmp}/y"],
+                 {**_bundle("p", "3 0\n", "3 1\n1\n2\n3\n", "0 0\n", "0 1\n", "2 1\n"), "y": "0 1\n"},
+                 "A", id="backward-error-zero-columns"),
+    pytest.param(["solve", "--problem", "{tmp}/p"],
+                 _bundle("p", "0 0\n", "0 1\n", "0 0\n", "0 1\n", "0 0\n"), "A", id="solve-empty-bundle"),
+    *[pytest.param([command, "--config", "{tmp}/c.json"], {"c.json": text}, key, id=f"{command}-{name}")
+      for command in ("experiment", "verify") for name, (text, key) in _BAD_CONFIGS.items()],
+    *[pytest.param(_GEN + [flag, value], {}, flag[2:].replace("-", "_"), id=f"gen{flag}-{value}")
+      for flag, value in [("--hyper-bound", "nan"), ("--hyper-bound", "inf"), ("--kappa-a", "nan"),
+                          ("--kappa-a", "inf"), ("--kappa-b", "inf")]],
+    *[pytest.param(_GRID + ["--eps", value], {}, "eps", id=f"experiment-eps-{value}")
+      for value in ("nan", "inf")],
+])
+def test_malformed_input_ends_in_one_error_line(capsys, tmp_path, argv, files, field):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"ilse: error: {field} ")
+    assert "Traceback" not in err
 
 
 class TestSolve:
@@ -135,6 +220,15 @@ class TestExperiment:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["rows"]) == 2
+
+    def test_flags_override_config_keys_weights_included(self, capsys, monkeypatch, tmp_path):
+        seen = []
+        monkeypatch.setattr(harness, "run_experiment", lambda config: (seen.append(config), ([], ""))[1])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"m": 10, "trials_per_cell": 3, "theta1": 2.0, "theta3": 3.0}))
+        argv = ("experiment", "--config", str(cfg_path), "--trials", "2", "--theta2", "4")
+        assert run_cli(capsys, *argv)[0] == 0
+        assert seen == [harness.ExperimentConfig(m=10, trials_per_cell=2, weights=WeightScheme(2.0, 4.0, 3.0))]
 
     def test_every_grid_flag_is_named_after_a_config_field(self):
         # _cmd_experiment overrides the config field each flag's dest names.

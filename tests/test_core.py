@@ -82,6 +82,14 @@ class TestIlseProblem:
                 sig=SignatureMatrix(1, 0),
             )
 
+    @pytest.mark.parametrize("m", [3, 0])
+    def test_no_columns_rejected(self, m):
+        with pytest.raises(ValueError, match="A must have at least one column"):
+            IlseProblem(
+                A=np.zeros((m, 0)), b=np.ones(m), B=np.zeros((0, 0)), d=np.zeros(0),
+                sig=SignatureMatrix(m, 0),
+            )
+
     def test_s_greater_than_n_rejected(self):
         with pytest.raises(ValueError):
             IlseProblem(
