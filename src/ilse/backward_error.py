@@ -39,25 +39,45 @@ tau0 = max(theta3, 1/alpha) come from it. The minimum-norm solution is
 z = J^T v for v = (C C^T)^-1 rhs, applied block by block; its E block is
 the rank-2 matrix S (r_y v_top^T - A v_top y^T).
 
-Only s + n of C's 2m + n + 2s columns depend on xi. The rest, and every
-other multiplier-free quantity, is built once per (problem, y, w) into a
-private context: u and |y|, |r_y|, S r_y and A^T S r_y, e = d - B y, the
-n x 2m block [u (S r_y)^T - |y| A^T S, theta1^-1 A^T S] with its column
-squared norms, P = I_n - u u^T, the geqrf workspace size, and alpha once
-stability_constant has computed it. A one-entry module cache holds the
-last context. Its key is the problem object (by identity, which is sound
-because a problem's arrays are read-only), the bytes of y, and w; a y
-changed in place therefore misses. The cache keeps that one problem
-alive and nothing else, and every value is the same floating-point
-operation on the same inputs as without it, so no output bit depends on
-whether a call hit. Each call validates y and xi before it looks.
+Only s + n of C's 2m + n + 2s columns depend on xi, so C^T is factored in
+two stages. Stage one, once per (problem, y, w), is the Householder QR
+blocks^T = Q0 R0 of the 2m x n transpose of the multiplier-free block
+blocks = [u (S r_y)^T - |y| A^T S, theta1^-1 A^T S], with R0 n x n. With
+rest(xi) the last n + 2s rows of C^T (the s xi rows, the n rows
+c (I_n - u u^T) and the s g rows),
+
+    C^T = diag(Q0, I) [R0 0; rest]    (up to row order),
+
+and Q0 has orthonormal columns, so the (2n+2s) x (n+s) stack [R0 0; rest]
+has C C^T as its Gram matrix too: the same singular values, hence the
+same rank test and tau(xi), the same triangular factor R up to the signs
+of its rows, and the same rho = |R^-T rhs|_2. Stage two, per xi, is the
+Householder QR of that stack, so each rho costs O((n+s)^3) whatever m is.
+Both stages sort their rows by decreasing largest magnitude first. alpha
+comes from the n x 2n matrix [R0^T, |r_y| (I_n - u u^T)], whose Gram
+matrix is that of the n x (2m+n) one above. The minimum-norm solution
+maps back through both stages: Q0 takes the first n entries of the
+stack's z to C's first 2m columns.
+
+Everything that does not depend on xi is built once per (problem, y, w)
+into a private context: u and |y|, |r_y|, A^T S r_y, e = d - B y, the
+stage-one row order, geqrf's output on the sorted rows (R0 and the
+reflectors of Q0), the n x 2n [R0^T, I_n - u u^T], the stage-two geqrf
+workspace size, and alpha once stability_constant has computed it; the
+unsorted blocks are not kept. A one-entry module cache holds the last context. Its
+key is the problem object (by identity, which is sound because a
+problem's arrays are read-only), the bytes of y, and w; a y changed in
+place therefore misses. The cache keeps that one problem alive and
+nothing else, and every value is the same floating-point operation on the
+same inputs as without it, so no output bit depends on whether a call
+hit. Each call validates y and xi before it looks.
 
 One kernel, _min_norm_factor, evaluates rho for backward_error_estimate
 and min_norm_perturbation. Per xi it builds the xi columns and
-c (I_n - u u^T), gathers C^T, its rows sorted by decreasing norm, into
-one Fortran-ordered buffer, factors that buffer in place with LAPACK
-geqrf, and solves R^T w = rhs with trtrs, so rho = |w|_2; orgqr forms Q
-from the same geqrf output when z is wanted. The rank test needs
+c (I_n - u u^T), gathers the sorted stack into one Fortran-ordered
+buffer, factors that buffer in place with LAPACK geqrf, and solves
+R^T w = rhs with trtrs, so rho = |w|_2; orgqr forms Q from the same geqrf
+output when z is wanted. The rank test needs
 sigma_min and sigma_max of R, and a certified pre-test replaces the SVD
 where it can: sigma_min(R) >= 1/|R^-1|_F and sigma_max(R) <= |R|_F, so
 when trtri inverts R, |R^-1|_F is finite and
@@ -163,12 +183,16 @@ def _norm(v: np.ndarray) -> float:
 def _unit_direction(y: np.ndarray) -> tuple[np.ndarray, float]:
     """u = y/|y| (e_1 when y = 0) and |y|."""
     y_norm = float(np.linalg.norm(y))
-    return (y / y_norm if y_norm > 0.0 else np.eye(y.shape[0])[0]), y_norm
+    if y_norm > 0.0:
+        return y / y_norm, y_norm
+    u = np.zeros(y.shape[0])
+    u[0] = 1.0
+    return u, y_norm
 
 
 def _multiplier_free_blocks(problem: IlseProblem, y: np.ndarray, w: WeightScheme):
     """u, |y|, r_y, S r_y and the n x 2m block [u (S r_y)^T - |y| A^T S, A^T S/theta1]
-    that C and the stability matrix share."""
+    of C that does not depend on xi, whose transpose stage one factors."""
     m, n = problem.m, problem.n
     u, y_norm = _unit_direction(y)
     r_y = problem.residual(y)
@@ -186,27 +210,39 @@ class _Context:
 
     Built once per key (problem object, y bytes, w) by _context; its
     arrays are read-only, and alpha is filled in by the first
-    stability_constant call.
+    stability_constant call. order0 sorts the rows of the 2m x n block
+    blocks^T by decreasing largest magnitude, and qr0, tau0 are geqrf's
+    output on the sorted rows: R0 in the upper triangle of qr0[:n], Q0 in
+    the reflectors below it. top is the n x 2n [R0^T, I_n - u u^T]: the
+    multiplier-free part of the stage-two stack's top rows, and alpha's
+    matrix before |r_y| scales its second block.
     """
 
-    __slots__ = ("problem", "w", "y_bytes", "u", "y_norm", "r_norm", "sr", "AtSr", "e",
-                 "blocks", "blocks_sq", "P", "lwork", "alpha")
+    __slots__ = ("problem", "w", "y_bytes", "u", "y_norm", "r_norm", "AtSr", "e",
+                 "order0", "qr0", "tau0", "top", "lwork", "alpha")
 
     def __init__(self, problem: IlseProblem, y: np.ndarray, w: WeightScheme):
         m, n, s = problem.m, problem.n, problem.s
         self.problem, self.w, self.y_bytes = problem, w, y.tobytes()
         # Through the module attribute, so a patched builder is seen.
-        self.u, self.y_norm, r_y, self.sr, self.blocks = _multiplier_free_blocks(problem, y, w)
+        self.u, self.y_norm, r_y, sr, blocks = _multiplier_free_blocks(problem, y, w)
         self.r_norm = float(np.linalg.norm(r_y))
-        self.AtSr = problem.A.T @ self.sr
+        self.AtSr = problem.A.T @ sr
         self.e = problem.d - problem.B @ y
-        # The first 2m column sums of C's top rows, summed row by row as
-        # np.add.reduce sums a C-ordered matrix with two or more columns.
-        self.blocks_sq = np.add.reduce(self.blocks * self.blocks, axis=0)
-        self.P = np.eye(n) - np.outer(self.u, self.u)
-        self.lwork = int(dgeqrf_lwork(2 * m + n + 2 * s, n + s)[0])
+        # Gathering the sorted columns of the C-ordered n x 2m blocks gives
+        # the Fortran-ordered stage-one input, which geqrf factors in place;
+        # the unsorted blocks are dropped before it runs.
+        self.order0 = (-np.abs(blocks).max(axis=0)).argsort(kind="stable")
+        stage_one = blocks[:, self.order0].T
+        del blocks
+        self.qr0, self.tau0, _, _ = dgeqrf(
+            stage_one, lwork=int(dgeqrf_lwork(2 * m, n)[0]), overwrite_a=1)
+        self.top = np.empty((n, 2 * n))
+        self.top[:, :n] = np.triu(self.qr0[:n]).T
+        self.top[:, n:] = np.eye(n) - np.outer(self.u, self.u)
+        self.lwork = int(dgeqrf_lwork(2 * n + 2 * s, n + s)[0])
         self.alpha = None
-        for a in (self.u, self.sr, self.AtSr, self.e, self.blocks, self.blocks_sq, self.P):
+        for a in (self.u, self.AtSr, self.e, self.order0, self.qr0, self.tau0, self.top):
             a.flags.writeable = False
 
 
@@ -229,42 +265,39 @@ def _context(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> _Context:
 def _sorted_compressed_transpose(
     problem: IlseProblem, y: np.ndarray, xi: np.ndarray, w: WeightScheme
 ):
-    """(order, C(xi)^T with its rows sorted by decreasing norm, context, c):
-    row i of the Fortran-ordered matrix is row order[i] of C^T, so geqrf
-    factors it in place.
+    """(order, the stage-two stack with its rows sorted by decreasing largest
+    magnitude, context, c): row i of the Fortran-ordered (2n+2s) x (n+s)
+    matrix is row order[i] of [R0 0; rest], where rest is the last n + 2s
+    rows of C(xi)^T (the s xi rows, the n rows c (I - u u^T) and the s g
+    rows), so geqrf factors it in place.
 
-    Only the s xi columns and the n columns c (I - u u^T) of C's top rows
-    are built per xi, in one n x (s + n) buffer. Their column norms are
-    summed row by row, as np.linalg.norm(C, axis=0) sums them, so with the
-    context's sums for the other 2m columns ties break as on the dense C.
-    Scatters write the top rows into the factored buffer at their sorted
-    columns, and the 2s nonzeros of the bottom rows go there too.
+    The stack's top n rows are built per xi in one n x (2n + s) buffer, a
+    scatter writes it into the factored buffer at its sorted columns, and
+    the 2s nonzeros of the bottom rows go there too.
     """
     ctx = _context(problem, y, w)
-    m, n, s = problem.m, problem.n, problem.s
-    N = 2 * m + n + 2 * s
+    n, s = problem.n, problem.s
+    N = 2 * n + 2 * s
     c = math.hypot(ctx.r_norm, _norm(xi) / w.theta2)
-    # Two or more columns (or a single entry) keep the sums row by row:
-    # numpy sums a lone contiguous column pairwise.
-    X = np.empty((n, s + n))
-    np.multiply(ctx.u[:, None], xi / -w.theta2, out=X[:, :s])
-    np.multiply(ctx.P, c, out=X[:, s:])
+    # The stack's top rows: R0^T, the s xi columns and c (I - u u^T).
+    X = np.empty((n, 2 * n + s))
+    X[:, :n] = ctx.top[:, :n]
+    np.multiply(ctx.u[:, None], xi / -w.theta2, out=X[:, n:n + s])
+    np.multiply(ctx.top[:, n:], c, out=X[:, n + s:])
     bottom_xi, bottom_g = ctx.y_norm / w.theta2, -1.0 / w.theta3
-    sq = np.empty(N)
-    sq[:2 * m] = ctx.blocks_sq
-    np.add.reduce(X * X, axis=0, out=sq[2 * m:2 * m + s + n])
-    sq[2 * m:2 * m + s] += bottom_xi * bottom_xi
-    sq[2 * m + s + n:] = bottom_g * bottom_g
-    order = (-np.sqrt(sq)).argsort(kind="stable")
+    key = np.empty(N)
+    np.abs(X).max(axis=0, out=key[:2 * n + s])
+    np.maximum(key[n:n + s], abs(bottom_xi), out=key[n:n + s])
+    key[2 * n + s:] = abs(bottom_g)
+    order = (-key).argsort(kind="stable")
     pos = np.empty_like(order)
     pos[order] = np.arange(N)
-    C_sorted = np.zeros((n + s, N))
-    C_sorted[:n, pos[:2 * m]] = ctx.blocks
-    C_sorted[:n, pos[2 * m:2 * m + s + n]] = X
+    stack = np.zeros((n + s, N))
+    stack[:n, pos[:2 * n + s]] = X
     rows = n + np.arange(s)
-    C_sorted[rows, pos[2 * m:2 * m + s]] = bottom_xi
-    C_sorted[rows, pos[2 * m + s + n:]] = bottom_g
-    return order, C_sorted.T, ctx, c
+    stack[rows, pos[n:n + s]] = bottom_xi
+    stack[rows, pos[2 * n + s:]] = bottom_g
+    return order, stack.T, ctx, c
 
 
 def _require_full_row_rank(svals: np.ndarray) -> None:
@@ -292,22 +325,26 @@ def _certainly_full_rank(R: np.ndarray) -> bool:
 def _min_norm_factor(
     problem: IlseProblem, y: np.ndarray, xi: np.ndarray, w: WeightScheme, with_q: bool = False
 ):
-    """The rho kernel: the Householder QR of C(xi)^T with its rows sorted by
-    decreasing norm, the full-row-rank check on R (whose singular values
-    are those of J), and wvec = R^-T rhs(xi), so that rho = |wvec|_2.
+    """The rho kernel: the Householder QR of the sorted stage-two stack, the
+    full-row-rank check on R (whose singular values are those of J), and
+    wvec = R^-T rhs(xi), so that rho = |wvec|_2.
 
     Returns (order, Q or None, wvec, context, c), where row i of the
-    factored matrix is row order[i] of C^T; min_norm_perturbation maps z
-    back with the last two.
+    factored stack is row order[i] of [R0 0; rest]; min_norm_perturbation
+    maps z back with the last two.
 
-    Householder QR is row-wise stable with sorted rows (Cox & Higham, BIT
-    1998). At kappa_B = 1e8, where |xi| and |y| reach 1e13 and 1e8,
-    unsorted rows gave rho up to 60 times further from a 50-digit referee
-    than the dense QR of J^T did; sorted, they give the closer value.
+    Householder QR is row-wise stable with its rows sorted by decreasing
+    largest magnitude (Cox & Higham, BIT 1998), so both stages sort that
+    way. At kappa_B = 1e8, where |xi| and |y| reach 1e13 and 1e8, unsorted
+    rows gave rho up to 60 times further from a 50-digit referee than the
+    dense QR of J^T did. With both stages sorted by row 2-norm instead, rho
+    on the 40 referee instances at kappa_A = kappa_B = 1e8 (TINY and
+    m = 10 n, both eps, seeds 0-9) was 27% further from the referee in
+    geometric mean.
     """
-    order, CT, ctx, c = _sorted_compressed_transpose(problem, y, xi, w)
-    qr, tau, _, _ = dgeqrf(CT, lwork=ctx.lwork, overwrite_a=1)
-    R = qr[:CT.shape[1]]
+    order, stack, ctx, c = _sorted_compressed_transpose(problem, y, xi, w)
+    qr, tau, _, _ = dgeqrf(stack, lwork=ctx.lwork, overwrite_a=1)
+    R = qr[:stack.shape[1]]
     if not _certainly_full_rank(R):
         _require_full_row_rank(sla.svdvals(np.triu(R)))
     rhs = np.concatenate([problem.B.T @ xi - ctx.AtSr, ctx.e])
@@ -334,7 +371,8 @@ def min_norm_perturbation(
     exactly the value returned by backward_error_estimate.
 
     z = J^T v for v = (C C^T)^-1 rhs, mapped block by block from the
-    minimum-norm solution z_C = Q R^-T rhs = C^T v of C z_C = rhs. For
+    minimum-norm solution z_C = Q R^-T rhs = C^T v of C z_C = rhs, where
+    Q = diag(Q0, I) Q_stack for the stack's factor Q_stack R. For
     M1 the first block of C, z_C stacks a1 = M1^T v_top,
     a2 = S A v_top/theta1, a3 = (|y| v_bot - (u^T v_top) xi)/theta2,
     a4 = c (I - u u^T) v_top and a5 = -v_bot/theta3, and with
@@ -349,10 +387,15 @@ def min_norm_perturbation(
     xi = _check_multiplier(problem, xi)
     m, n, s = problem.m, problem.n, problem.s
     order, Q, wvec, ctx, c = _min_norm_factor(problem, y, xi, w, with_q=True)
-    u, sr = ctx.u, ctx.sr
-    z_c = np.empty(Q.shape[0])
-    z_c[order] = Q @ wvec
-    a1, a2, a3, a4, a5 = np.split(z_c, np.cumsum([m, m, s, n]))
+    u, sr = ctx.u, apply_signature(problem.sig, problem.residual(y))
+    z_stack = np.empty(Q.shape[0])
+    z_stack[order] = Q @ wvec
+    # The R0 rows' share of z_stack maps back to C's first 2m columns
+    # through Q0, whose rows are in the stage-one order.
+    a12 = np.empty(2 * m)
+    a12[ctx.order0] = dorgqr(ctx.qr0, ctx.tau0)[0] @ z_stack[:n]
+    a1, a2 = a12[:m], a12[m:]
+    a3, a4, a5 = np.split(z_stack[n:], np.cumsum([s, n]))
     p = (a4 - u * (u @ a4)) / c if c > 0.0 else a4
     E = np.outer(a1, u) + np.outer(sr, p)
     F = np.outer(a3, u) - np.outer(xi, p) / w.theta2
@@ -377,9 +420,12 @@ def least_squares_multiplier(problem: IlseProblem, y: np.ndarray) -> np.ndarray:
 
 
 def _stability_matrix(ctx: _Context) -> np.ndarray:
-    """[u (S r_y)^T - |y| A^T S, A^T S/theta1, |r_y| (I_n - u u^T)]: n x (2m + n),
-    with the singular values of the multiplier-free block [K, A^T S/theta1] of J."""
-    return np.hstack([ctx.blocks, ctx.r_norm * ctx.P])
+    """[R0^T, |r_y| (I_n - u u^T)]: n x 2n, with the singular values of the
+    multiplier-free block [K, A^T S/theta1] of J."""
+    n = ctx.u.shape[0]
+    M = ctx.top.copy()
+    M[:, n:] *= ctx.r_norm
+    return M
 
 
 def stability_constant(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> float:
@@ -426,7 +472,11 @@ def solution_distance_lower_bound(problem: IlseProblem, y: np.ndarray) -> float:
     matrix.
     """
     y = _check_candidate(problem, y)
-    xi1 = least_squares_multiplier(problem, y)
+    return _distance_lower_bound(problem, y, least_squares_multiplier(problem, y))
+
+
+def _distance_lower_bound(problem: IlseProblem, y: np.ndarray, xi1: np.ndarray) -> float:
+    """solution_distance_lower_bound with its least-squares multiplier xi1 given."""
     num = float(np.linalg.norm(rhs_vector(problem, y, xi1)))
     M = problem.A.T @ apply_signature(problem.sig, problem.A)
     stacked = np.vstack([M, problem.B])
@@ -455,7 +505,8 @@ def backward_error_bounds(
     r_zero = _context(problem, y, w).r_norm == 0.0
     a_low = stability_constant_lower_bound(problem, y, w)
     tau0 = pinv_norm_bound(problem, y, w)
-    dist = solution_distance_lower_bound(problem, y)
+    xi1 = least_squares_multiplier(problem, y)
+    dist = _distance_lower_bound(problem, y, xi1)
 
     def try_rho(xi):
         try:
@@ -465,7 +516,7 @@ def backward_error_bounds(
                 return math.nan
             raise
 
-    rho1 = try_rho(least_squares_multiplier(problem, y))
+    rho1 = try_rho(xi1)
     rho0 = try_rho(_check_multiplier(problem, xi0)) if xi0 is not None else None
 
     scale = math.sqrt(1.0 / w.theta1**2 + float(y @ y))

@@ -68,6 +68,9 @@ class GenParams:
     hyper_bound: float = 1.0
 
     def __post_init__(self):
+        for name, least in (("n", 1), ("s", 0), ("p", 0), ("q", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         for name in ("kappa_a", "kappa_b", "hyper_bound"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

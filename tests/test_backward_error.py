@@ -3,6 +3,7 @@ import math
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -316,6 +317,49 @@ class TestBackwardErrorBounds:
         report = backward_error_bounds(problem, psol.x, WeightScheme(), xi0=sol.xi)
         assert report.bounds_applicable
         assert math.isfinite(report.rho_xi1) and math.isfinite(report.rho_xi0)
+
+    def test_per_xi_factor_does_not_grow_with_m(self, monkeypatch):
+        # At m = 10 n the 2m multiplier-free rows of C^T are factored once
+        # per context; each rho factors only the (2n+2s) x (n+s) stack, and
+        # alpha's SVD is of the n x 2n matrix [R0^T, |r_y| (I - u u^T)].
+        problem, sol, _, psol = properties.solved_case(
+            replace(properties.TINY, m=60, p=35, q=25), 1e-6, 0)
+        m, n, s = problem.m, problem.n, problem.s
+        qr_shapes, svd_shapes = [], []
+        dgeqrf, svdvals = be.dgeqrf, be.sla.svdvals
+
+        def recording_dgeqrf(a, *args, **kwargs):
+            qr_shapes.append(a.shape)
+            return dgeqrf(a, *args, **kwargs)
+
+        def recording_svdvals(a, *args, **kwargs):
+            svd_shapes.append(np.shape(a))
+            return svdvals(a, *args, **kwargs)
+
+        monkeypatch.setattr(be, "dgeqrf", recording_dgeqrf)
+        monkeypatch.setattr(be.sla, "svdvals", recording_svdvals)
+        be._last_context = None
+        backward_error_bounds(problem, psol.x, WeightScheme(), xi0=sol.xi)
+        assert qr_shapes.count((2 * m, n)) == 1
+        assert [shape for shape in qr_shapes if shape != (2 * m, n)] == [(2 * n + 2 * s, n + s)] * 2
+        assert (n, 2 * n) in svd_shapes
+        assert all(2 * m not in shape for shape in svd_shapes)
+
+    def test_solves_the_least_squares_multiplier_once(self, monkeypatch):
+        problem, sol, _, psol = solved_case(10)
+        y, w = psol.x, WeightScheme()
+        expected = (backward_error_estimate(problem, y, least_squares_multiplier(problem, y), w),
+                    solution_distance_lower_bound(problem, y))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return least_squares_multiplier(*args)
+
+        monkeypatch.setattr(be, "least_squares_multiplier", counting)
+        report = backward_error_bounds(problem, y, w, xi0=sol.xi)
+        assert len(calls) == 1
+        assert bits((report.rho_xi1, report.distance_lower)) == bits(expected)
 
 
 def cold(fn, *args):

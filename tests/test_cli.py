@@ -94,6 +94,10 @@ _BAD_CONFIGS = {
                           ("--kappa-a", "inf"), ("--kappa-b", "inf")]],
     *[pytest.param(_GRID + ["--eps", value], {}, "eps", id=f"experiment-eps-{value}")
       for value in ("nan", "inf")],
+    *[pytest.param(["gen", "--m", "4", "--n", n, "--s", s, "--p", p, "--q", q, "--out", "{tmp}/out"],
+                   {}, field, id=f"gen-{field}-{bad}")
+      for field, bad, n, s, p, q in [("n", "0", "0", "0", "4", "0"), ("s", "-1", "2", "-1", "4", "0"),
+                                     ("p", "-1", "2", "1", "-1", "5"), ("q", "-1", "2", "1", "5", "-1")]],
 ])
 def test_malformed_input_ends_in_one_error_line(capsys, tmp_path, argv, files, field):
     for name, text in files.items():

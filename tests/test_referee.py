@@ -19,11 +19,15 @@ from ilse import WeightScheme, apply_signature, backward_error as be, properties
 DIGITS = 50
 SEEDS = (0, 1, 2)
 # The compressed route's error may exceed the dense route's by this factor,
-# or reach FLOOR, whichever is larger. Measured on these 24 instances: at
-# most 2.8e-13 for the compressed route against 7.9e-12 for the dense one;
-# the compressed error is above twice the dense one only below 3e-13.
+# or reach FLOOR, whichever is larger. Measured on the 24 TINY instances
+# with the one-stage QR of C^T: at most 2.8e-13 for the compressed route
+# against 7.9e-12 for the dense one; the compressed error is above twice
+# the dense one only below 3e-13.
 FACTOR = 2.0
 FLOOR = 1e-12
+# m = 10 n: the shape where the stage-one QR of the estimator compresses
+# most, 120 multiplier-free rows of C^T into 6.
+TALL = replace(properties.TINY, m=60, p=35, q=25)
 
 
 def _mp(a):
@@ -55,11 +59,8 @@ def dense_rho(problem, y, xi, w) -> float:
     return float(np.linalg.norm(sla.solve_triangular(R, be.rhs_vector(problem, y, xi), trans="T")))
 
 
-@pytest.mark.parametrize("eps", [1e-6, 1e-12])
-@pytest.mark.parametrize("kappa_b", [1e2, 1e8])
-@pytest.mark.parametrize("kappa_a", [1e2, 1e8])
-def test_compressed_rho_is_as_accurate_as_dense(kappa_a, kappa_b, eps):
-    dims = replace(properties.TINY, kappa_a=kappa_a, kappa_b=kappa_b)
+def _check_against_referee(dims, kappa_a, kappa_b, eps):
+    dims = replace(dims, kappa_a=kappa_a, kappa_b=kappa_b)
     w = WeightScheme()
     for seed in SEEDS:
         problem, _, _, psol = properties.solved_case(dims, eps, seed)
@@ -68,6 +69,23 @@ def test_compressed_rho_is_as_accurate_as_dense(kappa_a, kappa_b, eps):
         exact = referee_rho(problem, y, xi, w)
         err_compressed = float(abs(be.backward_error_estimate(problem, y, xi, w) - exact) / exact)
         err_dense = float(abs(dense_rho(problem, y, xi, w) - exact) / exact)
-        print(f"referee kappa_A={kappa_a:.0e} kappa_B={kappa_b:.0e} eps={eps:.0e} seed={seed}: "
+        print(f"referee m={dims.m} kappa_A={kappa_a:.0e} kappa_B={kappa_b:.0e} eps={eps:.0e} seed={seed}: "
               f"compressed {err_compressed:.2e}, dense {err_dense:.2e}")
         assert err_compressed <= max(FACTOR * err_dense, FLOOR)
+
+
+def _over_cells(test):
+    """Parametrize test over the eight (kappa_A, kappa_B, eps) cells."""
+    for name, values in (("kappa_a", [1e2, 1e8]), ("kappa_b", [1e2, 1e8]), ("eps", [1e-6, 1e-12])):
+        test = pytest.mark.parametrize(name, values)(test)
+    return test
+
+
+@_over_cells
+def test_compressed_rho_is_as_accurate_as_dense(kappa_a, kappa_b, eps):
+    _check_against_referee(properties.TINY, kappa_a, kappa_b, eps)
+
+
+@_over_cells
+def test_compressed_rho_is_as_accurate_as_dense_at_a_tall_shape(kappa_a, kappa_b, eps):
+    _check_against_referee(TALL, kappa_a, kappa_b, eps)

@@ -191,6 +191,18 @@ class TestGenInstance:
         with pytest.raises(ValueError):
             GenParams(m=4, n=2, s=1, p=2, q=2, kappa_a=0.5, kappa_b=2.0, seed=0)
 
+    @pytest.mark.parametrize("dims, message", [
+        (dict(m=4, n=0, s=0, p=4, q=0), "n must be >= 1, got 0"),
+        (dict(m=4, n=-2, s=0, p=4, q=0), "n must be >= 1, got -2"),
+        (dict(m=4, n=2, s=-1, p=4, q=0), "s must be >= 0, got -1"),
+        (dict(m=4, n=2, s=1, p=-1, q=5), "p must be >= 0, got -1"),
+        (dict(m=4, n=2, s=1, p=5, q=-1), "q must be >= 0, got -1"),
+    ])
+    def test_negative_or_empty_dimension_is_named(self, dims, message):
+        with pytest.raises(ValueError) as excinfo:
+            GenParams(**dims, kappa_a=2.0, kappa_b=2.0, seed=0)
+        assert str(excinfo.value) == message
+
 
 class TestGenPerturbation:
     def test_zero_eps(self, t1):
