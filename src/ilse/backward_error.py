@@ -60,24 +60,20 @@ maps back through both stages: Q0 takes the first n entries of the
 stack's z to C's first 2m columns.
 
 Everything that does not depend on xi is built once per (problem, y, w)
-into a private context: u and |y|, |r_y|, A^T S r_y, e = d - B y, the
+into a private, read-only context (_Context, which tells how it is cached
+and why that is safe): u and |y|, |r_y|, A^T S r_y, e = d - B y, the
 stage-one row order, geqrf's output on the sorted rows (R0 and the
 reflectors of Q0), the n x 2n [R0^T, I_n - u u^T], the stage-two geqrf
-workspace size, and alpha once stability_constant has computed it; the
-unsorted blocks are not kept. A one-entry module cache holds the last context. Its
-key is the problem object (by identity, which is sound because a
-problem's arrays are read-only), the bytes of y, and w; a y changed in
-place therefore misses. The cache keeps that one problem alive and
-nothing else, and every value is the same floating-point operation on the
-same inputs as without it, so no output bit depends on whether a call
-hit. Each call validates y and xi before it looks.
+workspace size, and alpha; the unsorted blocks are not kept. Each public
+function validates y and xi, looks the context up once, and hands it to
+the kernel.
 
-One kernel, _min_norm_factor, evaluates rho for backward_error_estimate
-and min_norm_perturbation. Per xi it builds the xi columns and
-c (I_n - u u^T), gathers the sorted stack into one Fortran-ordered
-buffer, factors that buffer in place with LAPACK geqrf, and solves
-R^T w = rhs with trtrs, so rho = |w|_2; orgqr forms Q from the same geqrf
-output when z is wanted. The rank test needs
+One kernel, _min_norm_factor(ctx, xi), evaluates rho for
+backward_error_estimate and min_norm_perturbation. Per xi it builds the
+xi columns and c (I_n - u u^T), gathers the sorted stack into one
+Fortran-ordered buffer, factors that buffer in place with LAPACK geqrf,
+and solves R^T w = rhs with trtrs, so rho = |w|_2; min_norm_perturbation
+forms Q from the same geqrf output with orgqr. The rank test needs
 sigma_min and sigma_max of R, and a certified pre-test replaces the SVD
 where it can: sigma_min(R) >= 1/|R^-1|_F and sigma_max(R) <= |R|_F, so
 when trtri inverts R, |R^-1|_F is finite and
@@ -208,14 +204,22 @@ def _multiplier_free_blocks(problem: IlseProblem, y: np.ndarray, w: WeightScheme
 class _Context:
     """What rho(xi) and alpha need from (problem, y, w) but not from xi.
 
-    Built once per key (problem object, y bytes, w) by _context; its
-    arrays are read-only, and alpha is filled in by the first
-    stability_constant call. order0 sorts the rows of the 2m x n block
-    blocks^T by decreasing largest magnitude, and qr0, tau0 are geqrf's
-    output on the sorted rows: R0 in the upper triangle of qr0[:n], Q0 in
-    the reflectors below it. top is the n x 2n [R0^T, I_n - u u^T]: the
-    multiplier-free part of the stage-two stack's top rows, and alpha's
-    matrix before |r_y| scales its second block.
+    order0 sorts the rows of the 2m x n block blocks^T by decreasing
+    largest magnitude, and qr0, tau0 are geqrf's output on the sorted rows:
+    R0 in the upper triangle of qr0[:n], Q0 in the reflectors below it. top
+    is the n x 2n [R0^T, I_n - u u^T]: the multiplier-free part of the
+    stage-two stack's top rows, and alpha's matrix before |r_y| scales its
+    second block.
+
+    A context is read-only once built: __init__ sets every attribute,
+    alpha included, and makes the arrays unwriteable. _context caches the
+    last one built, keyed by the problem object (by identity, sound because
+    a problem's arrays are read-only), the bytes of y (so a y changed in
+    place misses) and w. The cache keeps that one problem alive, and every
+    value is the same floating-point operation on the same inputs as
+    without it, so no output bit depends on a hit. A caller keeps the
+    context whose key it checked, so a thread that replaces the cached one
+    meanwhile cannot mix two keys; alternating threads only make it miss.
     """
 
     __slots__ = ("problem", "w", "y_bytes", "u", "y_norm", "r_norm", "AtSr", "e",
@@ -241,20 +245,18 @@ class _Context:
         self.top[:, :n] = np.triu(self.qr0[:n]).T
         self.top[:, n:] = np.eye(n) - np.outer(self.u, self.u)
         self.lwork = int(dgeqrf_lwork(2 * n + 2 * s, n + s)[0])
-        self.alpha = None
+        self.alpha = float(sla.svdvals(_stability_matrix(self))[-1])
         for a in (self.u, self.AtSr, self.e, self.order0, self.qr0, self.tau0, self.top):
             a.flags.writeable = False
 
 
-# The one-entry cache: the context of the last (problem, y, w) seen. It
-# keeps that problem alive and nothing else.
+# The one-entry cache of _context (see _Context).
 _last_context: _Context | None = None
 
 
 def _context(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> _Context:
     """The context of (problem, y, w): the cached one when its key matches,
-    else a new one, which replaces it. Each caller keeps the context whose
-    key it checked, so concurrent callers never mix two contexts."""
+    else a new one, which replaces it (see _Context)."""
     global _last_context
     ctx = _last_context
     if ctx is None or ctx.problem is not problem or ctx.w != w or ctx.y_bytes != y.tobytes():
@@ -262,21 +264,18 @@ def _context(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> _Context:
     return ctx
 
 
-def _sorted_compressed_transpose(
-    problem: IlseProblem, y: np.ndarray, xi: np.ndarray, w: WeightScheme
-):
+def _stage_two_stack(ctx: _Context, xi: np.ndarray):
     """(order, the stage-two stack with its rows sorted by decreasing largest
-    magnitude, context, c): row i of the Fortran-ordered (2n+2s) x (n+s)
-    matrix is row order[i] of [R0 0; rest], where rest is the last n + 2s
-    rows of C(xi)^T (the s xi rows, the n rows c (I - u u^T) and the s g
-    rows), so geqrf factors it in place.
+    magnitude, c): row i of the Fortran-ordered (2n+2s) x (n+s) matrix is
+    row order[i] of [R0 0; rest], where rest is the last n + 2s rows of
+    C(xi)^T (the s xi rows, the n rows c (I - u u^T) and the s g rows), so
+    geqrf factors it in place.
 
     The stack's top n rows are built per xi in one n x (2n + s) buffer, a
     scatter writes it into the factored buffer at its sorted columns, and
     the 2s nonzeros of the bottom rows go there too.
     """
-    ctx = _context(problem, y, w)
-    n, s = problem.n, problem.s
+    n, s, w = ctx.problem.n, ctx.problem.s, ctx.w
     N = 2 * n + 2 * s
     c = math.hypot(ctx.r_norm, _norm(xi) / w.theta2)
     # The stack's top rows: R0^T, the s xi columns and c (I - u u^T).
@@ -297,7 +296,7 @@ def _sorted_compressed_transpose(
     rows = n + np.arange(s)
     stack[rows, pos[n:n + s]] = bottom_xi
     stack[rows, pos[2 * n + s:]] = bottom_g
-    return order, stack.T, ctx, c
+    return order, stack.T, c
 
 
 def _require_full_row_rank(svals: np.ndarray) -> None:
@@ -322,16 +321,14 @@ def _certainly_full_rank(R: np.ndarray) -> bool:
     return math.isfinite(inv_fro) and 1.0 / inv_fro > PRETEST_MARGIN * RANK_RTOL * r_fro
 
 
-def _min_norm_factor(
-    problem: IlseProblem, y: np.ndarray, xi: np.ndarray, w: WeightScheme, with_q: bool = False
-):
+def _min_norm_factor(ctx: _Context, xi: np.ndarray):
     """The rho kernel: the Householder QR of the sorted stage-two stack, the
     full-row-rank check on R (whose singular values are those of J), and
     wvec = R^-T rhs(xi), so that rho = |wvec|_2.
 
-    Returns (order, Q or None, wvec, context, c), where row i of the
-    factored stack is row order[i] of [R0 0; rest]; min_norm_perturbation
-    maps z back with the last two.
+    Returns (order, qr, tau, wvec, c): geqrf's output on the stack, whose
+    row i is row order[i] of [R0 0; rest], wvec, and the c of the stack's
+    c (I - u u^T) rows; min_norm_perturbation maps z back with them.
 
     Householder QR is row-wise stable with its rows sorted by decreasing
     largest magnitude (Cox & Higham, BIT 1998), so both stages sort that
@@ -342,15 +339,14 @@ def _min_norm_factor(
     m = 10 n, both eps, seeds 0-9) was 27% further from the referee in
     geometric mean.
     """
-    order, stack, ctx, c = _sorted_compressed_transpose(problem, y, xi, w)
+    order, stack, c = _stage_two_stack(ctx, xi)
     qr, tau, _, _ = dgeqrf(stack, lwork=ctx.lwork, overwrite_a=1)
     R = qr[:stack.shape[1]]
     if not _certainly_full_rank(R):
         _require_full_row_rank(sla.svdvals(np.triu(R)))
-    rhs = np.concatenate([problem.B.T @ xi - ctx.AtSr, ctx.e])
+    rhs = np.concatenate([ctx.problem.B.T @ xi - ctx.AtSr, ctx.e])
     wvec, _ = dtrtrs(qr, rhs, trans=1)
-    Q = dorgqr(qr, tau, overwrite_a=1)[0] if with_q else None
-    return order, Q, wvec, ctx, c
+    return order, qr, tau, wvec, c
 
 
 def backward_error_estimate(
@@ -359,7 +355,7 @@ def backward_error_estimate(
     """rho(xi): norm of the minimum-norm solution of J(xi) z = rhs(xi)."""
     y = _check_candidate(problem, y)
     xi = _check_multiplier(problem, xi)
-    return _norm(_min_norm_factor(problem, y, xi, w)[2])
+    return _norm(_min_norm_factor(_context(problem, y, w), xi)[3])
 
 
 def min_norm_perturbation(
@@ -386,7 +382,9 @@ def min_norm_perturbation(
     y = _check_candidate(problem, y)
     xi = _check_multiplier(problem, xi)
     m, n, s = problem.m, problem.n, problem.s
-    order, Q, wvec, ctx, c = _min_norm_factor(problem, y, xi, w, with_q=True)
+    ctx = _context(problem, y, w)
+    order, qr, tau, wvec, c = _min_norm_factor(ctx, xi)
+    Q = dorgqr(qr, tau, overwrite_a=1)[0]
     u, sr = ctx.u, apply_signature(problem.sig, problem.residual(y))
     z_stack = np.empty(Q.shape[0])
     z_stack[order] = Q @ wvec
@@ -430,20 +428,19 @@ def _stability_matrix(ctx: _Context) -> np.ndarray:
 
 def stability_constant(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> float:
     """alpha: smallest singular value of the n x (nm + m) block of J that
-    does not depend on the multiplier. Kept on the context of (problem, y, w)."""
-    y = _check_candidate(problem, y)
-    ctx = _context(problem, y, w)
-    if ctx.alpha is None:
-        ctx.alpha = float(sla.svdvals(_stability_matrix(ctx))[-1])
-    return ctx.alpha
+    does not depend on the multiplier, computed with the context of
+    (problem, y, w)."""
+    return _context(problem, _check_candidate(problem, y), w).alpha
 
 
 def stability_constant_lower_bound(
     problem: IlseProblem, y: np.ndarray, w: WeightScheme
 ) -> float:
-    """Certified lower bound |r_y|_2 / sqrt(1 + theta1^2 |y|_2^2) on alpha."""
+    """Certified lower bound |r_y|_2 / sqrt(1 + theta1^2 |y|_2^2) on alpha,
+    computed without the context that alpha comes from."""
     y = _check_candidate(problem, y)
-    return _context(problem, y, w).r_norm / math.sqrt(1.0 + w.theta1**2 * float(y @ y))
+    r_norm = float(np.linalg.norm(problem.residual(y)))
+    return r_norm / math.sqrt(1.0 + w.theta1**2 * float(y @ y))
 
 
 def pinv_norm_bound(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> float:

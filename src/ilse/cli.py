@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -56,17 +55,6 @@ def _weights(args) -> WeightScheme:
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(WeightScheme) if getattr(args, f.name) is not None
     })
-
-
-def _print_json(payload: dict) -> None:
-    """Print payload as JSON (RFC 8259, which has no NaN or Infinity): a
-    non-finite float, also inside a list, is printed as null."""
-    def finite(v):
-        if isinstance(v, list):
-            return [finite(x) for x in v]
-        return None if isinstance(v, float) and not math.isfinite(v) else v
-
-    print(json.dumps({k: finite(v) for k, v in payload.items()}, indent=2, allow_nan=False))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,7 +123,7 @@ def _cmd_solve(args) -> int:
         ],
         "min_projected_eig": report.min_projected_eig,
     }
-    _print_json(payload)
+    print(harness.to_json(payload))
     return 0
 
 
@@ -144,7 +132,7 @@ def _cmd_backward_error(args) -> int:
     y = harness.read_vector(args.y)
     xi0 = harness.read_vector(args.xi0) if args.xi0 else None
     report = be.backward_error_bounds(problem, y, _weights(args), xi0=xi0)
-    _print_json(dataclasses.asdict(report))
+    print(harness.to_json(dataclasses.asdict(report)))
     return 0
 
 

@@ -9,10 +9,8 @@ generators and the experiment harness, plus the two norms everything else
 is built on. All types are immutable after construction and every function
 is pure, so instances can be shared freely across threads. backward_error
 keeps one module-level cache, of the multiplier-free part of the
-linearization for the last (problem, y, w). It is invisible in output and
-safe under threads, since each call uses the context whose key it
-checked; threads that alternate problems only make it miss, which is
-slower.
+linearization for the last (problem, y, w); backward_error._Context says
+why it is invisible in output and safe under threads.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ This module also owns the on-disk formats: whitespace matrix files
 (directory with files A, b, B, d, sig), and the csv/markdown/json
 experiment tables. ``COLUMNS`` is the one list of table columns, each a
 (column name, ExperimentRow field) pair: the csv header, the cells of
-every format and the csv parser are all read off it. The invariants that
+every format and the csv parser are all read off it. ``to_json`` writes
+every JSON output, the CLI's included. The invariants that
 ``ilse verify`` checks live in ``ilse.properties``.
 """
 
@@ -321,6 +322,20 @@ def _row_record(row: ExperimentRow) -> list[str]:
     return [text(getattr(row, name)) for (_, name), (text, _) in zip(COLUMNS, _COLUMN_CODECS)]
 
 
+def to_json(payload) -> str:
+    """payload as JSON text (RFC 8259, which has no NaN or Infinity): every
+    non-finite float, also inside nested dicts and lists, is written as
+    null."""
+    def finite(v):
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [finite(x) for x in v]
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+
+    return json.dumps(finite(payload), indent=2, allow_nan=False)
+
+
 def format_rows(rows: list[ExperimentRow], fmt: str = "csv") -> str:
     """Render rows as csv, markdown or json, with the summary appended.
 
@@ -344,7 +359,7 @@ def format_rows(rows: list[ExperimentRow], fmt: str = "csv") -> str:
             "rows": [{key: getattr(row, name) for key, name in COLUMNS + _JSON_EXTRA} for row in rows],
             "summary": summary,
         }
-        return json.dumps(payload, indent=2, allow_nan=True) + "\n"
+        return to_json(payload) + "\n"
     raise ValueError(f"unknown output format {fmt!r}")
 
 
@@ -381,8 +396,8 @@ def write_matrix(path, M) -> None:
 def read_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: first line must be 'rows cols'")
+        if len(header) != 2 or not all(h.isdigit() for h in header):
+            raise ValueError(f"{path}: first line must be 'rows cols', two non-negative integers")
         rows, cols = int(header[0]), int(header[1])
         data = np.array(fh.read().split(), dtype=float)
     if data.size != rows * cols:

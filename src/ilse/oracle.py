@@ -202,26 +202,3 @@ def minimize_estimate(
     return MinimizeResult(
         xi_star=best_xi, rho_star=best_rho, iterations=evals, converged=converged
     )
-
-
-def estimate_gradient_fd(
-    problem: IlseProblem,
-    y: np.ndarray,
-    xi: np.ndarray,
-    w: WeightScheme,
-    h: float,
-) -> np.ndarray:
-    """Central finite-difference gradient of xi -> rho(xi) with step h.
-
-    Diagnostic only: rho involves extreme singular values and need not be
-    differentiable everywhere.
-    """
-    xi = np.asarray(xi, dtype=float)
-    grad = np.empty(xi.shape[0])
-    for i in range(xi.shape[0]):
-        step = np.zeros_like(xi)
-        step[i] = h
-        up = backward_error_estimate(problem, y, xi + step, w)
-        down = backward_error_estimate(problem, y, xi - step, w)
-        grad[i] = (up - down) / (2.0 * h)
-    return grad

@@ -517,7 +517,7 @@ def compressed_matches_kron(case):
     problem, y, xi, w = case
     J = be.linearization_matrix(problem, y, xi, w)
     sv_J = sla.svdvals(J)
-    sv_C = sla.svdvals(be._sorted_compressed_transpose(problem, y, xi, w)[1])
+    sv_C = sla.svdvals(be._stage_two_stack(be._context(problem, y, w), xi)[1])
     rhs = be.rhs_vector(problem, y, xi)
     R = sla.qr(J.T, mode="economic")[1]
     rho_J = float(np.linalg.norm(sla.solve_triangular(R, rhs, trans="T")))
@@ -543,7 +543,7 @@ def rank_pretest(case):
     """Wherever the pre-test accepts full row rank, the singular-value test
     on the same R accepts it too."""
     problem, y, xi, w = case
-    CT = be._sorted_compressed_transpose(problem, y, xi, w)[1]
+    CT = be._stage_two_stack(be._context(problem, y, w), xi)[1]
     R = sla.qr(CT, mode="r")[0][:CT.shape[1]]
     accepted = be._certainly_full_rank(R)
     svals = sla.svdvals(R)

@@ -133,7 +133,7 @@ class TestEstimate:
             A=np.array([[1e-17], [0.0]]), b=np.zeros(2), B=np.array([[1.0]]), d=np.array([1.0]),
             sig=SignatureMatrix(1, 1),
         )
-        C = be._sorted_compressed_transpose(problem, np.zeros(1), np.zeros(1), unit_weights)[1].T
+        C = be._stage_two_stack(be._context(problem, np.zeros(1), unit_weights), np.zeros(1))[1].T
         assert sla.svdvals(C)[-1] == pytest.approx(1e-17, rel=1e-12)
         with pytest.raises(RankDeficiencyError) as excinfo:
             backward_error_estimate(problem, np.zeros(1), np.zeros(1), unit_weights)
@@ -389,6 +389,24 @@ class TestContextCache:
             assert bits(be.min_norm_perturbation(problem, y, xi, w)) == bits(z)
             assert bits(stability_constant(problem, y, w)) == bits(alpha)
             assert be._last_context is ctx
+
+    def test_context_is_read_only_once_built(self):
+        problem, sol, _, psol = solved_case(3, eps=1e-8, kappa_a=1e8, kappa_b=1e8)
+        y, w = psol.x, WeightScheme(2.0, 0.5, 3.0)
+        alpha = cold(stability_constant, problem, y, w)
+        cold(backward_error_estimate, problem, y, sol.xi, w)
+        ctx = be._last_context
+        assert type(ctx.alpha) is float and bits(ctx.alpha) == bits(alpha)
+        snapshot = {name: getattr(ctx, name) for name in be._Context.__slots__}
+        backward_error_bounds(problem, y, w, xi0=sol.xi)
+        be.min_norm_perturbation(problem, y, sol.xi, w)
+        assert be._last_context is ctx
+        for name, before in snapshot.items():
+            after = getattr(ctx, name)
+            if isinstance(before, np.ndarray):
+                assert after is before and not after.flags.writeable, name
+            else:
+                assert after is before or after == before, name
 
     def test_candidate_mutated_in_place_misses(self):
         problem, sol, _, psol = solved_case(4)

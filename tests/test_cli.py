@@ -39,6 +39,7 @@ BACKWARD_ERROR_KEYS = [
     "rho_xi1", "rho_xi0", "tau0", "alpha", "alpha_lower", "small_rho_condition", "mu_upper",
     "mu_lower", "distance_lower", "bounds_applicable",
 ]
+EXPERIMENT_ROW_KEYS = [name for name, _ in harness.COLUMNS] + ["kappa_A_nominal", "failed", "reason"]
 
 
 def test_json_outputs_keep_their_key_order_and_print_non_finite_values_as_null(
@@ -62,6 +63,16 @@ def test_json_outputs_keep_their_key_order_and_print_non_finite_values_as_null(
     payload = strict_json(out)
     assert code == 0 and list(payload) == BACKWARD_ERROR_KEYS
     assert payload["rho_xi1"] is None and payload["alpha"] is None
+
+    # At s = 0 and kappa_A = 1e8 instance generation fails: those rows carry no numbers.
+    code, out, _ = run_cli(capsys, "experiment", "--m", "12", "--n", "6", "--s", "0", "--p", "7",
+                           "--q", "5", "--kappa-a", "1e2", "--kappa-a", "1e8", "--kappa-b", "1e2",
+                           "--eps", "1e-6", "--trials", "2", "--format", "json")
+    rows = strict_json(out)["rows"]
+    assert code == 0 and all(list(row) == EXPERIMENT_ROW_KEYS for row in rows)
+    failed = [row for row in rows if row["failed"]]
+    assert [row["kappa_A_nominal"] for row in failed] == [1e8, 1e8]
+    assert all(row["reason"] and row["rho_xi1"] is None and row["kappa_A"] is None for row in failed)
 
 
 def _bundle(directory, A, b, B, d, sig):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -231,12 +232,14 @@ class TestProblemFiles:
         assert np.array_equal(again.d, problem.d)
 
     def test_malformed_matrix_file(self, tmp_path):
-        bad = tmp_path / "M"
-        bad.write_text("2 2\n1.0 2.0 3.0\n")
         from ilse.harness import read_matrix
 
-        with pytest.raises(ValueError):
-            read_matrix(bad)
+        bad = tmp_path / "M"
+        # Too few entries, then headers that are not two non-negative integers.
+        for text in ("2 2\n1.0 2.0 3.0\n", "-1 -2\n1.0 2.0\n", "-2 1\n", "1.5 2\n1.0 2.0 3.0\n"):
+            bad.write_text(text)
+            with pytest.raises(ValueError, match=re.escape(str(bad))):
+                read_matrix(bad)
 
     def test_vector_requires_single_column(self, tmp_path):
         from ilse.harness import read_vector, write_matrix

@@ -10,7 +10,7 @@ from ilse import (
     solve_ilse,
 )
 from ilse import oracle
-from ilse.oracle import estimate_gradient_fd, estimate_on_grid, estimate_via_normal_equations
+from ilse.oracle import estimate_on_grid, estimate_via_normal_equations
 
 from conftest import solved_case, t1_grid_minimum
 
@@ -56,34 +56,6 @@ class TestGrid:
         xi_star, rho_star = estimate_on_grid(t1, Y01, unit_weights, 0.8, 1.0, 1e-3)
         direct = estimate_via_normal_equations(t1, Y01, np.array([xi_star]), unit_weights)
         assert rho_star == pytest.approx(direct, rel=1e-12)
-
-
-class TestGradient:
-    def test_small_at_grid_minimum(self, t1, unit_weights):
-        xi_star, _ = t1_grid_minimum()
-        h = 1e-4
-        grad = estimate_gradient_fd(t1, Y01, np.array([xi_star]), unit_weights, h=h)
-        assert abs(grad[0]) <= 10 * h
-
-    def test_vanishes_at_exact_solution(self, t1, unit_weights):
-        sol = solve_ilse(t1)
-        h = 1e-6
-        grad = estimate_gradient_fd(t1, sol.x, sol.xi, unit_weights, h=h)
-        assert np.all(np.abs(grad) <= 10 * h)
-
-    def test_directional_consistency(self, unit_weights):
-        problem, sol, pert, psol = solved_case(55, s=3)
-        y = psol.x
-        xi = 1.3 * least_squares_multiplier(problem, y) + 0.05
-        h = 1e-6 * (1 + np.linalg.norm(xi))
-        grad = estimate_gradient_fd(problem, y, xi, unit_weights, h=h)
-        rng = np.random.default_rng(4)
-        u = rng.standard_normal(problem.s)
-        u /= np.linalg.norm(u)
-        up = backward_error_estimate(problem, y, xi + h * u, unit_weights)
-        down = backward_error_estimate(problem, y, xi - h * u, unit_weights)
-        directional = (up - down) / (2 * h)
-        assert directional == pytest.approx(float(grad @ u), rel=1e-4, abs=1e-12)
 
 
 class TestNormalEquationsOracle:
