@@ -53,11 +53,11 @@ has C C^T as its Gram matrix too: the same singular values, hence the
 same rank test and tau(xi), the same triangular factor R up to the signs
 of its rows, and the same rho = |R^-T rhs|_2. Stage two, per xi, is the
 Householder QR of that stack, so each rho costs O((n+s)^3) whatever m is.
-Both stages sort their rows by decreasing largest magnitude first. alpha
-comes from the n x 2n matrix [R0^T, |r_y| (I_n - u u^T)], whose Gram
-matrix is that of the n x (2m+n) one above. The minimum-norm solution
-maps back through both stages: Q0 takes the first n entries of the
-stack's z to C's first 2m columns.
+Both stages sort their rows by decreasing largest magnitude first
+(_sorted_rows). alpha comes from the n x 2n [R0^T, |r_y| (I_n - u u^T)],
+whose Gram matrix is that of the n x (2m+n) one above. The minimum-norm
+solution maps back through both stages: Q0 takes the first n entries of
+the stack's z to C's first 2m columns.
 
 Everything that does not depend on xi is built once per (problem, y, w)
 into a private, read-only context (_Context, which tells how it is cached
@@ -69,8 +69,8 @@ function validates y and xi, looks the context up once, and hands it to
 the kernel.
 
 One kernel, _min_norm_factor(ctx, xi), evaluates rho for
-backward_error_estimate and min_norm_perturbation. Per xi it builds the
-xi columns and c (I_n - u u^T), gathers the sorted stack into one
+backward_error_estimate and min_norm_perturbation. Per xi it writes
+[R0 0; rest]^T in the row order above, gathers its sorted rows into one
 Fortran-ordered buffer, factors that buffer in place with LAPACK geqrf,
 and solves R^T w = rhs with trtrs, so rho = |w|_2; min_norm_perturbation
 forms Q from the same geqrf output with orgqr. The rank test needs
@@ -201,15 +201,35 @@ def _multiplier_free_blocks(problem: IlseProblem, y: np.ndarray, w: WeightScheme
     return u, y_norm, r_y, sr, blocks
 
 
+def _sorted_rows(MT: np.ndarray):
+    """(order, M): the rows of M, given as its C-ordered transpose MT, sorted
+    by decreasing largest magnitude with ties in their original order. Row
+    i of the Fortran-ordered M is row order[i], so geqrf factors it in place.
+
+    Householder QR is row-wise stable with its rows sorted this way (Cox &
+    Higham, BIT 1998), so both stages of the rho kernel sort their rows
+    here. At kappa_B = 1e8, where |xi| and |y| reach 1e13 and 1e8, unsorted
+    rows gave rho up to 60 times further from a 50-digit referee than the
+    dense QR of J^T did. With both stages sorted by row 2-norm instead, rho
+    on the 40 referee instances at kappa_A = kappa_B = 1e8 (TINY and
+    m = 10 n, both eps, seeds 0-9) was 27% further from the referee in
+    geometric mean.
+    """
+    order = (-np.abs(MT).max(axis=0)).argsort(kind="stable")
+    # np.take gathers into a C-ordered array; MT[:, order] comes out
+    # Fortran-ordered, and geqrf would copy its transpose.
+    return order, np.take(MT, order, axis=1).T
+
+
 class _Context:
     """What rho(xi) and alpha need from (problem, y, w) but not from xi.
 
-    order0 sorts the rows of the 2m x n block blocks^T by decreasing
-    largest magnitude, and qr0, tau0 are geqrf's output on the sorted rows:
-    R0 in the upper triangle of qr0[:n], Q0 in the reflectors below it. top
-    is the n x 2n [R0^T, I_n - u u^T]: the multiplier-free part of the
-    stage-two stack's top rows, and alpha's matrix before |r_y| scales its
-    second block.
+    order0 is _sorted_rows' order of the rows of the 2m x n block
+    blocks^T, and qr0, tau0 are geqrf's output on the sorted rows: R0 in
+    the upper triangle of qr0[:n], Q0 in the reflectors below it. top is
+    the n x 2n [R0^T, I_n - u u^T]: the multiplier-free part of the first
+    n rows of the transposed stage-two stack [R0 0; rest]^T, and alpha's
+    matrix before |r_y| scales its second block.
 
     A context is read-only once built: __init__ sets every attribute,
     alpha included, and makes the arrays unwriteable. _context caches the
@@ -233,11 +253,9 @@ class _Context:
         self.r_norm = float(np.linalg.norm(r_y))
         self.AtSr = problem.A.T @ sr
         self.e = problem.d - problem.B @ y
-        # Gathering the sorted columns of the C-ordered n x 2m blocks gives
-        # the Fortran-ordered stage-one input, which geqrf factors in place;
-        # the unsorted blocks are dropped before it runs.
-        self.order0 = (-np.abs(blocks).max(axis=0)).argsort(kind="stable")
-        stage_one = blocks[:, self.order0].T
+        # The unsorted blocks are dropped before geqrf factors the sorted
+        # rows in place.
+        self.order0, stage_one = _sorted_rows(blocks)
         del blocks
         self.qr0, self.tau0, _, _ = dgeqrf(
             stage_one, lwork=int(dgeqrf_lwork(2 * m, n)[0]), overwrite_a=1)
@@ -265,38 +283,23 @@ def _context(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> _Context:
 
 
 def _stage_two_stack(ctx: _Context, xi: np.ndarray):
-    """(order, the stage-two stack with its rows sorted by decreasing largest
-    magnitude, c): row i of the Fortran-ordered (2n+2s) x (n+s) matrix is
-    row order[i] of [R0 0; rest], where rest is the last n + 2s rows of
-    C(xi)^T (the s xi rows, the n rows c (I - u u^T) and the s g rows), so
-    geqrf factors it in place.
-
-    The stack's top n rows are built per xi in one n x (2n + s) buffer, a
-    scatter writes it into the factored buffer at its sorted columns, and
-    the 2s nonzeros of the bottom rows go there too.
+    """(order, the stage-two stack with its rows sorted by _sorted_rows, c):
+    row i of the Fortran-ordered (2n+2s) x (n+s) matrix is row order[i] of
+    [R0 0; rest], where rest is the last n + 2s rows of C(xi)^T (the s xi
+    rows, the n rows c (I - u u^T) and the s g rows), so geqrf factors it in
+    place.
     """
     n, s, w = ctx.problem.n, ctx.problem.s, ctx.w
-    N = 2 * n + 2 * s
     c = math.hypot(ctx.r_norm, _norm(xi) / w.theta2)
-    # The stack's top rows: R0^T, the s xi columns and c (I - u u^T).
-    X = np.empty((n, 2 * n + s))
-    X[:, :n] = ctx.top[:, :n]
-    np.multiply(ctx.u[:, None], xi / -w.theta2, out=X[:, n:n + s])
-    np.multiply(ctx.top[:, n:], c, out=X[:, n + s:])
-    bottom_xi, bottom_g = ctx.y_norm / w.theta2, -1.0 / w.theta3
-    key = np.empty(N)
-    np.abs(X).max(axis=0, out=key[:2 * n + s])
-    np.maximum(key[n:n + s], abs(bottom_xi), out=key[n:n + s])
-    key[2 * n + s:] = abs(bottom_g)
-    order = (-key).argsort(kind="stable")
-    pos = np.empty_like(order)
-    pos[order] = np.arange(N)
-    stack = np.zeros((n + s, N))
-    stack[:n, pos[:2 * n + s]] = X
-    rows = n + np.arange(s)
-    stack[rows, pos[n:n + s]] = bottom_xi
-    stack[rows, pos[2 * n + s:]] = bottom_g
-    return order, stack.T, c
+    # [R0 0; rest]^T, its columns in the docstring's row order.
+    MT = np.zeros((n + s, 2 * n + 2 * s))
+    MT[:n, :n] = ctx.top[:, :n]
+    np.multiply(ctx.u[:, None], xi / -w.theta2, out=MT[:n, n:n + s])
+    np.multiply(ctx.top[:, n:], c, out=MT[:n, n + s:2 * n + s])
+    np.fill_diagonal(MT[n:, n:n + s], ctx.y_norm / w.theta2)
+    np.fill_diagonal(MT[n:, 2 * n + s:], -1.0 / w.theta3)
+    order, stack = _sorted_rows(MT)
+    return order, stack, c
 
 
 def _require_full_row_rank(svals: np.ndarray) -> None:
@@ -329,15 +332,6 @@ def _min_norm_factor(ctx: _Context, xi: np.ndarray):
     Returns (order, qr, tau, wvec, c): geqrf's output on the stack, whose
     row i is row order[i] of [R0 0; rest], wvec, and the c of the stack's
     c (I - u u^T) rows; min_norm_perturbation maps z back with them.
-
-    Householder QR is row-wise stable with its rows sorted by decreasing
-    largest magnitude (Cox & Higham, BIT 1998), so both stages sort that
-    way. At kappa_B = 1e8, where |xi| and |y| reach 1e13 and 1e8, unsorted
-    rows gave rho up to 60 times further from a 50-digit referee than the
-    dense QR of J^T did. With both stages sorted by row 2-norm instead, rho
-    on the 40 referee instances at kappa_A = kappa_B = 1e8 (TINY and
-    m = 10 n, both eps, seeds 0-9) was 27% further from the referee in
-    geometric mean.
     """
     order, stack, c = _stage_two_stack(ctx, xi)
     qr, tau, _, _ = dgeqrf(stack, lwork=ctx.lwork, overwrite_a=1)

@@ -200,7 +200,8 @@ class WeightScheme:
     def __post_init__(self):
         for name in ("theta1", "theta2", "theta3"):
             v = getattr(self, name)
-            if not isinstance(v, numbers.Real) or not (v > 0.0) or not math.isfinite(v):
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or not (v > 0.0) or not math.isfinite(v)):
                 raise ValueError(f"{name} must be a strictly positive finite number, got {v!r}")
             object.__setattr__(self, name, float(v))
 

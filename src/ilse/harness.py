@@ -399,7 +399,10 @@ def read_matrix(path) -> np.ndarray:
         if len(header) != 2 or not all(h.isdigit() for h in header):
             raise ValueError(f"{path}: first line must be 'rows cols', two non-negative integers")
         rows, cols = int(header[0]), int(header[1])
-        data = np.array(fh.read().split(), dtype=float)
+        try:
+            data = np.array(fh.read().split(), dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if data.size != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} entries, found {data.size}")
     return data.reshape(rows, cols)
@@ -430,8 +433,8 @@ def write_problem(directory, problem: IlseProblem) -> None:
 def read_problem(directory) -> IlseProblem:
     directory = Path(directory)
     parts = (directory / "sig").read_text(encoding="ascii").split()
-    if len(parts) != 2:
-        raise ValueError(f"{directory / 'sig'}: expected 'p q'")
+    if len(parts) != 2 or not all(t.isdigit() for t in parts):
+        raise ValueError(f"{directory / 'sig'}: expected 'p q', two non-negative integers")
     sig = SignatureMatrix(p=int(parts[0]), q=int(parts[1]))
     return IlseProblem(
         A=read_matrix(directory / "A"),

@@ -140,6 +140,39 @@ class TestEstimate:
         assert excinfo.value.sigma_min == pytest.approx(1e-17, rel=1e-12)
 
 
+class TestStageTwoStack:
+    """_stage_two_stack gathers the rows of [R0 0; rest] sorted by
+    decreasing largest magnitude, ties in their original order."""
+
+    @pytest.mark.parametrize("case", ["perturbed", "zero-candidate", "s-equals-n"])
+    def test_sorted_rows_of_the_docstring_stack(self, case):
+        dims = replace(properties.TINY, s=properties.TINY.n) if case == "s-equals-n" else properties.TINY
+        problem, sol, _, psol = properties.solved_case(dims, 1e-6, 3)
+        m, n, s = problem.m, problem.n, problem.s
+        y = np.zeros(n) if case == "zero-candidate" else psol.x
+        # Powers of two keep the test's products bitwise equal to the kernel's.
+        w, xi = WeightScheme(3.0, 0.5, 4.0), sol.xi
+        ctx = be._context(problem, y, w)
+        y_norm = np.linalg.norm(y)
+        u = y / y_norm if y_norm > 0.0 else np.eye(n)[0]
+        c = math.hypot(np.linalg.norm(problem.residual(y)), np.linalg.norm(xi) / w.theta2)
+        # C(xi)'s last n + 2s columns, as the module docstring writes them.
+        C_rest = np.block([
+            [np.outer(u, xi) / -w.theta2, c * (np.eye(n) - np.outer(u, u)), np.zeros((n, s))],
+            [y_norm / w.theta2 * np.eye(s), np.zeros((s, n)), -np.eye(s) / w.theta3],
+        ])
+        natural = np.vstack([np.hstack([np.triu(ctx.qr0[:n]), np.zeros((n, s))]), C_rest.T])
+
+        order, stack, c_stack = be._stage_two_stack(ctx, xi)
+        assert c_stack == c
+        assert stack.flags.f_contiguous and stack.shape == (2 * n + 2 * s, n + s)
+        assert np.array_equal(stack, natural[order])
+        key = np.abs(stack).max(axis=1)
+        assert np.all(key[1:] <= key[:-1])
+        ties = np.flatnonzero(key[1:] == key[:-1])
+        assert ties.size > 0 and np.all(order[ties] < order[ties + 1])
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("function, name", [
     ("backward_error_estimate", "y"), ("backward_error_estimate", "xi"),

@@ -88,6 +88,7 @@ _BAD_CONFIGS = {
     "string-trials": ('{"trials_per_cell": "3"}', "trials_per_cell"),
     "fractional-trials": ('{"trials_per_cell": 1.5}', "trials_per_cell"),
     "scalar-kappa-list": ('{"kappa_a_list": 5}', "kappa_a_list"),
+    "bool-weight": ('{"theta3": true}', "theta3"),
 }
 
 

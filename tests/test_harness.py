@@ -235,11 +235,20 @@ class TestProblemFiles:
         from ilse.harness import read_matrix
 
         bad = tmp_path / "M"
-        # Too few entries, then headers that are not two non-negative integers.
-        for text in ("2 2\n1.0 2.0 3.0\n", "-1 -2\n1.0 2.0\n", "-2 1\n", "1.5 2\n1.0 2.0 3.0\n"):
+        # Too few entries, headers that are not two non-negative integers,
+        # then an entry that is not a number.
+        for text in ("2 2\n1.0 2.0 3.0\n", "-1 -2\n1.0 2.0\n", "-2 1\n", "1.5 2\n1.0 2.0 3.0\n",
+                     "2 1\n1.0\nabc\n"):
             bad.write_text(text)
             with pytest.raises(ValueError, match=re.escape(str(bad))):
                 read_matrix(bad)
+
+    @pytest.mark.parametrize("text", ["1.5 5", "-1 7", "a b"])
+    def test_malformed_sig_file_names_it(self, tmp_path, t1, text):
+        write_problem(tmp_path / "p", t1)
+        (tmp_path / "p" / "sig").write_text(text + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(tmp_path / "p" / "sig"))):
+            read_problem(tmp_path / "p")
 
     def test_vector_requires_single_column(self, tmp_path):
         from ilse.harness import read_vector, write_matrix
