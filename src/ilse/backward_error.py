@@ -42,45 +42,64 @@ the rank-2 matrix S (r_y v_top^T - A v_top y^T).
 Only s + n of C's 2m + n + 2s columns depend on xi, so C^T is factored in
 two stages. Stage one, once per (problem, y, w), is the Householder QR
 blocks^T = Q0 R0 of the 2m x n transpose of the multiplier-free block
-blocks = [u (S r_y)^T - |y| A^T S, theta1^-1 A^T S], with R0 n x n. With
-rest(xi) the last n + 2s rows of C^T (the s xi rows, the n rows
-c (I_n - u u^T) and the s g rows),
+blocks = [u (S r_y)^T - |y| A^T S, theta1^-1 A^T S], with R0 n x n.
 
-    C^T = diag(Q0, I) [R0 0; rest]    (up to row order),
+Stage two eliminates the multiplier block in closed form. Order C's rows
+as (the s multiplier rows, the n top rows). Then each xi column of C,
+transposed, is the row [|y|/theta2 e_i^T | -xi_i/theta2 u^T] and each g
+column the row [-e_i^T/theta3 | 0]. With rb = hypot(|y|/theta2, 1/theta3),
+so that rb^2 = beta = |y|^2/theta2^2 + 1/theta3^2, k = (|y|/theta2)/rb and
+h = (1/theta3)/rb, the orthogonal rotation [[k, -h], [h, k]] of each pair
+(xi row i, g row i) gives the row [rb e_i^T | X_i] of
+X = -k (xi/theta2) u^T and the row -h (xi_i/theta2) [0 | u^T]. One
+reflection, whose first row is -xi^T/|xi|, folds the s rows of the second
+kind into the single row a [0 | u^T], a = h |xi|/theta2. So
 
-and Q0 has orthonormal columns, so the (2n+2s) x (n+s) stack [R0 0; rest]
-has C C^T as its Gram matrix too: the same singular values, hence the
-same rank test and tau(xi), the same triangular factor R up to the signs
-of its rows, and the same rho = |R^-T rhs|_2. Stage two, per xi, is the
-Householder QR of that stack, so each rho costs O((n+s)^3) whatever m is.
-Both stages sort their rows by decreasing largest magnitude first
-(_sorted_rows). alpha comes from the n x 2n [R0^T, |r_y| (I_n - u u^T)],
-whose Gram matrix is that of the n x (2m+n) one above. The minimum-norm
-solution maps back through both stages: Q0 takes the first n entries of
-the stack's z to C's first 2m columns.
+    C^T = Q [rb I_s  X  ]      R_T the triangular factor of the
+            [0       R_T],     (2n+1) x n stack [R0; c (I_n - u u^T); a u^T],
+
+for an orthonormal Q built from Q0, the rotations, the reflection and the
+stack's own Q_T. This R_full has C C^T (rows reordered) as its Gram matrix,
+hence C's singular values, the same rank test and tau(xi). Stage two, per
+xi, is the Householder QR of the (2n+1) x n stack, so each rho costs
+O(n^3) whatever m and s are. Both stages sort their rows by decreasing
+largest magnitude first (_sorted_rows). Solving R_full^T v = (e, rhs_top),
+e = d - B y, by blocks gives v1 = e/rb and R_T^T v2 = w with
+w = B^T xi - A^T S r_y + y (xi.e)/(theta2^2 beta), formed in the original
+basis, so rho = hypot(|v1|, |v2|). alpha comes from the n x 2n
+[R0^T, |r_y| (I_n - u u^T)], whose Gram matrix is that of the n x (2m+n)
+one above.
 
 Everything that does not depend on xi is built once per (problem, y, w)
 into a private, read-only context (_Context, which tells how it is cached
-and why that is safe): u and |y|, |r_y|, A^T S r_y, e = d - B y, the
-stage-one row order, geqrf's output on the sorted rows (R0 and the
-reflectors of Q0), the n x 2n [R0^T, I_n - u u^T], the stage-two geqrf
+and why that is safe): u and |y|, |r_y|, A^T S r_y, e, the stage-one row
+order, geqrf's output on the sorted rows (R0 and the reflectors of Q0),
+the n x (2n+1) [R0^T, I_n - u u^T, u], rb, k and h, the stage-two geqrf
 workspace size, and alpha; the unsorted blocks are not kept. Each public
 function validates y and xi, looks the context up once, and hands it to
 the kernel.
 
 One kernel, _min_norm_factor(ctx, xi), evaluates rho for
-backward_error_estimate and min_norm_perturbation. Per xi it writes
-[R0 0; rest]^T in the row order above, gathers its sorted rows into one
-Fortran-ordered buffer, factors that buffer in place with LAPACK geqrf,
-and solves R^T w = rhs with trtrs, so rho = |w|_2; min_norm_perturbation
-forms Q from the same geqrf output with orgqr. The rank test needs
-sigma_min and sigma_max of R, and a certified pre-test replaces the SVD
-where it can: sigma_min(R) >= 1/|R^-1|_F and sigma_max(R) <= |R|_F, so
-when trtri inverts R, |R^-1|_F is finite and
-1/|R^-1|_F > 100 RANK_RTOL |R|_F, the singular-value test
-sigma_min > RANK_RTOL sigma_max holds. The factor 100 (PRETEST_MARGIN)
-absorbs the rounding in the computed R^-1. In every other case the SVD of
-R decides, and a RankDeficiencyError carries its sigma_min.
+backward_error_estimate and min_norm_perturbation. Per xi it scales the
+columns of [R0^T, I_n - u u^T, u] by (1, c, a), gathers the sorted rows of
+its transpose into one Fortran-ordered buffer, factors that buffer in
+place with LAPACK geqrf, and solves R_T^T v2 = w with trtrs. The rank test
+needs sigma_min and sigma_max of R_full, and a certified pre-test replaces
+the SVD where it can: sigma_min >= 1/|R_full^-1|_F and
+sigma_max <= |R_full|_F, where
+|R_full|_F^2 = s beta + |X|_F^2 + |R_T|_F^2 and
+|R_full^-1|_F^2 = s/beta + |R_T^-1|_F^2 + (|y| |xi|/(theta2^2 beta))^2 |R_T^-T u|^2
+need only the one trtri of R_T. When trtri inverts R_T, |R_full^-1|_F is
+finite and 1/|R_full^-1|_F > 100 RANK_RTOL |R_full|_F, the singular-value
+test sigma_min > RANK_RTOL sigma_max holds. The factor 100 (PRETEST_MARGIN)
+absorbs the rounding in the computed R_T^-1. In every other case the SVD
+of the assembled R_full decides, and a RankDeficiencyError carries its
+sigma_min.
+
+min_norm_perturbation maps the minimum-norm solution back through the same
+factor: Q_T (orgqr on the stack) takes v2 to the stack's rows, the folded
+row's entry omega spreads over the pairs as -omega xi/|xi|, each pair
+rotates back, and Q0 takes the R0 rows' entries to C's first 2m columns.
 
 linearization_matrix is the one dense builder of J: it assembles the
 formula above term by term with Kronecker products, as the reference that
@@ -94,6 +113,7 @@ import math
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import dnrm2, dtrmv
 from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dlantr, dorgqr, dtrtri, dtrtrs
 
 from . import solver
@@ -227,9 +247,11 @@ class _Context:
     order0 is _sorted_rows' order of the rows of the 2m x n block
     blocks^T, and qr0, tau0 are geqrf's output on the sorted rows: R0 in
     the upper triangle of qr0[:n], Q0 in the reflectors below it. top is
-    the n x 2n [R0^T, I_n - u u^T]: the multiplier-free part of the first
-    n rows of the transposed stage-two stack [R0 0; rest]^T, and alpha's
-    matrix before |r_y| scales its second block.
+    the n x (2n+1) [R0^T, I_n - u u^T, u]: the transposed stage-two stack
+    [R0; c (I - u u^T); a u^T]^T before the per-xi scales c and a, and in
+    its first 2n columns alpha's matrix before |r_y| scales its second
+    block. rb = sqrt(beta), k = (|y|/theta2)/rb and h = (1/theta3)/rb
+    eliminate the multiplier rows (module docstring); k^2 + h^2 = 1.
 
     A context is read-only once built: __init__ sets every attribute,
     alpha included, and makes the arrays unwriteable. _context caches the
@@ -243,10 +265,10 @@ class _Context:
     """
 
     __slots__ = ("problem", "w", "y_bytes", "u", "y_norm", "r_norm", "AtSr", "e",
-                 "order0", "qr0", "tau0", "top", "lwork", "alpha")
+                 "order0", "qr0", "tau0", "top", "rb", "k", "h", "lwork", "alpha")
 
     def __init__(self, problem: IlseProblem, y: np.ndarray, w: WeightScheme):
-        m, n, s = problem.m, problem.n, problem.s
+        m, n = problem.m, problem.n
         self.problem, self.w, self.y_bytes = problem, w, y.tobytes()
         # Through the module attribute, so a patched builder is seen.
         self.u, self.y_norm, r_y, sr, blocks = _multiplier_free_blocks(problem, y, w)
@@ -259,10 +281,13 @@ class _Context:
         del blocks
         self.qr0, self.tau0, _, _ = dgeqrf(
             stage_one, lwork=int(dgeqrf_lwork(2 * m, n)[0]), overwrite_a=1)
-        self.top = np.empty((n, 2 * n))
+        self.top = np.empty((n, 2 * n + 1))
         self.top[:, :n] = np.triu(self.qr0[:n]).T
-        self.top[:, n:] = np.eye(n) - np.outer(self.u, self.u)
-        self.lwork = int(dgeqrf_lwork(2 * n + 2 * s, n + s)[0])
+        self.top[:, n:2 * n] = np.eye(n) - np.outer(self.u, self.u)
+        self.top[:, 2 * n] = self.u
+        self.rb = math.hypot(self.y_norm / w.theta2, 1.0 / w.theta3)
+        self.k, self.h = self.y_norm / w.theta2 / self.rb, 1.0 / w.theta3 / self.rb
+        self.lwork = int(dgeqrf_lwork(2 * n + 1, n)[0])
         self.alpha = float(sla.svdvals(_stability_matrix(self))[-1])
         for a in (self.u, self.AtSr, self.e, self.order0, self.qr0, self.tau0, self.top):
             a.flags.writeable = False
@@ -284,22 +309,44 @@ def _context(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> _Context:
 
 def _stage_two_stack(ctx: _Context, xi: np.ndarray):
     """(order, the stage-two stack with its rows sorted by _sorted_rows, c):
-    row i of the Fortran-ordered (2n+2s) x (n+s) matrix is row order[i] of
-    [R0 0; rest], where rest is the last n + 2s rows of C(xi)^T (the s xi
-    rows, the n rows c (I - u u^T) and the s g rows), so geqrf factors it in
-    place.
+    row i of the Fortran-ordered (2n+1) x n matrix is row order[i] of
+    [R0; c (I - u u^T); a u^T], with c = hypot(|r_y|, |xi|/theta2) and
+    a = h |xi|/theta2, so geqrf factors it in place.
     """
-    n, s, w = ctx.problem.n, ctx.problem.s, ctx.w
-    c = math.hypot(ctx.r_norm, _norm(xi) / w.theta2)
-    # [R0 0; rest]^T, its columns in the docstring's row order.
-    MT = np.zeros((n + s, 2 * n + 2 * s))
-    MT[:n, :n] = ctx.top[:, :n]
-    np.multiply(ctx.u[:, None], xi / -w.theta2, out=MT[:n, n:n + s])
-    np.multiply(ctx.top[:, n:], c, out=MT[:n, n + s:2 * n + s])
-    np.fill_diagonal(MT[n:, n:n + s], ctx.y_norm / w.theta2)
-    np.fill_diagonal(MT[n:, 2 * n + s:], -1.0 / w.theta3)
-    order, stack = _sorted_rows(MT)
+    n = ctx.problem.n
+    t = _norm(xi) / ctx.w.theta2
+    c = math.hypot(ctx.r_norm, t)
+    scale = np.ones(2 * n + 1)
+    scale[n:2 * n] = c
+    scale[2 * n] = ctx.h * t
+    order, stack = _sorted_rows(ctx.top * scale)
     return order, stack, c
+
+
+def _full_factor(ctx: _Context, xi: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """R_full = [rb I_s, X; 0, R_T], X = -k (xi/theta2) u^T, from the upper
+    triangle of R's first n rows: the triangular factor of C^T with C's
+    multiplier rows first, which has C's singular values."""
+    s, n = xi.shape[0], R.shape[1]
+    F = np.zeros((s + n, s + n))
+    np.fill_diagonal(F[:s, :s], ctx.rb)
+    np.multiply.outer(xi / -ctx.w.theta2, ctx.k * ctx.u, out=F[:s, s:])
+    F[s:, s:] = np.triu(R[:n])
+    return F
+
+
+def _frobenius_norms(ctx: _Context, xi: np.ndarray, R: np.ndarray) -> tuple[float, float]:
+    """(|R_full|_F, |R_full^-1|_F) in closed form from the upper triangle of
+    R = R_T and its one trtri; the second is inf when trtri fails."""
+    s, rb = xi.shape[0], ctx.rb
+    x_fro = ctx.k * (_norm(xi) / ctx.w.theta2)  # |X|_F
+    fro = math.hypot(math.hypot(math.sqrt(s) * rb, x_fro), dlantr("F", R, uplo="U"))
+    R_inv, info = dtrtri(R, lower=0)
+    if info != 0:
+        return fro, math.inf
+    # |X R_T^-1|_F / rb, the off-diagonal block of R_full^-1.
+    cross = x_fro / rb * dnrm2(dtrmv(R_inv, ctx.u, trans=1))
+    return fro, math.hypot(math.hypot(math.sqrt(s) / rb, dlantr("F", R_inv, uplo="U")), cross)
 
 
 def _require_full_row_rank(svals: np.ndarray) -> None:
@@ -311,36 +358,35 @@ def _require_full_row_rank(svals: np.ndarray) -> None:
         )
 
 
-def _certainly_full_rank(R: np.ndarray) -> bool:
-    """The rank pre-test on the upper triangle of R: True only when
-    sigma_min(R) >= 1/|R^-1|_F exceeds PRETEST_MARGIN * RANK_RTOL * |R|_F
-    >= PRETEST_MARGIN * RANK_RTOL * sigma_max(R), so that the
-    singular-value test would pass as well."""
-    r_fro = dlantr("F", R, uplo="U")
-    R_inv, info = dtrtri(R, lower=0)
-    if info != 0:
-        return False
-    inv_fro = dlantr("F", R_inv, uplo="U")
-    return math.isfinite(inv_fro) and 1.0 / inv_fro > PRETEST_MARGIN * RANK_RTOL * r_fro
+def _certainly_full_rank(ctx: _Context, xi: np.ndarray, R: np.ndarray) -> bool:
+    """The rank pre-test on R_full, given R_T in the upper triangle of R:
+    True only when sigma_min >= 1/|R_full^-1|_F exceeds
+    PRETEST_MARGIN * RANK_RTOL * |R_full|_F >= PRETEST_MARGIN * RANK_RTOL *
+    sigma_max, so that the singular-value test would pass as well."""
+    fro, inv_fro = _frobenius_norms(ctx, xi, R)
+    return math.isfinite(inv_fro) and 1.0 / inv_fro > PRETEST_MARGIN * RANK_RTOL * fro
 
 
 def _min_norm_factor(ctx: _Context, xi: np.ndarray):
     """The rho kernel: the Householder QR of the sorted stage-two stack, the
-    full-row-rank check on R (whose singular values are those of J), and
-    wvec = R^-T rhs(xi), so that rho = |wvec|_2.
+    full-row-rank check on R_full (whose singular values are those of J),
+    and R_full^-T (e, rhs_top) in its two blocks v1 = e/rb and
+    v2 = R_T^-T w, so that rho = hypot(|v1|, |v2|).
 
-    Returns (order, qr, tau, wvec, c): geqrf's output on the stack, whose
-    row i is row order[i] of [R0 0; rest], wvec, and the c of the stack's
-    c (I - u u^T) rows; min_norm_perturbation maps z back with them.
+    Returns (order, qr, tau, v1, v2, c): geqrf's output on the stack, whose
+    row i is row order[i] of [R0; c (I - u u^T); a u^T], v1, v2 and c;
+    min_norm_perturbation maps z back with them.
     """
     order, stack, c = _stage_two_stack(ctx, xi)
     qr, tau, _, _ = dgeqrf(stack, lwork=ctx.lwork, overwrite_a=1)
     R = qr[:stack.shape[1]]
-    if not _certainly_full_rank(R):
-        _require_full_row_rank(sla.svdvals(np.triu(R)))
-    rhs = np.concatenate([ctx.problem.B.T @ xi - ctx.AtSr, ctx.e])
-    wvec, _ = dtrtrs(qr, rhs, trans=1)
-    return order, qr, tau, wvec, c
+    if not _certainly_full_rank(ctx, xi, R):
+        _require_full_row_rank(sla.svdvals(_full_factor(ctx, xi, R)))
+    v1 = ctx.e / ctx.rb
+    # w = B^T xi - A^T S r_y + y (xi.e)/(theta2^2 beta), in the original basis.
+    w = ctx.problem.B.T @ xi - ctx.AtSr + (ctx.k * (xi @ v1) / ctx.w.theta2) * ctx.u
+    v2, _ = dtrtrs(qr, w, trans=1)
+    return order, qr, tau, v1, v2, c
 
 
 def backward_error_estimate(
@@ -349,7 +395,8 @@ def backward_error_estimate(
     """rho(xi): norm of the minimum-norm solution of J(xi) z = rhs(xi)."""
     y = _check_candidate(problem, y)
     xi = _check_multiplier(problem, xi)
-    return _norm(_min_norm_factor(_context(problem, y, w), xi)[3])
+    _, _, _, v1, v2, _ = _min_norm_factor(_context(problem, y, w), xi)
+    return math.hypot(_norm(v1), _norm(v2))
 
 
 def min_norm_perturbation(
@@ -361,12 +408,11 @@ def min_norm_perturbation(
     exactly the value returned by backward_error_estimate.
 
     z = J^T v for v = (C C^T)^-1 rhs, mapped block by block from the
-    minimum-norm solution z_C = Q R^-T rhs = C^T v of C z_C = rhs, where
-    Q = diag(Q0, I) Q_stack for the stack's factor Q_stack R. For
-    M1 the first block of C, z_C stacks a1 = M1^T v_top,
-    a2 = S A v_top/theta1, a3 = (|y| v_bot - (u^T v_top) xi)/theta2,
-    a4 = c (I - u u^T) v_top and a5 = -v_bot/theta3, and with
-    p = (I - u u^T) a4/c:
+    minimum-norm solution z_C = C^T v of C z_C = rhs, which the module
+    docstring's factor of C^T gives from v1 and v2. For M1 the first block
+    of C, z_C stacks a1 = M1^T v_top, a2 = S A v_top/theta1,
+    a3 = (|y| v_bot - (u^T v_top) xi)/theta2, a4 = c (I - u u^T) v_top and
+    a5 = -v_bot/theta3, and with p = (I - u u^T) a4/c:
     E = a1 u^T + S r_y p^T (rank 2), f = a2, F = a3 u^T - xi p^T/theta2,
     g = a5. The map is an isometry on the range of C^T. J sees a
     u-component of a4 magnified by c, so the projection in p is what keeps
@@ -375,19 +421,24 @@ def min_norm_perturbation(
     """
     y = _check_candidate(problem, y)
     xi = _check_multiplier(problem, xi)
-    m, n, s = problem.m, problem.n, problem.s
+    m, n = problem.m, problem.n
     ctx = _context(problem, y, w)
-    order, qr, tau, wvec, c = _min_norm_factor(ctx, xi)
-    Q = dorgqr(qr, tau, overwrite_a=1)[0]
+    order, qr, tau, v1, v2, c = _min_norm_factor(ctx, xi)
     u, sr = ctx.u, apply_signature(problem.sig, problem.residual(y))
-    z_stack = np.empty(Q.shape[0])
-    z_stack[order] = Q @ wvec
+    z_stack = np.empty(2 * n + 1)
+    z_stack[order] = dorgqr(qr, tau, overwrite_a=1)[0] @ v2
+    # The folded row's entry spreads over the second rows of the rotated
+    # pairs along -xi/|xi|; each pair then rotates back to (a3, a5).
+    xi_norm = _norm(xi)
+    z2 = (xi / xi_norm) * -z_stack[2 * n] if xi_norm > 0.0 else np.zeros_like(xi)
+    a3 = ctx.k * v1 + ctx.h * z2
+    a5 = ctx.k * z2 - ctx.h * v1
     # The R0 rows' share of z_stack maps back to C's first 2m columns
     # through Q0, whose rows are in the stage-one order.
     a12 = np.empty(2 * m)
     a12[ctx.order0] = dorgqr(ctx.qr0, ctx.tau0)[0] @ z_stack[:n]
     a1, a2 = a12[:m], a12[m:]
-    a3, a4, a5 = np.split(z_stack[n:], np.cumsum([s, n]))
+    a4 = z_stack[n:2 * n]
     p = (a4 - u * (u @ a4)) / c if c > 0.0 else a4
     E = np.outer(a1, u) + np.outer(sr, p)
     F = np.outer(a3, u) - np.outer(xi, p) / w.theta2
@@ -415,7 +466,7 @@ def _stability_matrix(ctx: _Context) -> np.ndarray:
     """[R0^T, |r_y| (I_n - u u^T)]: n x 2n, with the singular values of the
     multiplier-free block [K, A^T S/theta1] of J."""
     n = ctx.u.shape[0]
-    M = ctx.top.copy()
+    M = ctx.top[:, :2 * n].copy()
     M[:, n:] *= ctx.r_norm
     return M
 
@@ -467,14 +518,22 @@ def solution_distance_lower_bound(problem: IlseProblem, y: np.ndarray) -> float:
 
 
 def _distance_lower_bound(problem: IlseProblem, y: np.ndarray, xi1: np.ndarray) -> float:
-    """solution_distance_lower_bound with its least-squares multiplier xi1 given."""
+    """solution_distance_lower_bound with its least-squares multiplier xi1 given.
+
+    sigma_max([A^T S A; B]) is scale sqrt(lambda_max) of the n x n Gram
+    matrix of the stack divided by scale, its largest magnitude. Only the
+    top eigenvalue is needed, and forming the Gram matrix costs it no
+    relative accuracy, so no SVD is taken.
+    """
     num = float(np.linalg.norm(rhs_vector(problem, y, xi1)))
-    M = problem.A.T @ apply_signature(problem.sig, problem.A)
-    stacked = np.vstack([M, problem.B])
-    den = float(sla.svdvals(stacked)[0])
-    if den == 0.0:
+    stacked = np.vstack([problem.A.T @ apply_signature(problem.sig, problem.A), problem.B])
+    scale = float(np.abs(stacked).max())
+    if scale == 0.0:
         return 0.0
-    return num / den
+    stacked /= scale
+    n = problem.n
+    top = float(sla.eigvalsh(stacked.T @ stacked, subset_by_index=[n - 1, n - 1])[0])
+    return num / (scale * math.sqrt(top))
 
 
 def backward_error_bounds(

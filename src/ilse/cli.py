@@ -144,11 +144,18 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _read_config(path):
+    """The JSON value in a config file; a file that is not UTF-8 or not JSON
+    is a ValueError that names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _cmd_experiment(args) -> int:
-    data = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    data = _read_config(args.config) if args.config else {}
     # A flag overrides the config key its dest names: a config field or a weight.
     keys = {f.name for f in dataclasses.fields(harness.ExperimentConfig) + dataclasses.fields(WeightScheme)}
     if isinstance(data, dict):  # from_dict rejects any other JSON value
@@ -169,8 +176,7 @@ def _cmd_verify(args) -> int:
 
     suite = properties.Suite()
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            suite = properties.Suite.from_config(harness.ExperimentConfig.from_dict(json.load(fh)))
+        suite = properties.Suite.from_config(harness.ExperimentConfig.from_dict(_read_config(args.config)))
     if args.seed is not None:
         suite = dataclasses.replace(suite, seed=args.seed)
     ok = True
@@ -197,7 +203,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"ilse: error: {exc}", file=sys.stderr)
         return 1
     except (IlseError, np.linalg.LinAlgError) as exc:

@@ -393,16 +393,25 @@ def write_matrix(path, M) -> None:
             fh.write(" ".join(f"{v:.17e}" for v in row) + "\n")
 
 
+def _read_ascii(path) -> str:
+    """The text of an ASCII file; a byte outside ASCII is a ValueError that
+    names the file."""
+    try:
+        return Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or not all(h.isdigit() for h in header):
-            raise ValueError(f"{path}: first line must be 'rows cols', two non-negative integers")
-        rows, cols = int(header[0]), int(header[1])
-        try:
-            data = np.array(fh.read().split(), dtype=float)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    first, _, body = _read_ascii(path).partition("\n")
+    header = first.split()
+    if len(header) != 2 or not all(h.isdigit() for h in header):
+        raise ValueError(f"{path}: first line must be 'rows cols', two non-negative integers")
+    rows, cols = int(header[0]), int(header[1])
+    try:
+        data = np.array(body.split(), dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if data.size != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} entries, found {data.size}")
     return data.reshape(rows, cols)
@@ -432,7 +441,7 @@ def write_problem(directory, problem: IlseProblem) -> None:
 
 def read_problem(directory) -> IlseProblem:
     directory = Path(directory)
-    parts = (directory / "sig").read_text(encoding="ascii").split()
+    parts = _read_ascii(directory / "sig").split()
     if len(parts) != 2 or not all(t.isdigit() for t in parts):
         raise ValueError(f"{directory / 'sig'}: expected 'p q', two non-negative integers")
     sig = SignatureMatrix(p=int(parts[0]), q=int(parts[1]))

@@ -517,7 +517,8 @@ def compressed_matches_kron(case):
     problem, y, xi, w = case
     J = be.linearization_matrix(problem, y, xi, w)
     sv_J = sla.svdvals(J)
-    sv_C = sla.svdvals(be._stage_two_stack(be._context(problem, y, w), xi)[1])
+    ctx = be._context(problem, y, w)
+    sv_C = sla.svdvals(be._full_factor(ctx, xi, be._min_norm_factor(ctx, xi)[1]))
     rhs = be.rhs_vector(problem, y, xi)
     R = sla.qr(J.T, mode="economic")[1]
     rho_J = float(np.linalg.norm(sla.solve_triangular(R, rhs, trans="T")))
@@ -540,13 +541,14 @@ def compressed_matches_kron(case):
     summary=lambda accepted: f"pre-test skipped the SVD in {int(sum(accepted))} of {len(accepted)}",
 )
 def rank_pretest(case):
-    """Wherever the pre-test accepts full row rank, the singular-value test
-    on the same R accepts it too."""
+    """Wherever the closed-form pre-test accepts full row rank, the
+    singular-value test on the assembled R_full from the same R_T accepts
+    it too."""
     problem, y, xi, w = case
-    CT = be._stage_two_stack(be._context(problem, y, w), xi)[1]
-    R = sla.qr(CT, mode="r")[0][:CT.shape[1]]
-    accepted = be._certainly_full_rank(R)
-    svals = sla.svdvals(R)
+    ctx = be._context(problem, y, w)
+    R = sla.qr(be._stage_two_stack(ctx, xi)[1], mode="r")[0][:problem.n]
+    accepted = be._certainly_full_rank(ctx, xi, R)
+    svals = sla.svdvals(be._full_factor(ctx, xi, R))
     try:
         be._require_full_row_rank(svals)
     except RankDeficiencyError as exc:

@@ -126,51 +126,87 @@ class TestEstimate:
         assert excinfo.value.sigma_min == pytest.approx(0.0, abs=1e-12)
 
     def test_pretest_rejection_falls_back_to_the_svd_sigma(self, unit_weights):
-        # r_y = 0, y = 0 and xi = 0 leave C = [[0, 0, 1e-17, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, -1]]:
-        # R^-1 exists, so only the pre-test's bound rejects it, and the error
-        # carries the singular-value test's sigma_min = 1e-17
+        # r_y = 0, y = 0 and xi = 0 leave C = [[0, 0, 1e-17, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, -1]]
+        # and R_full = diag(1, +-1e-17): R_T^-1 exists, so only the pre-test's
+        # bound rejects it, and the error carries the singular-value test's
+        # sigma_min = 1e-17
         problem = IlseProblem(
             A=np.array([[1e-17], [0.0]]), b=np.zeros(2), B=np.array([[1.0]]), d=np.array([1.0]),
             sig=SignatureMatrix(1, 1),
         )
-        C = be._stage_two_stack(be._context(problem, np.zeros(1), unit_weights), np.zeros(1))[1].T
-        assert sla.svdvals(C)[-1] == pytest.approx(1e-17, rel=1e-12)
+        R_full = assembled_factor(be._context(problem, np.zeros(1), unit_weights), np.zeros(1))
+        assert sla.svdvals(R_full)[-1] == pytest.approx(1e-17, rel=1e-12)
         with pytest.raises(RankDeficiencyError) as excinfo:
             backward_error_estimate(problem, np.zeros(1), np.zeros(1), unit_weights)
         assert excinfo.value.sigma_min == pytest.approx(1e-17, rel=1e-12)
 
 
-class TestStageTwoStack:
-    """_stage_two_stack gathers the rows of [R0 0; rest] sorted by
-    decreasing largest magnitude, ties in their original order."""
+def assembled_factor(ctx, xi):
+    """R_full assembled from the QR of the sorted stage-two stack, without
+    the kernel's rank test."""
+    return be._full_factor(ctx, xi, sla.qr(be._stage_two_stack(ctx, xi)[1], mode="r")[0])
 
-    @pytest.mark.parametrize("case", ["perturbed", "zero-candidate", "s-equals-n"])
-    def test_sorted_rows_of_the_docstring_stack(self, case):
-        dims = replace(properties.TINY, s=properties.TINY.n) if case == "s-equals-n" else properties.TINY
+
+class TestStageTwoFactor:
+    """The (2n+1) x n stage-two stack and the factor R_full built on it."""
+
+    CASES = ["perturbed", "zero-candidate", "s-equals-n", "s-zero", "zero-multiplier"]
+
+    @staticmethod
+    def case(name):
+        dims = {"s-equals-n": replace(properties.TINY, s=properties.TINY.n),
+                "s-zero": replace(properties.TINY, s=0)}.get(name, properties.TINY)
         problem, sol, _, psol = properties.solved_case(dims, 1e-6, 3)
-        m, n, s = problem.m, problem.n, problem.s
-        y = np.zeros(n) if case == "zero-candidate" else psol.x
+        y = np.zeros(problem.n) if name == "zero-candidate" else psol.x
+        xi = np.zeros(problem.s) if name == "zero-multiplier" else sol.xi
         # Powers of two keep the test's products bitwise equal to the kernel's.
-        w, xi = WeightScheme(3.0, 0.5, 4.0), sol.xi
+        return problem, y, xi, WeightScheme(3.0, 0.5, 4.0)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_sorted_rows_of_the_docstring_stack(self, name):
+        problem, y, xi, w = self.case(name)
+        n = problem.n
         ctx = be._context(problem, y, w)
         y_norm = np.linalg.norm(y)
         u = y / y_norm if y_norm > 0.0 else np.eye(n)[0]
-        c = math.hypot(np.linalg.norm(problem.residual(y)), np.linalg.norm(xi) / w.theta2)
-        # C(xi)'s last n + 2s columns, as the module docstring writes them.
-        C_rest = np.block([
-            [np.outer(u, xi) / -w.theta2, c * (np.eye(n) - np.outer(u, u)), np.zeros((n, s))],
-            [y_norm / w.theta2 * np.eye(s), np.zeros((s, n)), -np.eye(s) / w.theta3],
-        ])
-        natural = np.vstack([np.hstack([np.triu(ctx.qr0[:n]), np.zeros((n, s))]), C_rest.T])
+        t = np.linalg.norm(xi) / w.theta2
+        c = math.hypot(np.linalg.norm(problem.residual(y)), t)
+        a = 1.0 / w.theta3 / math.hypot(y_norm / w.theta2, 1.0 / w.theta3) * t
+        # [R0; c (I - u u^T); a u^T], as the module docstring writes it.
+        natural = np.vstack([np.triu(ctx.qr0[:n]), c * (np.eye(n) - np.outer(u, u)), a * u])
 
         order, stack, c_stack = be._stage_two_stack(ctx, xi)
         assert c_stack == c
-        assert stack.flags.f_contiguous and stack.shape == (2 * n + 2 * s, n + s)
+        assert stack.flags.f_contiguous and stack.shape == (2 * n + 1, n)
         assert np.array_equal(stack, natural[order])
         key = np.abs(stack).max(axis=1)
         assert np.all(key[1:] <= key[:-1])
         ties = np.flatnonzero(key[1:] == key[:-1])
-        assert ties.size > 0 and np.all(order[ties] < order[ties + 1])
+        assert np.all(order[ties] < order[ties + 1])
+        assert ties.size > 0 or name != "zero-candidate"
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_factor_has_the_gram_matrix_of_J(self, name):
+        problem, y, xi, w = self.case(name)
+        n, s = problem.n, problem.s
+        ctx = be._context(problem, y, w)
+        R_full = be._full_factor(ctx, xi, be._min_norm_factor(ctx, xi)[1])
+        J = linearization_matrix(problem, y, xi, w)
+        multipliers_first = np.r_[n:n + s, :n]
+        JJt = (J @ J.T)[np.ix_(multipliers_first, multipliers_first)]
+        assert np.array_equal(R_full, np.triu(R_full))
+        assert np.max(np.abs(R_full.T @ R_full - JJt)) <= 1e-13 * sla.svdvals(J)[0] ** 2
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_closed_form_frobenius_norms(self, name):
+        problem, y, xi, w = self.case(name)
+        ctx = be._context(problem, y, w)
+        R = be._min_norm_factor(ctx, xi)[1][:problem.n]
+        R_full = be._full_factor(ctx, xi, R)
+        fro, inv_fro = be._frobenius_norms(ctx, xi, R)
+        R_full_inv = sla.solve_triangular(R_full, np.eye(R_full.shape[0]))
+        assert fro == pytest.approx(np.linalg.norm(R_full), rel=1e-12)
+        assert inv_fro == pytest.approx(np.linalg.norm(R_full_inv), rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -353,11 +389,11 @@ class TestBackwardErrorBounds:
 
     def test_per_xi_factor_does_not_grow_with_m(self, monkeypatch):
         # At m = 10 n the 2m multiplier-free rows of C^T are factored once
-        # per context; each rho factors only the (2n+2s) x (n+s) stack, and
+        # per context; each rho factors only the (2n+1) x n stack, and
         # alpha's SVD is of the n x 2n matrix [R0^T, |r_y| (I - u u^T)].
         problem, sol, _, psol = properties.solved_case(
             replace(properties.TINY, m=60, p=35, q=25), 1e-6, 0)
-        m, n, s = problem.m, problem.n, problem.s
+        m, n = problem.m, problem.n
         qr_shapes, svd_shapes = [], []
         dgeqrf, svdvals = be.dgeqrf, be.sla.svdvals
 
@@ -374,7 +410,7 @@ class TestBackwardErrorBounds:
         be._last_context = None
         backward_error_bounds(problem, psol.x, WeightScheme(), xi0=sol.xi)
         assert qr_shapes.count((2 * m, n)) == 1
-        assert [shape for shape in qr_shapes if shape != (2 * m, n)] == [(2 * n + 2 * s, n + s)] * 2
+        assert [shape for shape in qr_shapes if shape != (2 * m, n)] == [(2 * n + 1, n)] * 2
         assert (n, 2 * n) in svd_shapes
         assert all(2 * m not in shape for shape in svd_shapes)
 

@@ -89,10 +89,14 @@ _BAD_CONFIGS = {
     "fractional-trials": ('{"trials_per_cell": 1.5}', "trials_per_cell"),
     "scalar-kappa-list": ('{"kappa_a_list": 5}', "kappa_a_list"),
     "bool-weight": ('{"theta3": true}', "theta3"),
+    # A file that is not JSON, or not UTF-8, is named by its path.
+    "invalid-json": ("{", "{tmp}/c.json:"),
+    "bad-byte": (b'{"trials_per_cell": 1\xff}', "{tmp}/c.json:"),
 }
 
 
-# (argv, files to write, the field the error must name); "{tmp}" is the test's directory.
+# (argv, files to write as text or bytes, the field or path the error must
+# name); "{tmp}" is the test's directory.
 @pytest.mark.parametrize("argv, files, field", [
     pytest.param(["backward-error", "--problem", "{tmp}/p", "--y", "{tmp}/y"],
                  {**_bundle("p", "3 0\n", "3 1\n1\n2\n3\n", "0 0\n", "0 1\n", "2 1\n"), "y": "0 1\n"},
@@ -114,11 +118,14 @@ _BAD_CONFIGS = {
 def test_malformed_input_ends_in_one_error_line(capsys, tmp_path, argv, files, field):
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
-        (tmp_path / name).write_text(text)
+        if isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text)
     code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert code == 1
     assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith(f"ilse: error: {field} ")
+    assert len(err.splitlines()) == 1 and err.startswith(f"ilse: error: {field.format(tmp=tmp_path)} ")
     assert "Traceback" not in err
 
 

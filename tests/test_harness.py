@@ -236,17 +236,23 @@ class TestProblemFiles:
 
         bad = tmp_path / "M"
         # Too few entries, headers that are not two non-negative integers,
-        # then an entry that is not a number.
+        # an entry that is not a number, then a byte outside ASCII.
         for text in ("2 2\n1.0 2.0 3.0\n", "-1 -2\n1.0 2.0\n", "-2 1\n", "1.5 2\n1.0 2.0 3.0\n",
-                     "2 1\n1.0\nabc\n"):
-            bad.write_text(text)
+                     "2 1\n1.0\nabc\n", b"2 1\n1.0\n2.0\xc2\xa0\n"):
+            if isinstance(text, bytes):
+                bad.write_bytes(text)
+            else:
+                bad.write_text(text)
             with pytest.raises(ValueError, match=re.escape(str(bad))):
                 read_matrix(bad)
 
-    @pytest.mark.parametrize("text", ["1.5 5", "-1 7", "a b"])
+    @pytest.mark.parametrize("text", ["1.5 5", "-1 7", "a b", pytest.param(b"1\xc2\xa0 1", id="non-ascii")])
     def test_malformed_sig_file_names_it(self, tmp_path, t1, text):
         write_problem(tmp_path / "p", t1)
-        (tmp_path / "p" / "sig").write_text(text + "\n")
+        if isinstance(text, bytes):
+            (tmp_path / "p" / "sig").write_bytes(text + b"\n")
+        else:
+            (tmp_path / "p" / "sig").write_text(text + "\n")
         with pytest.raises(ValueError, match=re.escape(str(tmp_path / "p" / "sig"))):
             read_problem(tmp_path / "p")
 
