@@ -134,17 +134,12 @@ class TestEstimate:
             A=np.array([[1e-17], [0.0]]), b=np.zeros(2), B=np.array([[1.0]]), d=np.array([1.0]),
             sig=SignatureMatrix(1, 1),
         )
-        R_full = assembled_factor(be._context(problem, np.zeros(1), unit_weights), np.zeros(1))
+        ctx, xi = be._context(problem, np.zeros(1), unit_weights), np.zeros(1)
+        R_full = be._full_factor(ctx, xi, sla.qr(be._stage_two_stack(ctx, xi)[1], mode="r")[0])
         assert sla.svdvals(R_full)[-1] == pytest.approx(1e-17, rel=1e-12)
         with pytest.raises(RankDeficiencyError) as excinfo:
             backward_error_estimate(problem, np.zeros(1), np.zeros(1), unit_weights)
         assert excinfo.value.sigma_min == pytest.approx(1e-17, rel=1e-12)
-
-
-def assembled_factor(ctx, xi):
-    """R_full assembled from the QR of the sorted stage-two stack, without
-    the kernel's rank test."""
-    return be._full_factor(ctx, xi, sla.qr(be._stage_two_stack(ctx, xi)[1], mode="r")[0])
 
 
 class TestStageTwoFactor:
