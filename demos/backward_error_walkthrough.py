@@ -47,7 +47,7 @@ print(f"\nlinearized backward-error estimate rho(xi1) = {rho:.3e}")
 
 # The estimate is the norm of an actual perturbation direction; unpack it.
 z = min_norm_perturbation(problem, y, xi1, w)
-nm, m, ns, s = 50 * 100, 100, 50 * 20, 20
+nm, m, ns = problem.n * problem.m, problem.m, problem.n * problem.s
 blocks = np.split(z, [nm, nm + m, nm + m + ns])
 labels = ["vec(E)", "f", "vec(F)", "g"]
 for label, block in zip(labels, blocks):

@@ -31,13 +31,12 @@ bottom-right block (|y|^2/theta2^2 + 1/theta3^2) I_s; in C the rank-one
 blocks supply the u u^T part of the scalar term and c (I_n - u u^T) the
 rest. Equal Gram matrices mean equal singular values: C has full row rank
 exactly when J does, rho = |R^-T rhs|_2 for the triangular factor R of
-either transpose, and tau(xi) = 1/sigma_min is the same. The same
-reduction maps the multiplier-free block [K, theta1^-1 A^T S] of J to the
-n x (2m+n) matrix [u (S r_y)^T - |y| A^T S, theta1^-1 A^T S,
-|r_y| (I_n - u u^T)], with the same singular values, so alpha and
-tau0 = max(theta3, 1/alpha) come from it. The minimum-norm solution is
-z = J^T v for v = (C C^T)^-1 rhs, applied block by block; its E block is
-the rank-2 matrix S (r_y v_top^T - A v_top y^T).
+either transpose, and tau(xi) = 1/sigma_min is the same. At xi = 0 the
+block -theta2^-1 (I_n (x) xi^T) of J vanishes, so the top-left block at
+xi = 0 is the Gram matrix of the multiplier-free block [K, theta1^-1 A^T S]
+of J, whose smallest singular value is alpha; tau0 = max(theta3, 1/alpha).
+The minimum-norm solution is z = J^T v for v = (C C^T)^-1 rhs, applied
+block by block; its E block is the rank-2 matrix S (r_y v_top^T - A v_top y^T).
 
 Only s + n of C's 2m + n + 2s columns depend on xi, so C^T is factored in
 two stages. Stage one, once per (problem, y, w), is the Householder QR
@@ -66,9 +65,9 @@ O(n^3) whatever m and s are. Both stages sort their rows by decreasing
 largest magnitude first (_sorted_rows). Solving R_full^T v = (e, rhs_top),
 e = d - B y, by blocks gives v1 = e/rb and R_T^T v2 = w with
 w = B^T xi - A^T S r_y + y (xi.e)/(theta2^2 beta), formed in the original
-basis, so rho = hypot(|v1|, |v2|). alpha comes from the n x 2n
-[R0^T, |r_y| (I_n - u u^T)], whose Gram matrix is that of the n x (2m+n)
-one above.
+basis, so rho = hypot(|v1|, |v2|). At xi = 0 (c = |r_y|, a = 0) the
+stack's Gram matrix R0^T R0 + |r_y|^2 (I_n - u u^T) is that top-left
+block, so alpha = sigma_min(R_T) at xi = 0, from the same QR as every rho.
 
 Everything that does not depend on xi is built once per (problem, y, w)
 into a private, read-only context (_Context, which tells how it is cached
@@ -83,10 +82,10 @@ One kernel, _min_norm_factor(ctx, xi), evaluates rho for
 backward_error_estimate and min_norm_perturbation. Per xi it scales the
 columns of [R0^T, I_n - u u^T, u] by (1, c, a), gathers the sorted rows of
 its transpose into one Fortran-ordered buffer, factors that buffer in
-place with LAPACK geqrf, and solves R_T^T v2 = w with trtrs. The rank test
-needs sigma_min and sigma_max of R_full, and a certified pre-test replaces
-the SVD where it can: sigma_min >= 1/|R_full^-1|_F and
-sigma_max <= |R_full|_F, where
+place with LAPACK geqrf (_stage_two_factor), and solves R_T^T v2 = w with
+trtrs. The rank test needs sigma_min and sigma_max of R_full, and a
+certified pre-test replaces the SVD where it can:
+sigma_min >= 1/|R_full^-1|_F and sigma_max <= |R_full|_F, where
 |R_full|_F^2 = s beta + |X|_F^2 + |R_T|_F^2 and
 |R_full^-1|_F^2 = s/beta + |R_T^-1|_F^2 + (|y| |xi|/(theta2^2 beta))^2 |R_T^-T u|^2
 need only the one trtri of R_T. When trtri inverts R_T, |R_full^-1|_F is
@@ -248,10 +247,10 @@ class _Context:
     blocks^T, and qr0, tau0 are geqrf's output on the sorted rows: R0 in
     the upper triangle of qr0[:n], Q0 in the reflectors below it. top is
     the n x (2n+1) [R0^T, I_n - u u^T, u]: the transposed stage-two stack
-    [R0; c (I - u u^T); a u^T]^T before the per-xi scales c and a, and in
-    its first 2n columns alpha's matrix before |r_y| scales its second
-    block. rb = sqrt(beta), k = (|y|/theta2)/rb and h = (1/theta3)/rb
-    eliminate the multiplier rows (module docstring); k^2 + h^2 = 1.
+    [R0; c (I - u u^T); a u^T]^T before the per-xi scales c and a.
+    rb = sqrt(beta), k = (|y|/theta2)/rb and h = (1/theta3)/rb eliminate
+    the multiplier rows (module docstring); k^2 + h^2 = 1. alpha is
+    sigma_min of the stack's factor at xi = 0 (module docstring).
 
     A context is read-only once built: __init__ sets every attribute,
     alpha included, and makes the arrays unwriteable. _context caches the
@@ -288,7 +287,8 @@ class _Context:
         self.rb = math.hypot(self.y_norm / w.theta2, 1.0 / w.theta3)
         self.k, self.h = self.y_norm / w.theta2 / self.rb, 1.0 / w.theta3 / self.rb
         self.lwork = int(dgeqrf_lwork(2 * n + 1, n)[0])
-        self.alpha = float(sla.svdvals(_stability_matrix(self))[-1])
+        qr = _stage_two_factor(self, np.zeros(problem.s))[1]
+        self.alpha = float(sla.svdvals(np.triu(qr[:n]))[-1])
         for a in (self.u, self.AtSr, self.e, self.order0, self.qr0, self.tau0, self.top):
             a.flags.writeable = False
 
@@ -321,6 +321,14 @@ def _stage_two_stack(ctx: _Context, xi: np.ndarray):
     scale[2 * n] = ctx.h * t
     order, stack = _sorted_rows(ctx.top * scale)
     return order, stack, c
+
+
+def _stage_two_factor(ctx: _Context, xi: np.ndarray):
+    """(order, qr, tau, c): _stage_two_stack(ctx, xi) with geqrf's output on
+    the stack, factored in place; the one QR of the stage-two stack."""
+    order, stack, c = _stage_two_stack(ctx, xi)
+    qr, tau, _, _ = dgeqrf(stack, lwork=ctx.lwork, overwrite_a=1)
+    return order, qr, tau, c
 
 
 def _full_factor(ctx: _Context, xi: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -373,13 +381,11 @@ def _min_norm_factor(ctx: _Context, xi: np.ndarray):
     and R_full^-T (e, rhs_top) in its two blocks v1 = e/rb and
     v2 = R_T^-T w, so that rho = hypot(|v1|, |v2|).
 
-    Returns (order, qr, tau, v1, v2, c): geqrf's output on the stack, whose
-    row i is row order[i] of [R0; c (I - u u^T); a u^T], v1, v2 and c;
-    min_norm_perturbation maps z back with them.
+    Returns (order, qr, tau, v1, v2, c): _stage_two_factor's output with v1
+    and v2; min_norm_perturbation maps z back with them.
     """
-    order, stack, c = _stage_two_stack(ctx, xi)
-    qr, tau, _, _ = dgeqrf(stack, lwork=ctx.lwork, overwrite_a=1)
-    R = qr[:stack.shape[1]]
+    order, qr, tau, c = _stage_two_factor(ctx, xi)
+    R = qr[:qr.shape[1]]
     if not _certainly_full_rank(ctx, xi, R):
         _require_full_row_rank(sla.svdvals(_full_factor(ctx, xi, R)))
     v1 = ctx.e / ctx.rb
@@ -462,19 +468,10 @@ def least_squares_multiplier(problem: IlseProblem, y: np.ndarray) -> np.ndarray:
     return xi
 
 
-def _stability_matrix(ctx: _Context) -> np.ndarray:
-    """[R0^T, |r_y| (I_n - u u^T)]: n x 2n, with the singular values of the
-    multiplier-free block [K, A^T S/theta1] of J."""
-    n = ctx.u.shape[0]
-    M = ctx.top[:, :2 * n].copy()
-    M[:, n:] *= ctx.r_norm
-    return M
-
-
 def stability_constant(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> float:
     """alpha: smallest singular value of the n x (nm + m) block of J that
-    does not depend on the multiplier, computed with the context of
-    (problem, y, w)."""
+    does not depend on the multiplier: sigma_min of the stage-two factor at
+    xi = 0 (module docstring), held by the context of (problem, y, w)."""
     return _context(problem, _check_candidate(problem, y), w).alpha
 
 

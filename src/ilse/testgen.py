@@ -155,8 +155,8 @@ def gen_sigma_orthogonal(p: int, q: int, seed: int, hyper_bound: float = 1.0) ->
 
 def gen_geometric_diagonal(rows: int, cols: int, kappa: float) -> np.ndarray:
     """rows x cols matrix whose diagonal decreases geometrically from 1 to 1/kappa."""
-    if kappa < 1.0:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
+    if not 1.0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and >= 1, got {kappa}")
     if rows < cols or cols < 1:
         raise ValueError(f"need rows >= cols >= 1, got {rows} x {cols}")
     if cols == 1:

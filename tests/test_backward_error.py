@@ -135,7 +135,7 @@ class TestEstimate:
             sig=SignatureMatrix(1, 1),
         )
         ctx, xi = be._context(problem, np.zeros(1), unit_weights), np.zeros(1)
-        R_full = be._full_factor(ctx, xi, sla.qr(be._stage_two_stack(ctx, xi)[1], mode="r")[0])
+        R_full = be._full_factor(ctx, xi, be._stage_two_factor(ctx, xi)[1])
         assert sla.svdvals(R_full)[-1] == pytest.approx(1e-17, rel=1e-12)
         with pytest.raises(RankDeficiencyError) as excinfo:
             backward_error_estimate(problem, np.zeros(1), np.zeros(1), unit_weights)
@@ -384,8 +384,8 @@ class TestBackwardErrorBounds:
 
     def test_per_xi_factor_does_not_grow_with_m(self, monkeypatch):
         # At m = 10 n the 2m multiplier-free rows of C^T are factored once
-        # per context; each rho factors only the (2n+1) x n stack, and
-        # alpha's SVD is of the n x 2n matrix [R0^T, |r_y| (I - u u^T)].
+        # per context; alpha and each rho factor only the (2n+1) x n stack,
+        # and alpha's SVD is of the n x n stack factor at xi = 0.
         problem, sol, _, psol = properties.solved_case(
             replace(properties.TINY, m=60, p=35, q=25), 1e-6, 0)
         m, n = problem.m, problem.n
@@ -405,8 +405,8 @@ class TestBackwardErrorBounds:
         be._last_context = None
         backward_error_bounds(problem, psol.x, WeightScheme(), xi0=sol.xi)
         assert qr_shapes.count((2 * m, n)) == 1
-        assert [shape for shape in qr_shapes if shape != (2 * m, n)] == [(2 * n + 1, n)] * 2
-        assert (n, 2 * n) in svd_shapes
+        assert [shape for shape in qr_shapes if shape != (2 * m, n)] == [(2 * n + 1, n)] * 3
+        assert (n, n) in svd_shapes
         assert all(2 * m not in shape for shape in svd_shapes)
 
     def test_solves_the_least_squares_multiplier_once(self, monkeypatch):

@@ -1,10 +1,13 @@
-"""Extended-precision referee for rho.
+"""Extended-precision referee for rho and alpha.
 
 rho(xi)^2 = rhs^T (J J^T)^-1 rhs is evaluated at 50 significant digits on
-the Kronecker-built J, from the same double-precision y, xi, r_y and rhs
-that both double-precision routes read, so the referee measures only the
-linear algebra: the compressed factorization the estimator uses, and the
-QR of the dense J^T it replaced. Run with ``pytest -s`` to see the errors.
+the Kronecker-built J, and alpha^2 as the smallest eigenvalue of the
+top-left block of J J^T at xi = 0 in the closed form of the
+backward_error module docstring, both from the same double-precision y,
+xi, r_y and rhs that both double-precision routes read. The referee
+therefore measures only the linear algebra: the compressed factorization
+the estimator uses, and the dense J it replaced. Run with ``pytest -s`` to
+see the errors.
 """
 
 from dataclasses import replace
@@ -22,7 +25,9 @@ SEEDS = (0, 1, 2)
 # or reach FLOOR, whichever is larger. Measured on the 24 TINY instances
 # with the one-stage QR of C^T: at most 2.8e-13 for the compressed route
 # against 7.9e-12 for the dense one; the compressed error is above twice
-# the dense one only below 3e-13.
+# the dense one only below 3e-13. alpha over the 48 TINY and TALL
+# instances: at most 5.1e-13 from the stage-two factor at xi = 0, against
+# 3.2e-12 from the SVD of the dense J's multiplier-free block.
 FACTOR = 2.0
 FLOOR = 1e-12
 # m = 10 n: the shape where the stage-one QR of the estimator compresses
@@ -52,11 +57,30 @@ def referee_rho(problem, y, xi, w) -> mpmath.mpf:
         return mpmath.sqrt(sum(rhs[i] * v[i] for i in range(n + s)))
 
 
+def referee_alpha(problem, y, w) -> mpmath.mpf:
+    """sqrt of the smallest eigenvalue of |r_y|^2 I_n - y r_y^T A - A^T r_y y^T
+    + |y|^2 A^T A + A^T A/theta1^2."""
+    with mpmath.workdps(DIGITS):
+        A = mpmath.matrix(problem.A.tolist())
+        r = mpmath.matrix(problem.residual(y).tolist())
+        y_mp = mpmath.matrix(y.tolist())
+        AtA, Atr = A.T * A, A.T * r
+        gram = ((r.T * r)[0] * mpmath.eye(problem.n) - y_mp * Atr.T - Atr * y_mp.T
+                + ((y_mp.T * y_mp)[0] + 1 / mpmath.mpf(w.theta1) ** 2) * AtA)
+        return mpmath.sqrt(min(mpmath.eigsy(gram, eigvals_only=True)))
+
+
 def dense_rho(problem, y, xi, w) -> float:
     """rho through the QR of the dense J^T, the route the estimator replaced."""
     J = be.linearization_matrix(problem, y, xi, w)
     R = sla.qr(J.T, mode="economic")[1]
     return float(np.linalg.norm(sla.solve_triangular(R, be.rhs_vector(problem, y, xi), trans="T")))
+
+
+def dense_alpha(problem, y, xi, w) -> float:
+    """alpha as the smallest singular value of the dense J's multiplier-free block."""
+    J = be.linearization_matrix(problem, y, xi, w)
+    return float(sla.svdvals(J[:problem.n, :problem.n * problem.m + problem.m])[-1])
 
 
 def _check_against_referee(dims, kappa_a, kappa_b, eps):
@@ -69,9 +93,14 @@ def _check_against_referee(dims, kappa_a, kappa_b, eps):
         exact = referee_rho(problem, y, xi, w)
         err_compressed = float(abs(be.backward_error_estimate(problem, y, xi, w) - exact) / exact)
         err_dense = float(abs(dense_rho(problem, y, xi, w) - exact) / exact)
+        exact_alpha = referee_alpha(problem, y, w)
+        err_alpha = float(abs(be.stability_constant(problem, y, w) - exact_alpha) / exact_alpha)
+        err_alpha_dense = float(abs(dense_alpha(problem, y, xi, w) - exact_alpha) / exact_alpha)
         print(f"referee m={dims.m} kappa_A={kappa_a:.0e} kappa_B={kappa_b:.0e} eps={eps:.0e} seed={seed}: "
-              f"compressed {err_compressed:.2e}, dense {err_dense:.2e}")
+              f"rho compressed {err_compressed:.2e}, dense {err_dense:.2e}; "
+              f"alpha compressed {err_alpha:.2e}, dense {err_alpha_dense:.2e}")
         assert err_compressed <= max(FACTOR * err_dense, FLOOR)
+        assert err_alpha <= max(FACTOR * err_alpha_dense, FLOOR)
 
 
 def _over_cells(test):

@@ -104,8 +104,9 @@ class TestGeometricDiagonal:
             assert ladder[0] / ladder[-1] == pytest.approx(kappa, rel=1e-12)
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            gen_geometric_diagonal(3, 3, 0.5)
+        for kappa in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="kappa"):
+                gen_geometric_diagonal(3, 3, kappa)
         with pytest.raises(ValueError):
             gen_geometric_diagonal(2, 3, 10.0)
 
