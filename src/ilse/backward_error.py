@@ -71,12 +71,12 @@ block, so alpha = sigma_min(R_T) at xi = 0, from the same QR as every rho.
 
 Everything that does not depend on xi is built once per (problem, y, w)
 into a private, read-only context (_Context, which tells how it is cached
-and why that is safe): u and |y|, |r_y|, A^T S r_y, e, the stage-one row
-order, geqrf's output on the sorted rows (R0 and the reflectors of Q0),
-the n x (2n+1) [R0^T, I_n - u u^T, u], rb, k and h, the stage-two geqrf
-workspace size, and alpha; the unsorted blocks are not kept. Each public
-function validates y and xi, looks the context up once, and hands it to
-the kernel.
+and why that is safe): u and |y|, |r_y|, S r_y, A^T S r_y, e, the
+stage-one row order, geqrf's output on the sorted rows (R0 and the
+reflectors of Q0), the n x (2n+1) [R0^T, I_n - u u^T, u], rb, k and h,
+the stage-two geqrf workspace size, and alpha; the unsorted blocks are
+not kept. Each public function validates y and xi, looks the context up
+once, and hands it to the kernel.
 
 One kernel, _min_norm_factor(ctx, xi), evaluates rho for
 backward_error_estimate and min_norm_perturbation. Per xi it scales the
@@ -84,16 +84,13 @@ columns of [R0^T, I_n - u u^T, u] by (1, c, a), gathers the sorted rows of
 its transpose into one Fortran-ordered buffer, factors that buffer in
 place with LAPACK geqrf (_stage_two_factor), and solves R_T^T v2 = w with
 trtrs. The rank test needs sigma_min and sigma_max of R_full, and a
-certified pre-test replaces the SVD where it can:
-sigma_min >= 1/|R_full^-1|_F and sigma_max <= |R_full|_F, where
-|R_full|_F^2 = s beta + |X|_F^2 + |R_T|_F^2 and
-|R_full^-1|_F^2 = s/beta + |R_T^-1|_F^2 + (|y| |xi|/(theta2^2 beta))^2 |R_T^-T u|^2
-need only the one trtri of R_T. When trtri inverts R_T, |R_full^-1|_F is
-finite and 1/|R_full^-1|_F > 100 RANK_RTOL |R_full|_F, the singular-value
-test sigma_min > RANK_RTOL sigma_max holds. The factor 100 (PRETEST_MARGIN)
-absorbs the rounding in the computed R_T^-1. In every other case the SVD
-of the assembled R_full decides, and a RankDeficiencyError carries its
-sigma_min.
+certified pre-test replaces the SVD where it can: sigma_min >=
+min(alpha, 1/theta3) at every xi (pinv_norm_bound), and sigma_max <=
+|R_full|_F = sqrt(s beta + |X|_F^2 + |R_T|_F^2). When the first exceeds
+100 RANK_RTOL times the second, sigma_min > RANK_RTOL sigma_max holds; the
+factor 100 (PRETEST_MARGIN) absorbs the rounding in alpha and R_T. Else
+the SVD of the assembled R_full decides, and a RankDeficiencyError
+carries its sigma_min.
 
 min_norm_perturbation maps the minimum-norm solution back through the same
 factor: Q_T (orgqr on the stack) takes v2 to the stack's rows, the folded
@@ -112,8 +109,7 @@ import math
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.blas import dnrm2, dtrmv
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dlantr, dorgqr, dtrtri, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dlantr, dorgqr, dtrtrs
 
 from . import solver
 from .core import (
@@ -132,7 +128,7 @@ RANK_RTOL = 10.0 * np.finfo(float).eps
 
 # The rank pre-test skips the SVD only when its certified bound on
 # sigma_min/sigma_max clears RANK_RTOL by this factor, a margin for the
-# rounding in the computed R^-1.
+# rounding in the computed alpha and R_T.
 PRETEST_MARGIN = 100.0
 
 
@@ -241,16 +237,17 @@ def _sorted_rows(MT: np.ndarray):
 
 
 class _Context:
-    """What rho(xi) and alpha need from (problem, y, w) but not from xi.
+    """What rho(xi), z and alpha need from (problem, y, w) but not from xi.
 
-    order0 is _sorted_rows' order of the rows of the 2m x n block
-    blocks^T, and qr0, tau0 are geqrf's output on the sorted rows: R0 in
-    the upper triangle of qr0[:n], Q0 in the reflectors below it. top is
-    the n x (2n+1) [R0^T, I_n - u u^T, u]: the transposed stage-two stack
-    [R0; c (I - u u^T); a u^T]^T before the per-xi scales c and a.
-    rb = sqrt(beta), k = (|y|/theta2)/rb and h = (1/theta3)/rb eliminate
-    the multiplier rows (module docstring); k^2 + h^2 = 1. alpha is
-    sigma_min of the stack's factor at xi = 0 (module docstring).
+    sr is S r_y, which z's E block reuses. order0 is _sorted_rows' order of
+    the rows of the 2m x n block blocks^T, and qr0, tau0 are geqrf's output
+    on the sorted rows: R0 in the upper triangle of qr0[:n], Q0 in the
+    reflectors below it. top is the n x (2n+1) [R0^T, I_n - u u^T, u]: the
+    transposed stage-two stack [R0; c (I - u u^T); a u^T]^T before the
+    per-xi scales c and a. rb = sqrt(beta), k = (|y|/theta2)/rb and
+    h = (1/theta3)/rb eliminate the multiplier rows (module docstring);
+    k^2 + h^2 = 1. alpha is sigma_min of the stack's factor at xi = 0, and
+    the rank pre-test's bound min(alpha, 1/theta3) (module docstring).
 
     A context is read-only once built: __init__ sets every attribute,
     alpha included, and makes the arrays unwriteable. _context caches the
@@ -263,16 +260,16 @@ class _Context:
     meanwhile cannot mix two keys; alternating threads only make it miss.
     """
 
-    __slots__ = ("problem", "w", "y_bytes", "u", "y_norm", "r_norm", "AtSr", "e",
+    __slots__ = ("problem", "w", "y_bytes", "u", "y_norm", "r_norm", "sr", "AtSr", "e",
                  "order0", "qr0", "tau0", "top", "rb", "k", "h", "lwork", "alpha")
 
     def __init__(self, problem: IlseProblem, y: np.ndarray, w: WeightScheme):
         m, n = problem.m, problem.n
         self.problem, self.w, self.y_bytes = problem, w, y.tobytes()
         # Through the module attribute, so a patched builder is seen.
-        self.u, self.y_norm, r_y, sr, blocks = _multiplier_free_blocks(problem, y, w)
+        self.u, self.y_norm, r_y, self.sr, blocks = _multiplier_free_blocks(problem, y, w)
         self.r_norm = float(np.linalg.norm(r_y))
-        self.AtSr = problem.A.T @ sr
+        self.AtSr = problem.A.T @ self.sr
         self.e = problem.d - problem.B @ y
         # The unsorted blocks are dropped before geqrf factors the sorted
         # rows in place.
@@ -289,7 +286,7 @@ class _Context:
         self.lwork = int(dgeqrf_lwork(2 * n + 1, n)[0])
         qr = _stage_two_factor(self, np.zeros(problem.s))[1]
         self.alpha = float(sla.svdvals(np.triu(qr[:n]))[-1])
-        for a in (self.u, self.AtSr, self.e, self.order0, self.qr0, self.tau0, self.top):
+        for a in (self.u, self.sr, self.AtSr, self.e, self.order0, self.qr0, self.tau0, self.top):
             a.flags.writeable = False
 
 
@@ -343,18 +340,10 @@ def _full_factor(ctx: _Context, xi: np.ndarray, R: np.ndarray) -> np.ndarray:
     return F
 
 
-def _frobenius_norms(ctx: _Context, xi: np.ndarray, R: np.ndarray) -> tuple[float, float]:
-    """(|R_full|_F, |R_full^-1|_F) in closed form from the upper triangle of
-    R = R_T and its one trtri; the second is inf when trtri fails."""
-    s, rb = xi.shape[0], ctx.rb
+def _frobenius_norm(ctx: _Context, xi: np.ndarray, R: np.ndarray) -> float:
+    """|R_full|_F in closed form from the upper triangle of R = R_T."""
     x_fro = ctx.k * (_norm(xi) / ctx.w.theta2)  # |X|_F
-    fro = math.hypot(math.hypot(math.sqrt(s) * rb, x_fro), dlantr("F", R, uplo="U"))
-    R_inv, info = dtrtri(R, lower=0)
-    if info != 0:
-        return fro, math.inf
-    # |X R_T^-1|_F / rb, the off-diagonal block of R_full^-1.
-    cross = x_fro / rb * dnrm2(dtrmv(R_inv, ctx.u, trans=1))
-    return fro, math.hypot(math.hypot(math.sqrt(s) / rb, dlantr("F", R_inv, uplo="U")), cross)
+    return math.hypot(math.hypot(math.sqrt(xi.shape[0]) * ctx.rb, x_fro), dlantr("F", R, uplo="U"))
 
 
 def _require_full_row_rank(svals: np.ndarray) -> None:
@@ -368,11 +357,10 @@ def _require_full_row_rank(svals: np.ndarray) -> None:
 
 def _certainly_full_rank(ctx: _Context, xi: np.ndarray, R: np.ndarray) -> bool:
     """The rank pre-test on R_full, given R_T in the upper triangle of R:
-    True only when sigma_min >= 1/|R_full^-1|_F exceeds
-    PRETEST_MARGIN * RANK_RTOL * |R_full|_F >= PRETEST_MARGIN * RANK_RTOL *
-    sigma_max, so that the singular-value test would pass as well."""
-    fro, inv_fro = _frobenius_norms(ctx, xi, R)
-    return math.isfinite(inv_fro) and 1.0 / inv_fro > PRETEST_MARGIN * RANK_RTOL * fro
+    True only when the uniform bound sigma_min >= min(alpha, 1/theta3)
+    exceeds PRETEST_MARGIN * RANK_RTOL * |R_full|_F >= PRETEST_MARGIN *
+    RANK_RTOL * sigma_max, so that the singular-value test would pass too."""
+    return min(ctx.alpha, 1.0 / ctx.w.theta3) > PRETEST_MARGIN * RANK_RTOL * _frobenius_norm(ctx, xi, R)
 
 
 def _min_norm_factor(ctx: _Context, xi: np.ndarray):
@@ -430,7 +418,7 @@ def min_norm_perturbation(
     m, n = problem.m, problem.n
     ctx = _context(problem, y, w)
     order, qr, tau, v1, v2, c = _min_norm_factor(ctx, xi)
-    u, sr = ctx.u, apply_signature(problem.sig, problem.residual(y))
+    u, sr = ctx.u, ctx.sr
     z_stack = np.empty(2 * n + 1)
     z_stack[order] = dorgqr(qr, tau, overwrite_a=1)[0] @ v2
     # The folded row's entry spreads over the second rows of the rotated
@@ -490,8 +478,10 @@ def pinv_norm_bound(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> flo
 
     Zeroing the multiplier-dependent column block of J leaves a matrix
     whose row blocks have disjoint column support, so its smallest
-    singular value is min(alpha, 1/theta3); removing columns can only
-    shrink singular values, whence the uniform bound.
+    singular value is min(alpha, 1/theta3); removing columns of a wide
+    matrix can only shrink its singular values (J J^T loses a positive
+    semidefinite term), so sigma_min(J(xi)) >= min(alpha, 1/theta3) = 1/tau0
+    at every xi. The rho kernel's rank pre-test reads the same bound.
     """
     a = stability_constant(problem, y, w)
     if a <= 0.0 or not math.isfinite(a):

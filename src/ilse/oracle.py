@@ -83,16 +83,26 @@ def estimate_on_grid(
     """Exhaustive 1-D scan of rho over scalar multipliers in [lo, hi].
 
     Only valid for s = 1. Returns (xi_best, rho_best). Brute force by
-    design: this is the reference the optimizer is checked against.
+    design: this is the reference the optimizer is checked against. J and
+    rhs are affine in the multiplier t, so J(t) J(t)^T = G0 + t G1 + t^2 G2
+    from J at t = 0 and t = 1, and one batched solve of the system of
+    estimate_via_normal_equations, an (n+1) x (n+1) matrix per point,
+    evaluates the whole grid.
     """
     if problem.s != 1:
         raise ValueError("grid scan requires a single constraint (s = 1)")
-    best_xi, best_rho = lo, math.inf
-    for t in np.arange(lo, hi + 0.5 * step, step):
-        rho = estimate_via_normal_equations(problem, y, np.array([t]), w)
-        if rho < best_rho:
-            best_xi, best_rho = float(t), rho
-    return best_xi, best_rho
+    (J0, r0), (J1, r1) = ((linearization_matrix(problem, y, x, w), rhs_vector(problem, y, x))
+                          for x in (np.zeros(1), np.ones(1)))
+    dJ, dr = J1 - J0, r1 - r0
+    cross = J0 @ dJ.T
+    ts = np.arange(lo, hi + 0.5 * step, step)
+    t = ts[:, None, None]
+    rhs = r0 + t[:, 0] * dr
+    G = J0 @ J0.T + t * (cross + cross.T) + (t * t) * (dJ @ dJ.T)
+    wvec = np.linalg.solve(G, rhs[..., None])[..., 0]
+    rhos = np.sqrt(np.maximum(np.einsum("ij,ij->i", rhs, wvec), 0.0))
+    best = int(np.argmin(rhos))
+    return float(ts[best]), float(rhos[best])
 
 
 # Nelder-Mead budget per multiplier dimension, shared by the start points;

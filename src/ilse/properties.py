@@ -542,14 +542,16 @@ def compressed_matches_kron(case):
     summary=lambda accepted: f"pre-test skipped the SVD in {int(sum(accepted))} of {len(accepted)}",
 )
 def rank_pretest(case):
-    """Wherever the closed-form pre-test accepts full row rank, the
-    singular-value test on the assembled R_full from the same R_T accepts
-    it too."""
+    """The bound the pre-test rests on, sigma_min >= min(alpha, 1/theta3),
+    holds to RANK_RTOL sigma_max on the assembled R_full, and wherever the
+    pre-test accepts full row rank, the singular-value test accepts it too."""
     problem, y, xi, w = case
     ctx = be._context(problem, y, w)
     R = be._stage_two_factor(ctx, xi)[1][:problem.n]
     accepted = be._certainly_full_rank(ctx, xi, R)
     svals = sla.svdvals(be._full_factor(ctx, xi, R))
+    if not svals[-1] >= min(ctx.alpha, 1.0 / w.theta3) - be.RANK_RTOL * svals[0]:
+        return Outcome(False, f"sigma_min {svals[-1]:.3e} below min(alpha, 1/theta3)", float(accepted))
     try:
         be._require_full_row_rank(svals)
     except RankDeficiencyError as exc:

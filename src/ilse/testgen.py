@@ -153,10 +153,14 @@ def gen_sigma_orthogonal(p: int, q: int, seed: int, hyper_bound: float = 1.0) ->
     return Q @ right
 
 
-def gen_geometric_diagonal(rows: int, cols: int, kappa: float) -> np.ndarray:
-    """rows x cols matrix whose diagonal decreases geometrically from 1 to 1/kappa."""
+def _check_kappa(kappa: float) -> None:
     if not 1.0 <= kappa < math.inf:
         raise ValueError(f"kappa must be finite and >= 1, got {kappa}")
+
+
+def gen_geometric_diagonal(rows: int, cols: int, kappa: float) -> np.ndarray:
+    """rows x cols matrix whose diagonal decreases geometrically from 1 to 1/kappa."""
+    _check_kappa(kappa)
     if rows < cols or cols < 1:
         raise ValueError(f"need rows >= cols >= 1, got {rows} x {cols}")
     if cols == 1:
@@ -171,9 +175,11 @@ def gen_geometric_diagonal(rows: int, cols: int, kappa: float) -> np.ndarray:
 def gen_conditioned_matrix(s: int, n: int, kappa: float, seed: int) -> np.ndarray:
     """s x n matrix with unit spectral norm and singular values decaying
     geometrically to 1/kappa (condition number exactly kappa). At s = 0 it
-    is the empty 0 x n matrix, and no random number is drawn."""
+    is the empty 0 x n matrix, and no random number is drawn; kappa is
+    checked either way."""
     if s > n:
         raise ValueError(f"need s <= n, got s={s}, n={n}")
+    _check_kappa(kappa)
     if s == 0:
         return np.zeros((0, n))
     U = gen_random_orthogonal(s, subseed(seed, _STREAM_B_LEFT))

@@ -127,9 +127,9 @@ class TestEstimate:
 
     def test_pretest_rejection_falls_back_to_the_svd_sigma(self, unit_weights):
         # r_y = 0, y = 0 and xi = 0 leave C = [[0, 0, 1e-17, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, -1]]
-        # and R_full = diag(1, +-1e-17): R_T^-1 exists, so only the pre-test's
-        # bound rejects it, and the error carries the singular-value test's
-        # sigma_min = 1e-17
+        # and R_full = diag(1, +-1e-17): alpha = 1e-17 puts the pre-test's
+        # bound min(alpha, 1/theta3) below its threshold, so the SVD decides,
+        # and the error carries the singular-value test's sigma_min = 1e-17
         problem = IlseProblem(
             A=np.array([[1e-17], [0.0]]), b=np.zeros(2), B=np.array([[1.0]]), d=np.array([1.0]),
             sig=SignatureMatrix(1, 1),
@@ -197,11 +197,8 @@ class TestStageTwoFactor:
         problem, y, xi, w = self.case(name)
         ctx = be._context(problem, y, w)
         R = be._min_norm_factor(ctx, xi)[1][:problem.n]
-        R_full = be._full_factor(ctx, xi, R)
-        fro, inv_fro = be._frobenius_norms(ctx, xi, R)
-        R_full_inv = sla.solve_triangular(R_full, np.eye(R_full.shape[0]))
-        assert fro == pytest.approx(np.linalg.norm(R_full), rel=1e-12)
-        assert inv_fro == pytest.approx(np.linalg.norm(R_full_inv), rel=1e-12)
+        fro = be._frobenius_norm(ctx, xi, R)
+        assert fro == pytest.approx(np.linalg.norm(be._full_factor(ctx, xi, R)), rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -4,6 +4,7 @@ import pytest
 from ilse import (
     OptimizationError,
     RankDeficiencyError,
+    WeightScheme,
     backward_error_estimate,
     least_squares_multiplier,
     minimize_estimate,
@@ -56,6 +57,19 @@ class TestGrid:
         xi_star, rho_star = estimate_on_grid(t1, Y01, unit_weights, 0.8, 1.0, 1e-3)
         direct = estimate_via_normal_equations(t1, Y01, np.array([xi_star]), unit_weights)
         assert rho_star == pytest.approx(direct, rel=1e-12)
+
+    def test_batched_scan_matches_the_per_point_loop(self):
+        # J(t) = J0 + t dJ reassociates the arithmetic of a per-point J, so
+        # the scan agrees with the loop to rounding, not bitwise.
+        problem, _, _, psol = solved_case(5, s=1)
+        w = WeightScheme(1.5, 0.7, 2.0)
+        xi1 = least_squares_multiplier(problem, psol.x)[0]
+        ts = np.arange(xi1 - 1.0, xi1 + 1.0 + 0.5e-2, 1e-2)
+        loop = [estimate_via_normal_equations(problem, psol.x, np.array([t]), w) for t in ts]
+        best = int(np.argmin(loop))
+        xi_star, rho_star = estimate_on_grid(problem, psol.x, w, xi1 - 1.0, xi1 + 1.0, 1e-2)
+        assert xi_star == ts[best]
+        assert rho_star == pytest.approx(loop[best], rel=1e-12)
 
 
 class TestNormalEquationsOracle:

@@ -125,6 +125,12 @@ class TestConditionedMatrix:
         B = gen_conditioned_matrix(5, 12, 100.0, seed=4)
         assert sla.svdvals(B)[0] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("s", [0, 1, 3])
+    def test_invalid_kappa_raises_at_every_s(self, s):
+        for kappa in (-5.0, 0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="kappa must be finite and >= 1"):
+                gen_conditioned_matrix(s, 3, kappa, 0)
+
 
 class TestGenInstance:
     def test_orthogonal_factor_preserves_nominal_kappa(self):
