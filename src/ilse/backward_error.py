@@ -60,7 +60,8 @@ kind into the single row a [0 | u^T], a = h |xi|/theta2. So
 for an orthonormal Q built from Q0, the rotations, the reflection and the
 stack's own Q_T. This R_full has C C^T (rows reordered) as its Gram matrix,
 hence C's singular values, the same rank test and tau(xi). Stage two, per
-xi, is the Householder QR of the (2n+1) x n stack, so each rho costs
+xi, is the Householder QR of the (2n+1) x n stack, which sees xi only
+through t = |xi|/theta2 (c = hypot(|r_y|, t), a = h t), so each rho costs
 O(n^3) whatever m and s are. Both stages sort their rows by decreasing
 largest magnitude first (_sorted_rows). Solving R_full^T v = (e, rhs_top),
 e = d - B y, by blocks gives v1 = e/rb and R_T^T v2 = w with
@@ -74,23 +75,24 @@ into a private, read-only context (_Context, which tells how it is cached
 and why that is safe): u and |y|, |r_y|, S r_y, A^T S r_y, e, the
 stage-one row order, geqrf's output on the sorted rows (R0 and the
 reflectors of Q0), the n x (2n+1) [R0^T, I_n - u u^T, u], rb, k and h,
-the stage-two geqrf workspace size, and alpha; the unsorted blocks are
-not kept. Each public function validates y and xi, looks the context up
-once, and hands it to the kernel.
+the stage-two geqrf workspace size, alpha and |C(0)|_F^2; the unsorted
+blocks are not kept. Each public function validates y and xi, looks the
+context up once, and hands it to the kernel.
 
 One kernel, _min_norm_factor(ctx, xi), evaluates rho for
-backward_error_estimate and min_norm_perturbation. Per xi it scales the
-columns of [R0^T, I_n - u u^T, u] by (1, c, a), gathers the sorted rows of
-its transpose into one Fortran-ordered buffer, factors that buffer in
-place with LAPACK geqrf (_stage_two_factor), and solves R_T^T v2 = w with
-trtrs. The rank test needs sigma_min and sigma_max of R_full, and a
-certified pre-test replaces the SVD where it can: sigma_min >=
-min(alpha, 1/theta3) at every xi (pinv_norm_bound), and sigma_max <=
-|R_full|_F = sqrt(s beta + |X|_F^2 + |R_T|_F^2). When the first exceeds
-100 RANK_RTOL times the second, sigma_min > RANK_RTOL sigma_max holds; the
-factor 100 (PRETEST_MARGIN) absorbs the rounding in alpha and R_T. Else
-the SVD of the assembled R_full decides, and a RankDeficiencyError
-carries its sigma_min.
+backward_error_estimate and min_norm_perturbation. Per xi it forms t once,
+scales the columns of [R0^T, I_n - u u^T, u] by (1, c, a), gathers the
+sorted rows of its transpose into one Fortran-ordered buffer, factors that
+buffer in place with LAPACK geqrf (_stage_two_factor), and solves
+R_T^T v2 = w with trtrs. The rank test needs sigma_min and sigma_max of C,
+and a certified pre-test replaces the SVD where it can: sigma_min >=
+min(alpha, 1/theta3) at every xi (pinv_norm_bound), and sigma_max <= |C|_F
+with |C(xi)|_F^2 = |C(0)|_F^2 + n t^2, since the block -u xi^T/theta2 adds
+t^2 and c (I - u u^T) adds (n-1) t^2. When the first exceeds 100 RANK_RTOL
+times the second, sigma_min > RANK_RTOL sigma_max holds; the factor 100
+(PRETEST_MARGIN) absorbs the rounding in alpha and |C(0)|_F. Else the SVD
+of the assembled R_full decides, and a RankDeficiencyError carries its
+sigma_min.
 
 min_norm_perturbation maps the minimum-norm solution back through the same
 factor: Q_T (orgqr on the stack) takes v2 to the stack's rows, the folded
@@ -109,7 +111,7 @@ import math
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dlantr, dorgqr, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr, dtrtrs
 
 from . import solver
 from .core import (
@@ -191,21 +193,12 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _unit_direction(y: np.ndarray) -> tuple[np.ndarray, float]:
-    """u = y/|y| (e_1 when y = 0) and |y|."""
-    y_norm = float(np.linalg.norm(y))
-    if y_norm > 0.0:
-        return y / y_norm, y_norm
-    u = np.zeros(y.shape[0])
-    u[0] = 1.0
-    return u, y_norm
-
-
 def _multiplier_free_blocks(problem: IlseProblem, y: np.ndarray, w: WeightScheme):
     """u, |y|, r_y, S r_y and the n x 2m block [u (S r_y)^T - |y| A^T S, A^T S/theta1]
     of C that does not depend on xi, whose transpose stage one factors."""
     m, n = problem.m, problem.n
-    u, y_norm = _unit_direction(y)
+    y_norm = float(np.linalg.norm(y))
+    u = y / y_norm if y_norm > 0.0 else np.eye(1, n)[0]
     r_y = problem.residual(y)
     sr = apply_signature(problem.sig, r_y)
     AtS = apply_signature(problem.sig, problem.A).T
@@ -247,7 +240,9 @@ class _Context:
     per-xi scales c and a. rb = sqrt(beta), k = (|y|/theta2)/rb and
     h = (1/theta3)/rb eliminate the multiplier rows (module docstring);
     k^2 + h^2 = 1. alpha is sigma_min of the stack's factor at xi = 0, and
-    the rank pre-test's bound min(alpha, 1/theta3) (module docstring).
+    the rank pre-test's bound min(alpha, 1/theta3); fro0_sq = |C(0)|_F^2 =
+    s beta + |R_T(0)|_F^2 from the same factor, to which each xi adds n t^2
+    (module docstring).
 
     A context is read-only once built: __init__ sets every attribute,
     alpha included, and makes the arrays unwriteable. _context caches the
@@ -261,7 +256,7 @@ class _Context:
     """
 
     __slots__ = ("problem", "w", "y_bytes", "u", "y_norm", "r_norm", "sr", "AtSr", "e",
-                 "order0", "qr0", "tau0", "top", "rb", "k", "h", "lwork", "alpha")
+                 "order0", "qr0", "tau0", "top", "rb", "k", "h", "lwork", "alpha", "fro0_sq")
 
     def __init__(self, problem: IlseProblem, y: np.ndarray, w: WeightScheme):
         m, n = problem.m, problem.n
@@ -284,8 +279,9 @@ class _Context:
         self.rb = math.hypot(self.y_norm / w.theta2, 1.0 / w.theta3)
         self.k, self.h = self.y_norm / w.theta2 / self.rb, 1.0 / w.theta3 / self.rb
         self.lwork = int(dgeqrf_lwork(2 * n + 1, n)[0])
-        qr = _stage_two_factor(self, np.zeros(problem.s))[1]
-        self.alpha = float(sla.svdvals(np.triu(qr[:n]))[-1])
+        R = np.triu(_stage_two_factor(self, 0.0)[1][:n])
+        self.alpha = float(sla.svdvals(R)[-1])
+        self.fro0_sq = problem.s * self.rb * self.rb + float(np.vdot(R, R))
         for a in (self.u, self.sr, self.AtSr, self.e, self.order0, self.qr0, self.tau0, self.top):
             a.flags.writeable = False
 
@@ -304,14 +300,13 @@ def _context(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> _Context:
     return ctx
 
 
-def _stage_two_stack(ctx: _Context, xi: np.ndarray):
+def _stage_two_stack(ctx: _Context, t: float):
     """(order, the stage-two stack with its rows sorted by _sorted_rows, c):
     row i of the Fortran-ordered (2n+1) x n matrix is row order[i] of
-    [R0; c (I - u u^T); a u^T], with c = hypot(|r_y|, |xi|/theta2) and
-    a = h |xi|/theta2, so geqrf factors it in place.
+    [R0; c (I - u u^T); a u^T] at t = |xi|/theta2, c = hypot(|r_y|, t) and
+    a = h t, so geqrf factors it in place. The stack sees xi only through t.
     """
     n = ctx.problem.n
-    t = _norm(xi) / ctx.w.theta2
     c = math.hypot(ctx.r_norm, t)
     scale = np.ones(2 * n + 1)
     scale[n:2 * n] = c
@@ -320,10 +315,10 @@ def _stage_two_stack(ctx: _Context, xi: np.ndarray):
     return order, stack, c
 
 
-def _stage_two_factor(ctx: _Context, xi: np.ndarray):
-    """(order, qr, tau, c): _stage_two_stack(ctx, xi) with geqrf's output on
+def _stage_two_factor(ctx: _Context, t: float):
+    """(order, qr, tau, c): _stage_two_stack(ctx, t) with geqrf's output on
     the stack, factored in place; the one QR of the stage-two stack."""
-    order, stack, c = _stage_two_stack(ctx, xi)
+    order, stack, c = _stage_two_stack(ctx, t)
     qr, tau, _, _ = dgeqrf(stack, lwork=ctx.lwork, overwrite_a=1)
     return order, qr, tau, c
 
@@ -340,12 +335,6 @@ def _full_factor(ctx: _Context, xi: np.ndarray, R: np.ndarray) -> np.ndarray:
     return F
 
 
-def _frobenius_norm(ctx: _Context, xi: np.ndarray, R: np.ndarray) -> float:
-    """|R_full|_F in closed form from the upper triangle of R = R_T."""
-    x_fro = ctx.k * (_norm(xi) / ctx.w.theta2)  # |X|_F
-    return math.hypot(math.hypot(math.sqrt(xi.shape[0]) * ctx.rb, x_fro), dlantr("F", R, uplo="U"))
-
-
 def _require_full_row_rank(svals: np.ndarray) -> None:
     if svals[0] == 0.0 or svals[-1] <= RANK_RTOL * svals[0]:
         raise RankDeficiencyError(
@@ -355,12 +344,14 @@ def _require_full_row_rank(svals: np.ndarray) -> None:
         )
 
 
-def _certainly_full_rank(ctx: _Context, xi: np.ndarray, R: np.ndarray) -> bool:
-    """The rank pre-test on R_full, given R_T in the upper triangle of R:
-    True only when the uniform bound sigma_min >= min(alpha, 1/theta3)
-    exceeds PRETEST_MARGIN * RANK_RTOL * |R_full|_F >= PRETEST_MARGIN *
-    RANK_RTOL * sigma_max, so that the singular-value test would pass too."""
-    return min(ctx.alpha, 1.0 / ctx.w.theta3) > PRETEST_MARGIN * RANK_RTOL * _frobenius_norm(ctx, xi, R)
+def _certainly_full_rank(ctx: _Context, t: float) -> bool:
+    """The rank pre-test at t = |xi|/theta2: True only when the uniform bound
+    sigma_min >= min(alpha, 1/theta3) exceeds PRETEST_MARGIN * RANK_RTOL *
+    |C|_F >= PRETEST_MARGIN * RANK_RTOL * sigma_max, with
+    |C|_F^2 = |C(0)|_F^2 + n t^2, so that the singular-value test would
+    pass too."""
+    fro = math.sqrt(ctx.fro0_sq + ctx.problem.n * t * t)
+    return min(ctx.alpha, 1.0 / ctx.w.theta3) > PRETEST_MARGIN * RANK_RTOL * fro
 
 
 def _min_norm_factor(ctx: _Context, xi: np.ndarray):
@@ -372,10 +363,10 @@ def _min_norm_factor(ctx: _Context, xi: np.ndarray):
     Returns (order, qr, tau, v1, v2, c): _stage_two_factor's output with v1
     and v2; min_norm_perturbation maps z back with them.
     """
-    order, qr, tau, c = _stage_two_factor(ctx, xi)
-    R = qr[:qr.shape[1]]
-    if not _certainly_full_rank(ctx, xi, R):
-        _require_full_row_rank(sla.svdvals(_full_factor(ctx, xi, R)))
+    t = _norm(xi) / ctx.w.theta2
+    order, qr, tau, c = _stage_two_factor(ctx, t)
+    if not _certainly_full_rank(ctx, t):
+        _require_full_row_rank(sla.svdvals(_full_factor(ctx, xi, qr)))
     v1 = ctx.e / ctx.rb
     # w = B^T xi - A^T S r_y + y (xi.e)/(theta2^2 beta), in the original basis.
     w = ctx.problem.B.T @ xi - ctx.AtSr + (ctx.k * (xi @ v1) / ctx.w.theta2) * ctx.u
@@ -470,7 +461,10 @@ def stability_constant_lower_bound(
     computed without the context that alpha comes from."""
     y = _check_candidate(problem, y)
     r_norm = float(np.linalg.norm(problem.residual(y)))
-    return r_norm / math.sqrt(1.0 + w.theta1**2 * float(y @ y))
+    try:
+        return r_norm / math.sqrt(1.0 + w.theta1**2 * float(y @ y))
+    except OverflowError:  # theta1**2 is out of range; theta1 |y| need not be
+        return r_norm / math.hypot(1.0, w.theta1 * float(np.linalg.norm(y)))
 
 
 def pinv_norm_bound(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> float:
@@ -556,7 +550,10 @@ def backward_error_bounds(
     rho1 = try_rho(xi1)
     rho0 = try_rho(_check_multiplier(problem, xi0)) if xi0 is not None else None
 
-    scale = math.sqrt(1.0 / w.theta1**2 + float(y @ y))
+    try:
+        scale = math.sqrt(1.0 / w.theta1**2 + float(y @ y))
+    except (OverflowError, ZeroDivisionError):  # theta1**2 is out of range
+        scale = math.hypot(1.0 / w.theta1, float(np.linalg.norm(y)))
     # A NaN rho that did not raise (overflow, say) voids the bounds as r_y = 0 does.
     applicable = not (r_zero or math.isnan(rho1))
     condition = applicable and 4.0 * tau0 * rho1 * scale < 1.0

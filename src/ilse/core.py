@@ -240,14 +240,20 @@ class PerturbationQuadruple:
 def weighted_perturbation_norm(pert: PerturbationQuadruple, w: WeightScheme) -> float:
     """Frobenius norm of the weighted block matrix [E, theta1*f; theta2*F, theta3*g].
 
-    Equals sqrt(|E|_F^2 + theta1^2 |f|^2 + theta2^2 |F|_F^2 + theta3^2 |g|^2).
+    Equals sqrt(|E|_F^2 + theta1^2 |f|^2 + theta2^2 |F|_F^2 + theta3^2 |g|^2),
+    taken as the hypot of the weighted block norms when a weight's square is
+    out of range.
     """
-    return math.sqrt(
-        np.sum(pert.E**2)
-        + w.theta1**2 * np.sum(pert.f**2)
-        + w.theta2**2 * np.sum(pert.F**2)
-        + w.theta3**2 * np.sum(pert.g**2)
-    )
+    try:
+        return math.sqrt(
+            np.sum(pert.E**2)
+            + w.theta1**2 * np.sum(pert.f**2)
+            + w.theta2**2 * np.sum(pert.F**2)
+            + w.theta3**2 * np.sum(pert.g**2)
+        )
+    except OverflowError:
+        E, f, F, g = (float(np.linalg.norm(a)) for a in (pert.E, pert.f, pert.F, pert.g))
+        return math.hypot(E, w.theta1 * f, w.theta2 * F, w.theta3 * g)
 
 
 def perturbed_problem(problem: IlseProblem, pert: PerturbationQuadruple) -> IlseProblem:

@@ -318,8 +318,10 @@ def _rank_threshold_cases(fam, suite):
     """The _linearization_cases, then cases around the rank threshold:
     candidates at kappa_A in {1e2, 1e8}, kappa_B = 1e8 and eps = 1e-12 with
     the least-squares multiplier scaled by 1, 1e3, 1e6 and 1e9, which takes
-    sigma_min/sigma_max of C from about 1e-5 to below 1e-20; and y = 0 with
-    b = 0, so r_y = 0, at the zero and at a Gaussian multiplier."""
+    sigma_min/sigma_max of C from about 1e-5 to below 1e-20; y = 0 with
+    b = 0, so r_y = 0, at the zero and at a Gaussian multiplier; and a
+    candidate at xi = 0 with theta3 = 1e-3, where sigma_min(C) = min(alpha, rb)
+    is alpha < 1/theta3, so the row's bound check meets alpha itself."""
     yield from _linearization_cases(fam, suite)
     rng = _philox(fam.aux_seed(suite, 1))
     for k, ka in enumerate((1e2, 1e2, 1e2, 1e8, 1e8, 1e8)):
@@ -336,6 +338,8 @@ def _rank_threshold_cases(fam, suite):
         )
         yield problem, np.zeros(n), np.zeros(s), WeightScheme()
         yield problem, np.zeros(n), rng.standard_normal(s), WeightScheme()
+    problem, _, _, psol = solved_case(fam.params(suite), 1e-6, fam.instance_seed(suite, 200))
+    yield problem, psol.x, np.zeros(problem.s), WeightScheme(theta3=1e-3)
 
 
 def _random_weight_cases(fam, suite):
@@ -538,7 +542,7 @@ def compressed_matches_kron(case):
 
 @_row(
     "estimate: rank pre-test agrees with the SVD test",
-    Family(_rank_threshold_cases, count=42, seed=1500, aux=1550, dims=TINY),
+    Family(_rank_threshold_cases, count=43, seed=1500, aux=1550, dims=TINY),
     summary=lambda accepted: f"pre-test skipped the SVD in {int(sum(accepted))} of {len(accepted)}",
 )
 def rank_pretest(case):
@@ -547,9 +551,9 @@ def rank_pretest(case):
     pre-test accepts full row rank, the singular-value test accepts it too."""
     problem, y, xi, w = case
     ctx = be._context(problem, y, w)
-    R = be._stage_two_factor(ctx, xi)[1][:problem.n]
-    accepted = be._certainly_full_rank(ctx, xi, R)
-    svals = sla.svdvals(be._full_factor(ctx, xi, R))
+    t = np.linalg.norm(xi) / w.theta2
+    accepted = be._certainly_full_rank(ctx, t)
+    svals = sla.svdvals(be._full_factor(ctx, xi, be._stage_two_factor(ctx, t)[1]))
     if not svals[-1] >= min(ctx.alpha, 1.0 / w.theta3) - be.RANK_RTOL * svals[0]:
         return Outcome(False, f"sigma_min {svals[-1]:.3e} below min(alpha, 1/theta3)", float(accepted))
     try:

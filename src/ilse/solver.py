@@ -62,8 +62,9 @@ def check_well_posedness(problem: IlseProblem) -> WellPosednessReport:
 
     The rank test compares the s-th singular value of B against
     rank_tolerance * sigma_max(B) with rank_tolerance = max(s, n) * eps.
-    The null-space basis Z is taken from the full orthogonal
-    factorization of B^T (last n-s columns of Q), and the projected
+    One full orthogonal factorization B^T = Q R serves both tests: the
+    singular values are those of the s x s triangle R, the null-space
+    basis Z is the last n-s columns of Q, and the projected
     matrix Z^T A^T S A Z must have smallest eigenvalue above
     pd_tolerance = eps * |A^T S A|_2. Always returns a report; nothing is
     raised here.
@@ -84,9 +85,9 @@ def check_well_posedness(problem: IlseProblem) -> WellPosednessReport:
         rank_ok = True
         Z = np.eye(n)
     else:
-        sv = sla.svdvals(B)
+        Q, R = sla.qr(B.T, mode="full")
+        sv = sla.svdvals(R[:s])
         rank_ok = bool(sv[0] > 0.0 and sv[s - 1] > rank_tolerance * sv[0])
-        Q, _ = sla.qr(B.T, mode="full")
         Z = Q[:, s:]
 
     M = A.T @ apply_signature(sig, A)

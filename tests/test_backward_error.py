@@ -135,7 +135,7 @@ class TestEstimate:
             sig=SignatureMatrix(1, 1),
         )
         ctx, xi = be._context(problem, np.zeros(1), unit_weights), np.zeros(1)
-        R_full = be._full_factor(ctx, xi, be._stage_two_factor(ctx, xi)[1])
+        R_full = be._full_factor(ctx, xi, be._stage_two_factor(ctx, 0.0)[1])
         assert sla.svdvals(R_full)[-1] == pytest.approx(1e-17, rel=1e-12)
         with pytest.raises(RankDeficiencyError) as excinfo:
             backward_error_estimate(problem, np.zeros(1), np.zeros(1), unit_weights)
@@ -170,7 +170,7 @@ class TestStageTwoFactor:
         # [R0; c (I - u u^T); a u^T], as the module docstring writes it.
         natural = np.vstack([np.triu(ctx.qr0[:n]), c * (np.eye(n) - np.outer(u, u)), a * u])
 
-        order, stack, c_stack = be._stage_two_stack(ctx, xi)
+        order, stack, c_stack = be._stage_two_stack(ctx, t)
         assert c_stack == c
         assert stack.flags.f_contiguous and stack.shape == (2 * n + 1, n)
         assert np.array_equal(stack, natural[order])
@@ -194,11 +194,16 @@ class TestStageTwoFactor:
 
     @pytest.mark.parametrize("name", CASES)
     def test_closed_form_frobenius_norms(self, name):
-        problem, y, xi, w = self.case(name)
+        # |C(xi)|_F^2 = |C(0)|_F^2 + n t^2 against the dense R_full and J,
+        # whose Frobenius norms are |C|_F since J J^T = C C^T.
+        problem, y, xi0, w = self.case(name)
         ctx = be._context(problem, y, w)
-        R = be._min_norm_factor(ctx, xi)[1][:problem.n]
-        fro = be._frobenius_norm(ctx, xi, R)
-        assert fro == pytest.approx(np.linalg.norm(be._full_factor(ctx, xi, R)), rel=1e-12)
+        for xi in (xi0, 1e6 * xi0):
+            t = np.linalg.norm(xi) / w.theta2
+            fro = math.sqrt(ctx.fro0_sq + problem.n * t * t)
+            R_full = be._full_factor(ctx, xi, be._stage_two_factor(ctx, t)[1])
+            assert fro == pytest.approx(np.linalg.norm(R_full), rel=1e-12)
+            assert fro == pytest.approx(np.linalg.norm(linearization_matrix(problem, y, xi, w)), rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -361,12 +366,14 @@ class TestBackwardErrorBounds:
         assert report.bounds_applicable
 
     def test_zero_residual_marks_bounds_inapplicable(self, unit_weights):
-        report = backward_error_bounds(residual_free_problem(), np.array([0.5]), unit_weights)
-        assert not report.bounds_applicable
-        assert report.mu_upper is None
-        assert report.mu_lower is None
-        assert not report.small_rho_condition
-        assert report.alpha_lower == 0.0
+        # theta1**2 underflows to 0 at theta1 = 1e-200, which the report's scale divides by.
+        for w in (unit_weights, WeightScheme(theta1=1e-200)):
+            report = backward_error_bounds(residual_free_problem(), np.array([0.5]), w)
+            assert not report.bounds_applicable
+            assert report.mu_upper is None
+            assert report.mu_lower is None
+            assert not report.small_rho_condition
+            assert report.alpha_lower == 0.0
 
     def test_never_builds_the_dense_linearization(self, monkeypatch):
         def forbidden(*args, **kwargs):

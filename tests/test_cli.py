@@ -180,6 +180,20 @@ class TestBackwardError:
         assert code == 0
         assert json.loads(out)["tau0"] == 10.0
 
+    def test_weight_whose_square_overflows(self, capsys, tmp_path, t1, t1_bundle):
+        # theta1**2 is out of range; alpha_lower = |r_y| / sqrt(1 + theta1^2 |y|^2) is not.
+        yfile = tmp_path / "y"
+        write_vector(yfile, np.array([0.1]))
+        code, out, err = run_cli(
+            capsys, "backward-error", "--problem", str(t1_bundle), "--y", str(yfile),
+            "--theta1", "1e200",
+        )
+        assert code == 0 and err == ""
+        payload = strict_json(out)
+        expected = np.linalg.norm(t1.residual(np.array([0.1]))) / (1e200 * 0.1)
+        assert payload["alpha_lower"] == pytest.approx(expected, rel=1e-15)
+        assert payload["bounds_applicable"] is True and payload["mu_lower"] > 0.0
+
 
 class TestGen:
     def test_gen_without_constraints_then_solve(self, capsys, tmp_path):
@@ -258,6 +272,15 @@ class TestExperiment:
         flags = set(vars(cli.build_parser().parse_args(["experiment"])))
         flags -= {"command", "config", "out", "theta1", "theta2", "theta3"}
         assert flags <= {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+
+    def test_weight_whose_square_overflows(self, capsys):
+        code, out, err = run_cli(capsys, "experiment", "--m", "12", "--n", "6", "--s", "3", "--p", "7",
+                                 "--q", "5", "--kappa-a", "100", "--kappa-b", "100", "--eps", "1e-6",
+                                 "--theta1", "1e160", "--format", "json")
+        assert code == 0 and err == ""
+        rows = strict_json(out)["rows"]
+        assert rows and not any(row["failed"] for row in rows)
+        assert all(row[key] is not None for row in rows for key in ("rho_xi1", "rho_xi0", "tau0"))
 
     def test_markdown_format(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGS, "--format", "markdown")

@@ -58,6 +58,11 @@ class TestWeightedPerturbationNorm:
         pert = PerturbationQuadruple(E=E, f=f, F=np.zeros((1, 2)), g=np.zeros(1))
         assert weighted_perturbation_norm(pert, unit_weights) == pytest.approx(math.sqrt(5.0))
 
+    def test_weight_whose_square_overflows(self):
+        f = np.array([3e-100, 4e-100])
+        pert = PerturbationQuadruple(E=np.ones((2, 2)), f=f, F=np.zeros((1, 2)), g=np.zeros(1))
+        assert weighted_perturbation_norm(pert, WeightScheme(theta1=1e200)) == pytest.approx(5e100)
+
     def test_invalid_weights(self):
         with pytest.raises(ValueError):
             WeightScheme(0.0, 1.0, 1.0)
