@@ -462,9 +462,13 @@ def stability_constant_lower_bound(
     y = _check_candidate(problem, y)
     r_norm = float(np.linalg.norm(problem.residual(y)))
     try:
-        return r_norm / math.sqrt(1.0 + w.theta1**2 * float(y @ y))
-    except OverflowError:  # theta1**2 is out of range; theta1 |y| need not be
-        return r_norm / math.hypot(1.0, w.theta1 * float(np.linalg.norm(y)))
+        total = 1.0 + w.theta1**2 * float(y @ y)
+    except OverflowError:  # theta1**2 is out of range
+        total = math.inf
+    if math.isfinite(total):
+        return r_norm / math.sqrt(total)
+    # theta1 |y| can be in range where its square is not
+    return r_norm / math.hypot(1.0, w.theta1 * float(np.linalg.norm(y)))
 
 
 def pinv_norm_bound(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> float:

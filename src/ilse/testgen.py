@@ -15,10 +15,12 @@ generator is a pure, bitwise-reproducible function of its arguments.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import dgemm
 
 from .core import GenerationError, IlseProblem, PerturbationQuadruple, SignatureMatrix
 from .solver import check_well_posedness
@@ -68,12 +70,17 @@ class GenParams:
     hyper_bound: float = 1.0
 
     def __post_init__(self):
+        for name in ("m", "n", "s", "p", "q"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name, least in (("n", 1), ("s", 0), ("p", 0), ("q", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        for name in ("kappa_a", "kappa_b", "hyper_bound"):
+        for name in ("kappa_a", "kappa_b"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _check_hyper_bound(self.hyper_bound)
         if self.p + self.q != self.m:
             raise ValueError(f"p + q must equal m: {self.p} + {self.q} != {self.m}")
         if self.m < self.n:
@@ -82,14 +89,29 @@ class GenParams:
             raise ValueError(f"need s <= n, got s={self.s}, n={self.n}")
         if self.kappa_a < 1.0 or self.kappa_b < 1.0:
             raise ValueError("condition targets must be >= 1")
-        if self.hyper_bound < 0.0:
-            raise ValueError("hyper_bound must be >= 0")
+
+
+def _check_hyper_bound(hyper_bound: float) -> None:
+    if not 0.0 <= hyper_bound < math.inf:
+        raise ValueError(f"hyper_bound must be finite and >= 0, got {hyper_bound}")
 
 
 def gen_random_orthogonal(n: int, seed: int) -> np.ndarray:
     """Random n x n orthogonal matrix: n-1 Gaussian Householder reflectors
-    applied to the identity. Reflector k takes the next n - k Gaussians of
-    the stream, drawn for several reflectors at a time."""
+    applied to the identity (Stewart, SIAM J. Numer. Anal. 1980). Reflector
+    k takes the next n - k Gaussians of the stream, drawn for several
+    reflectors at a time.
+
+    Each reflector's rank-one update rows -= v g^T, with g = (2/vv) rows^T v,
+    is one in-place dgemm of inner dimension 1 on rows^T. With K = 1 every
+    entry gets one rounded product v_i g_j, an exact negation and one
+    rounded addition: the arithmetic of numpy's outer product and
+    subtraction, so the bits do not depend on which BLAS is linked. The
+    gemv v^T rows stays on numpy, whose summation order the bits do depend
+    on. f2py silently copies a `c` that is not Fortran-contiguous, and the
+    update is then lost; rows = Q[k:] is a block of whole rows of the
+    C-ordered Q, so rows.T is always Fortran-contiguous.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = _rng(seed)
@@ -105,11 +127,15 @@ def gen_random_orthogonal(n: int, seed: int) -> np.ndarray:
         v = draws[start:start + n - k]
         start += n - k
         v[0] += math.copysign(math.sqrt(v.dot(v)), v[0])  # sign choice avoids cancellation
-        vv = float(v @ v)
+        vv = v.dot(v)
         if vv == 0.0:
             continue
         rows = Q[k:]
-        rows -= v[:, None] * ((2.0 / vv) * (v @ rows))
+        g = v.dot(rows)
+        g *= 2.0 / vv
+        # rows^T += -1 g v^T + 1 rows^T, in place; the flags trans_a = 0,
+        # trans_b = 0, overwrite_c = 1 are positional, which f2py parses faster.
+        dgemm(-1.0, g[:, None], v[None, :], 1.0, rows.T, 0, 0, 1)
     return Q
 
 
@@ -126,6 +152,7 @@ def gen_sigma_orthogonal(p: int, q: int, seed: int, hyper_bound: float = 1.0) ->
     """
     if p < 0 or q < 0:
         raise ValueError("p and q must be nonnegative")
+    _check_hyper_bound(hyper_bound)
     m = p + q
 
     def block(seed_p, seed_q):

@@ -301,6 +301,15 @@ class TestStabilityLowerBound:
             residual_free_problem(), np.array([0.5]), unit_weights
         ) == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_weighted_candidate_whose_square_overflows(self):
+        # theta1**2 = 1e300 is finite; theta1**2 |y|^2 = 6e320 is not.
+        problem, _, _, _ = properties.solved_case(properties.TINY, 1e-6, 0)
+        y = np.full(problem.n, 1e10)
+        expected = np.linalg.norm(problem.residual(y)) / (1e150 * np.linalg.norm(y))
+        got = stability_constant_lower_bound(problem, y, WeightScheme(theta1=1e150))
+        assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
 
 class TestPinvNormBound:
     def test_t1_value(self, t1, unit_weights):

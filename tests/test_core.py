@@ -63,6 +63,16 @@ class TestWeightedPerturbationNorm:
         pert = PerturbationQuadruple(E=np.ones((2, 2)), f=f, F=np.zeros((1, 2)), g=np.zeros(1))
         assert weighted_perturbation_norm(pert, WeightScheme(theta1=1e200)) == pytest.approx(5e100)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weight, block", [("theta1", "f"), ("theta2", "F"), ("theta3", "g")])
+    def test_weighted_block_whose_square_overflows(self, weight, block):
+        # theta**2 = 1e300 is finite; its product with the block's 1e20 is not.
+        blocks = dict(E=np.ones((2, 2)), f=np.zeros(2), F=np.zeros((2, 2)), g=np.zeros(2))
+        blocks[block].flat[:2] = [6e9, 8e9]
+        pert = PerturbationQuadruple(**blocks)
+        got = weighted_perturbation_norm(pert, WeightScheme(**{weight: 1e150}))
+        assert got == pytest.approx(1e160, rel=1e-15)
+
     def test_invalid_weights(self):
         with pytest.raises(ValueError):
             WeightScheme(0.0, 1.0, 1.0)

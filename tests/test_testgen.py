@@ -32,6 +32,11 @@ class TestSigmaOrthogonal:
         S = np.diag([1.0, -1.0])
         assert np.max(np.abs(H.T @ S @ H - S)) <= 1e-15
 
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0])
+    def test_invalid_hyper_bound_is_named(self, bound):
+        with pytest.raises(ValueError, match="hyper_bound must be finite and >= 0"):
+            gen_sigma_orthogonal(3, 2, seed=0, hyper_bound=bound)
+
     def test_orthogonal_when_no_rotations(self):
         Q = gen_sigma_orthogonal(3, 2, seed=1, hyper_bound=0.0)
         assert np.max(np.abs(Q.T @ Q - np.eye(5))) <= 1e-13 * 5
@@ -66,7 +71,9 @@ class TestRandomOrthogonal:
         with pytest.raises(ValueError):
             gen_random_orthogonal(0, seed=1)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 40, 50, 60, 100, 200])
+    # 257 is odd; 400, 500 and 600 are solve_stream's factor sizes, one seed
+    # each to keep the suite's time down.
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 40, 50, 60, 100, 200, 257, 400, 500, 600])
     def test_bitwise_equal_to_the_reflector_loop(self, n):
         # The literal loop the generator replaced: one draw per reflector,
         # np.linalg.norm and an np.outer update. The seeded instances of
@@ -84,7 +91,7 @@ class TestRandomOrthogonal:
                 Q[k:, :] -= np.outer(v, (2.0 / vv) * (v @ Q[k:, :]))
             return Q
 
-        for seed in (0, 1, 7, 2**63 + 5, 20240901):
+        for seed in (0, 1, 7, 2**63 + 5, 20240901) if n <= 200 else (20240901,):
             assert gen_random_orthogonal(n, seed).tobytes() == reference(n, seed).tobytes()
 
 
@@ -209,6 +216,26 @@ class TestGenInstance:
         with pytest.raises(ValueError) as excinfo:
             GenParams(**dims, kappa_a=2.0, kappa_b=2.0, seed=0)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("dims, message", [
+        (dict(m=12.5, n=6, s=3, p=7.5, q=5), "m must be an integer, got 12.5"),
+        (dict(m=12, n=6.0, s=3, p=7, q=5), "n must be an integer, got 6.0"),
+        (dict(m=12, n=6, s=True, p=7, q=5), "s must be an integer, got True"),
+        (dict(m=12, n=6, s=3, p=np.float64(7.0), q=5), "p must be an integer, got np.float64(7.0)"),
+        (dict(m=12, n=6, s=3, p=7, q="5"), "q must be an integer, got '5'"),
+    ])
+    def test_non_integer_dimension_is_named(self, dims, message):
+        with pytest.raises(ValueError) as excinfo:
+            GenParams(**dims, kappa_a=2.0, kappa_b=2.0, seed=0)
+        assert str(excinfo.value) == message
+
+    def test_numpy_integer_dimensions(self):
+        dims = dict(m=12, n=6, s=3, p=7, q=5)
+        plain, _ = gen_ilse_instance(GenParams(**dims, kappa_a=30.0, kappa_b=20.0, seed=9))
+        numpy_dims = {k: np.int64(v) for k, v in dims.items()}
+        problem, _ = gen_ilse_instance(GenParams(**numpy_dims, kappa_a=30.0, kappa_b=20.0, seed=9))
+        for name in ("A", "b", "B", "d"):
+            assert getattr(problem, name).tobytes() == getattr(plain, name).tobytes()
 
 
 class TestGenPerturbation:
