@@ -122,6 +122,7 @@ def _cmd_solve(args) -> int:
             float(np.linalg.norm(r2)),
         ],
         "min_projected_eig": report.min_projected_eig,
+        "pd_tolerance": report.pd_tolerance,
     }
     print(harness.to_json(payload))
     return 0

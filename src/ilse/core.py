@@ -242,21 +242,33 @@ def weighted_perturbation_norm(pert: PerturbationQuadruple, w: WeightScheme) -> 
 
     Equals sqrt(|E|_F^2 + theta1^2 |f|^2 + theta2^2 |F|_F^2 + theta3^2 |g|^2),
     taken as the hypot of the weighted block norms when that sum is out of
-    range (a weight's square, or its product with a block's, overflows).
+    range (a weight's square, a block's squares, or their product
+    overflows). Each block norm is then taken scaled by the block's largest
+    magnitude, so the result is inf only where the norm itself is.
     """
     try:
-        total = (
-            float(np.sum(pert.E**2))
-            + w.theta1**2 * float(np.sum(pert.f**2))
-            + w.theta2**2 * float(np.sum(pert.F**2))
-            + w.theta3**2 * float(np.sum(pert.g**2))
-        )
+        with np.errstate(over="ignore"):
+            total = (
+                float(np.sum(pert.E**2))
+                + w.theta1**2 * float(np.sum(pert.f**2))
+                + w.theta2**2 * float(np.sum(pert.F**2))
+                + w.theta3**2 * float(np.sum(pert.g**2))
+            )
     except OverflowError:  # a weight's square
         total = math.inf
     if math.isfinite(total):
         return math.sqrt(total)
-    E, f, F, g = (float(np.linalg.norm(a)) for a in (pert.E, pert.f, pert.F, pert.g))
+    E, f, F, g = (_scaled_norm(a) for a in (pert.E, pert.f, pert.F, pert.g))
     return math.hypot(E, w.theta1 * f, w.theta2 * F, w.theta3 * g)
+
+
+def _scaled_norm(a: np.ndarray) -> float:
+    """|a|_F as big |a / big|_F with big the largest magnitude in a, so no
+    square overflows."""
+    big = float(np.max(np.abs(a), initial=0.0))
+    if big == 0.0 or not math.isfinite(big):
+        return big
+    return big * float(np.linalg.norm(a / big))
 
 
 def perturbed_problem(problem: IlseProblem, pert: PerturbationQuadruple) -> IlseProblem:

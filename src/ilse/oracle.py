@@ -5,9 +5,11 @@ the estimate is recomputed from the dense Kronecker-built J
 (backward_error.linearization_matrix) instead of the compressed C, the
 minimum-norm solve is redone through the normal equations of the
 transposed system, the uniform pseudoinverse bound is recomputed from an
-explicit SVD, and the minimization over multipliers is done numerically
-with a derivative-free method. These paths exist so the closed-form
-routes in backward_error can be cross-checked, never to replace them.
+explicit SVD, the minimization over multipliers is done numerically
+with a derivative-free method, and the well-posedness report is redone
+from a full orthogonal factor and the full spectrum of A^T S A. These
+paths exist so the closed-form and factored routes in backward_error and
+solver can be cross-checked, never to replace them.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .core import (
     OptimizationError,
     RankDeficiencyError,
     WeightScheme,
+    apply_signature,
 )
 from .backward_error import (
     RANK_RTOL,
@@ -31,6 +34,47 @@ from .backward_error import (
     linearization_matrix,
     rhs_vector,
 )
+from .solver import WellPosednessReport
+
+_EPS = np.finfo(float).eps
+
+
+def well_posedness_reference(problem: IlseProblem) -> WellPosednessReport:
+    """The well-posedness report from the full n x n orthogonal factor of
+    B^T and the full spectrum of A^T S A, recomputed on every call.
+
+    Q comes from sla.qr(B^T, mode="full"), Z is its last n-s columns,
+    M = A^T S A is one gemm, and pd_tolerance = eps |M|_2 = eps max |eig(M)|.
+    solver.check_well_posedness states its tolerance as eps |M|_F, which
+    lies between eps |M|_2 and sqrt(n) eps |M|_2, so where min_projected_eig
+    clears the larger tolerance it clears this one too.
+    """
+    A, B, sig = problem.A, problem.B, problem.sig
+    n, s = problem.n, problem.s
+    rank_tolerance = float(max(s, n) * _EPS)
+    if s == 0:
+        rank_ok = True
+        Z = np.eye(n)
+    else:
+        Q, R = sla.qr(B.T, mode="full")
+        sv = sla.svdvals(R[:s])
+        rank_ok = bool(sv[0] > 0.0 and sv[s - 1] > rank_tolerance * sv[0])
+        Z = Q[:, s:]
+    M = A.T @ apply_signature(sig, A)
+    pd_tolerance = float(_EPS * np.max(np.abs(sla.eigvalsh(M))))
+    if Z.shape[1] == 0:
+        min_eig = np.inf
+    else:
+        proj = Z.T @ M @ Z
+        proj = 0.5 * (proj + proj.T)
+        min_eig = float(sla.eigvalsh(proj)[0])
+    return WellPosednessReport(
+        rank_ok=rank_ok,
+        projected_pd_ok=bool(min_eig > pd_tolerance),
+        min_projected_eig=min_eig,
+        rank_tolerance=rank_tolerance,
+        pd_tolerance=pd_tolerance,
+    )
 
 
 def estimate_via_normal_equations(

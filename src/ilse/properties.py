@@ -314,6 +314,30 @@ def _linearization_cases(fam, suite):
         yield problem, y, rng.standard_normal(s), WeightScheme(*np.exp(rng.uniform(-1, 1, size=3)))
 
 
+def _well_posedness_cases(fam, suite):
+    """Generated instances with kappa_A, kappa_B in {1e2, 1e8}; generated
+    instances at s = 0, s = n, q = 0 and p = 0 (with s = n, since a
+    negative definite A^T S A has no well-posed draw otherwise); then
+    Gaussian data at the edge shapes, which are ill posed in some draws
+    (every p = 0 draw with s < n), and Gaussian data whose B repeats a
+    row, which fails the rank test."""
+    dims = fam.params(suite)
+    shapes = [dict(kappa_a=ka, kappa_b=kb) for ka in (1e2, 1e8) for kb in (1e2, 1e8)]
+    shapes += [dict(s=0), dict(s=dims.n), dict(p=dims.m, q=0), dict(s=dims.n, p=0, q=dims.m)]
+    for k, change in enumerate(shapes):
+        yield gen_ilse_instance(replace(dims, seed=fam.instance_seed(suite, k), **change))[0]
+    rng = _philox(fam.aux_seed(suite))
+    for (m, n, s, p, q), _ in _EDGE_SHAPES:
+        yield IlseProblem(
+            A=rng.standard_normal((m, n)), b=rng.standard_normal(m),
+            B=rng.standard_normal((s, n)), d=rng.standard_normal(s), sig=SignatureMatrix(p, q),
+        )
+    B = rng.standard_normal((dims.s, dims.n))
+    B[-1] = B[0]
+    yield IlseProblem(A=rng.standard_normal((dims.m, dims.n)), b=rng.standard_normal(dims.m), B=B,
+                      d=rng.standard_normal(dims.s), sig=SignatureMatrix(dims.p, dims.q))
+
+
 def _rank_threshold_cases(fam, suite):
     """The _linearization_cases, then cases around the rank threshold:
     candidates at kappa_A in {1e2, 1e8}, kappa_B = 1e8 and eps = 1e-12 with
@@ -476,6 +500,38 @@ def normal_equations(problem):
 def solves_repeat(problem):
     a, b = solve_ilse(problem), solve_ilse(problem)
     return Outcome(all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("x", "xi", "r")))
+
+
+@_row(
+    "solver: well-posedness check agrees with the full-Q reference",
+    Family(_well_posedness_cases, count=15, seed=1700, aux=1750, dims=TINY),
+    summary=lambda moves: f"largest min_projected_eig move {max(moves):.2e} of its bound",
+)
+def well_posedness_matches_reference(problem):
+    """Same verdicts as oracle.well_posedness_reference; min_projected_eig
+    within 100 n eps |M|_F + dM of it, and eps |M|_2 <= pd_tolerance <=
+    sqrt(n) eps |M|_2 to within eps dM. dM = 2 m eps |A|_F^2 bounds
+    |M - M'|_F for M = A^T S A formed by dsyrk and by gemm, since each
+    entry of either is within m eps (|A|^T |A|)_ij of the exact one."""
+    got = check_well_posedness(problem)
+    ref = oracle.well_posedness_reference(problem)
+    eps = float(np.finfo(float).eps)
+    m, n = problem.m, problem.n
+    dM = 2 * m * eps * float(np.linalg.norm(problem.A)) ** 2
+    bound = 100 * n * got.pd_tolerance + dM
+    if math.isinf(got.min_projected_eig) or math.isinf(ref.min_projected_eig):
+        move = 0.0 if got.min_projected_eig == ref.min_projected_eig else math.inf
+    else:
+        move = abs(got.min_projected_eig - ref.min_projected_eig) / bound
+    checks = {
+        "rank_ok differs": got.rank_ok == ref.rank_ok,
+        "projected_pd_ok differs": got.projected_pd_ok == ref.projected_pd_ok,
+        "min_projected_eig moved beyond its bound": move <= 1.0,
+        "pd_tolerance outside [eps |M|_2, sqrt(n) eps |M|_2]":
+            ref.pd_tolerance - eps * dM <= got.pd_tolerance
+            <= math.sqrt(n) * (ref.pd_tolerance + eps * dM),
+    }
+    return Outcome(all(checks.values()), ", ".join(k for k, ok in checks.items() if not ok), move)
 
 
 @_row(

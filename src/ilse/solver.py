@@ -9,19 +9,29 @@ with s = S r, r = b - A x and lam = -xi. The coefficient matrix is
 invertible exactly when B has full row rank and A^T S A is positive
 definite on the null space of B.
 
+The check factors B^T = Q R once with LAPACK's geqrf and never forms Q:
+the rank test reads the singular values of the s x s R, and the
+null-space basis Z = Q [0; I] comes from applying the reflectors to the
+last n-s columns of the identity (ormqr). A^T S A is formed once, as two
+symmetric rank-k updates over the p and q row blocks of A, and serves
+both the projection Z^T A^T S A Z and the tolerance eps |A^T S A|_F. The
+well-posedness report is computed once per problem object and kept on
+it.
+
 K is assembled bitwise symmetric, so its C-ordered buffer is also its
 Fortran array: LAPACK's getrf factors it in place and getrs solves with
-the factors. The well-posedness report is computed once per problem
-object and kept on it.
+the factors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
+from scipy.linalg.blas import dgemm, dsymm, dsyrk
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dgetrf, dgetrs, dlantr, dormqr
 
 from .core import (
     IllPosedProblemError,
@@ -42,8 +52,10 @@ class WellPosednessReport:
 
     min_projected_eig is the smallest eigenvalue of Z^T (A^T S A) Z for an
     orthonormal null-space basis Z of B; it is +inf when the null space is
-    trivial. The tolerances used are recorded so the booleans can be
-    re-derived.
+    trivial. projected_pd_ok is min_projected_eig > pd_tolerance, with
+    pd_tolerance = eps |A^T S A|_F; rank_ok compares the s-th singular
+    value of B with rank_tolerance times the largest. The tolerances used
+    are recorded so the booleans can be re-derived.
     """
 
     rank_ok: bool
@@ -57,48 +69,87 @@ class WellPosednessReport:
         return self.rank_ok and self.projected_pd_ok
 
 
+def _signed_gram(A: np.ndarray, p: int) -> np.ndarray:
+    """Upper triangle of M = A^T S A as an n x n Fortran array, from one
+    dsyrk over the p rows of A with sign +1 and one over the q rows with
+    sign -1; a sign block without rows is skipped. The strict lower
+    triangle is zero."""
+    n = A.shape[1]
+    M = np.zeros((n, n), order="F")
+    for rows, sign in ((A[:p], 1.0), (A[p:], -1.0)):
+        if rows.shape[0]:
+            M = dsyrk(sign, rows.T, beta=1.0, c=M, overwrite_c=1)
+    return M
+
+
+def _symmetric_frobenius(upper: np.ndarray) -> float:
+    """|M|_F of the symmetric M whose upper triangle ``upper`` holds.
+
+    With U the upper triangle and D the diagonal, |M|_F^2 = 2 |U|_F^2 -
+    |D|_F^2; both norms are taken scaled (LAPACK's dlantr, math.hypot),
+    so the result overflows only where |M|_F itself does.
+    """
+    u = float(dlantr("F", upper))
+    if u == 0.0:
+        return 0.0
+    return u * math.sqrt(2.0 - (math.hypot(*upper.diagonal()) / u) ** 2)
+
+
+def _null_space_basis(qr: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Z = Q [0; I_{n-s}] for the geqrf factors (qr, tau) of the n x s B^T:
+    the reflectors applied to the last n-s columns of the identity."""
+    n, s = qr.shape
+    Z = np.zeros((n, n - s), order="F")
+    np.fill_diagonal(Z[s:], 1.0)
+    lwork = int(dormqr("L", "N", qr, tau, Z, -1, overwrite_c=1)[1][0])
+    return dormqr("L", "N", qr, tau, Z, lwork, overwrite_c=1)[0]
+
+
 def check_well_posedness(problem: IlseProblem) -> WellPosednessReport:
     """Verify rank(B) = s and positive definiteness of A^T S A on N(B).
 
-    The rank test compares the s-th singular value of B against
-    rank_tolerance * sigma_max(B) with rank_tolerance = max(s, n) * eps.
-    One full orthogonal factorization B^T = Q R serves both tests: the
-    singular values are those of the s x s triangle R, the null-space
-    basis Z is the last n-s columns of Q, and the projected
-    matrix Z^T A^T S A Z must have smallest eigenvalue above
-    pd_tolerance = eps * |A^T S A|_2. Always returns a report; nothing is
-    raised here.
+    One Householder QR of B^T (geqrf) serves both tests, and Q is never
+    formed:
+    - the rank test compares the s-th singular value of the s x s R
+      against rank_tolerance * sigma_max(R), with rank_tolerance =
+      max(s, n) * eps;
+    - the null-space basis Z is the reflectors applied to [0; I_{n-s}].
+    M = A^T S A is formed once, as two dsyrk calls over the p and q row
+    blocks of A. The projected matrix Z^T M Z must have its smallest
+    eigenvalue above pd_tolerance = eps |M|_F. That tolerance is never
+    below eps |M|_2 and at most sqrt(n) times it, and it needs no
+    eigenvalues of M. At s = 0, Z = I and the test reads M itself; at
+    s = n the null space is trivial and min_projected_eig is +inf. Always
+    returns a report; nothing is raised here.
 
     The report is computed once per problem object: it is kept in the
     instance __dict__ (the way functools.cached_property keeps a value)
     and the same frozen report is returned on every later call. The
     problem's arrays are read-only copies, so the kept report cannot go
-    stale.
+    stale. oracle.well_posedness_reference recomputes the report from
+    the full Q and the full spectrum of M.
     """
     if _REPORT_KEY in problem.__dict__:
         return problem.__dict__[_REPORT_KEY]
-    A, B, sig = problem.A, problem.B, problem.sig
     n, s = problem.n, problem.s
     rank_tolerance = float(max(s, n) * _EPS)
+    M = _signed_gram(problem.A, problem.sig.p)
+    pd_tolerance = float(_EPS * _symmetric_frobenius(M))
 
     if s == 0:
         rank_ok = True
-        Z = np.eye(n)
+        min_eig = float(sla.eigvalsh(M, lower=False)[0])
     else:
-        Q, R = sla.qr(B.T, mode="full")
-        sv = sla.svdvals(R[:s])
+        qr, tau, _, _ = dgeqrf(problem.B.T, lwork=int(dgeqrf_lwork(n, s)[0]))
+        sv = sla.svdvals(np.triu(qr[:s]))
         rank_ok = bool(sv[0] > 0.0 and sv[s - 1] > rank_tolerance * sv[0])
-        Z = Q[:, s:]
-
-    M = A.T @ apply_signature(sig, A)
-    pd_tolerance = float(_EPS * np.max(np.abs(sla.eigvalsh(M))))
-
-    if Z.shape[1] == 0:
-        min_eig = np.inf
-    else:
-        proj = Z.T @ M @ Z
-        proj = 0.5 * (proj + proj.T)
-        min_eig = float(sla.eigvalsh(proj)[0])
+        if s == n:
+            min_eig = math.inf
+        else:
+            Z = _null_space_basis(qr, tau)
+            proj = dgemm(1.0, Z, dsymm(1.0, M, Z), trans_a=1)
+            proj = 0.5 * (proj + proj.T)
+            min_eig = float(sla.eigvalsh(proj)[0])
 
     report = WellPosednessReport(
         rank_ok=rank_ok,
@@ -165,10 +216,10 @@ def solve_ilse(problem: IlseProblem, check_well_posed: bool = True) -> IlseSolut
             )
 
     K, rhs = assemble_augmented(problem)
-    lu, piv, _ = lapack.dgetrf(K.T, overwrite_a=1)
+    lu, piv, _ = dgetrf(K.T, overwrite_a=1)
     if np.any(np.diag(lu) == 0.0):
         raise IllPosedProblemError("augmented matrix is numerically singular")
-    u, _ = lapack.dgetrs(lu, piv, rhs, overwrite_b=1)
+    u, _ = dgetrs(lu, piv, rhs, overwrite_b=1)
     if not np.all(np.isfinite(u)):
         raise IllPosedProblemError("augmented solve produced non-finite values")
 

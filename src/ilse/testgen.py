@@ -223,7 +223,7 @@ def gen_ilse_instance(params: GenParams) -> tuple[IlseProblem, float]:
     from a derived sub-seed, up to 10 attempts. With no constraints
     (s = 0) the whole of A^T S A must be positive definite, not only its
     projection on the null space of B, with its smallest eigenvalue above
-    eps |A^T S A|_2. Near kappa_a = 1/sqrt(eps) that fails in most draws,
+    eps |A^T S A|_F. Near kappa_a = 1/sqrt(eps) that fails in most draws,
     and the error then says so.
     """
     for attempt in range(10):
@@ -243,7 +243,7 @@ def gen_ilse_instance(params: GenParams) -> tuple[IlseProblem, float]:
             return problem, achieved
     cause = (
         "; with no constraints (s = 0) the whole of A^T S A must be positive definite, "
-        "with its smallest eigenvalue above eps |A^T S A|_2: try a smaller kappa_a or hyper_bound"
+        "with its smallest eigenvalue above eps |A^T S A|_F: try a smaller kappa_a or hyper_bound"
         if params.s == 0 else ""
     )
     raise GenerationError(

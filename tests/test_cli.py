@@ -33,7 +33,7 @@ def strict_json(text):
 
 SOLVE_KEYS = [
     "x", "xi", "lambda", "residual_norm", "gamma", "normal_equation_residual_norms",
-    "min_projected_eig",
+    "min_projected_eig", "pd_tolerance",
 ]
 BACKWARD_ERROR_KEYS = [
     "rho_xi1", "rho_xi0", "tau0", "alpha", "alpha_lower", "small_rho_condition", "mu_upper",

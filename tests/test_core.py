@@ -73,6 +73,22 @@ class TestWeightedPerturbationNorm:
         got = weighted_perturbation_norm(pert, WeightScheme(**{weight: 1e150}))
         assert got == pytest.approx(1e160, rel=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("block", ["E", "f", "F", "g"])
+    def test_block_whose_squares_overflow(self, block):
+        # 1e160**2 is out of range; the norm 2e160 of four such entries is not.
+        blocks = dict(E=np.zeros((2, 2)), f=np.zeros(2), F=np.zeros((2, 2)), g=np.zeros(2))
+        blocks[block][...] = 1e160 / (2.0 if blocks[block].ndim == 2 else math.sqrt(2.0))
+        blocks["E"][0, 0] += 1.0
+        got = weighted_perturbation_norm(PerturbationQuadruple(**blocks), WeightScheme())
+        assert got == pytest.approx(1e160, rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_matrix_at_unit_weights(self, unit_weights):
+        pert = PerturbationQuadruple(E=1e160 * np.ones((2, 2)), f=np.zeros(2),
+                                     F=np.zeros((1, 2)), g=np.zeros(1))
+        assert weighted_perturbation_norm(pert, unit_weights) == pytest.approx(2e160, rel=1e-15)
+
     def test_invalid_weights(self):
         with pytest.raises(ValueError):
             WeightScheme(0.0, 1.0, 1.0)

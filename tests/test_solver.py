@@ -18,9 +18,12 @@ from ilse import (
     perturbed_problem,
     solve_ilse,
 )
-from ilse import solver
+from ilse import oracle, solver, testgen
+from ilse.harness import run_experiment
+from scipy.linalg import blas, lapack
 
 from conftest import small_params
+from test_acceptance import PAPER_GRID
 
 
 def indefinite_on_nullspace():
@@ -59,6 +62,53 @@ class TestWellPosedness:
         assert report.projected_pd_ok == (report.min_projected_eig > report.pd_tolerance)
 
 
+class TestAgainstReference:
+    @pytest.mark.parametrize("params", [
+        pytest.param(small_params(6), id="s<n"),
+        pytest.param(small_params(7, s=0), id="s=0"),
+        pytest.param(small_params(8, s=12), id="s=n"),
+    ])
+    def test_no_full_q_and_no_spectrum_of_the_gram_matrix(self, monkeypatch, params):
+        problem, _ = gen_ilse_instance(params)
+        n, s = problem.n, problem.s
+        calls = []
+
+        class Spy:
+            def __getattr__(self, name):
+                def call(a, *args, **kwargs):
+                    calls.append((name, a.shape))
+                    return getattr(sla, name)(a, *args, **kwargs)
+                return call
+
+        monkeypatch.setattr(solver, "sla", Spy())
+        report = check_well_posedness(dataclasses.replace(problem))
+        expected = {0: [("eigvalsh", (n, n))], n: [("svdvals", (s, s))]}
+        assert calls == expected.get(s, [("svdvals", (s, s)), ("eigvalsh", (n - s, n - s))])
+        assert report.well_posed
+
+    def test_pd_tolerance_is_eps_times_the_frobenius_norm(self):
+        problem, _ = gen_ilse_instance(small_params(10, p=16, q=8))
+        M = problem.A.T @ np.diag(problem.sig.diagonal()) @ problem.A
+        assert check_well_posedness(problem).pd_tolerance == pytest.approx(
+            np.finfo(float).eps * np.linalg.norm(M), rel=1e-12)
+
+    def test_acceptance_grid_verdicts_match_the_reference(self, monkeypatch):
+        # Every generation attempt of the acceptance grid, accepted or retried
+        # (at base seed 20240901 the first attempt of each trial is accepted).
+        verdicts = []
+        check = testgen.check_well_posedness
+
+        def both(problem):
+            report = check(problem)
+            verdicts.append((report.well_posed, oracle.well_posedness_reference(problem).well_posed))
+            return report
+
+        monkeypatch.setattr(testgen, "check_well_posedness", both)
+        run_experiment(PAPER_GRID)
+        assert len(verdicts) >= 120
+        assert [fast for fast, _ in verdicts] == [ref for _, ref in verdicts]
+
+
 class TestReportMemo:
     def test_default_calls_return_the_same_report(self):
         problem, _ = gen_ilse_instance(small_params(3))
@@ -81,8 +131,14 @@ class TestReportMemo:
 
     def test_generated_problem_is_not_checked_again(self, monkeypatch):
         problem, _ = gen_ilse_instance(small_params(5))
-        # Any recomputation would reach scipy.linalg through this name.
-        monkeypatch.setattr(solver, "sla", None)
+        # Any recomputation would reach scipy.linalg or one of the LAPACK and
+        # BLAS routines the check calls; only the LU of solve_ilse stays.
+        fortran = (type(lapack.dgeqrf), type(blas.dsyrk))
+        routines = {name for name, value in vars(solver).items() if isinstance(value, fortran)}
+        blocked = routines - {"dgetrf", "dgetrs"}
+        assert {"dgeqrf", "dormqr", "dsyrk", "dsymm", "dgemm", "dlantr"} <= blocked
+        for name in blocked | {"sla"}:
+            monkeypatch.setattr(solver, name, None)
         assert check_well_posedness(problem).well_posed
         solve_ilse(problem)
 
