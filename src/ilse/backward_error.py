@@ -74,24 +74,34 @@ Everything that does not depend on xi is built once per (problem, y, w)
 into a private, read-only context (_Context, which tells how it is cached
 and why that is safe): u and |y|, |r_y|, S r_y, A^T S r_y, e, the
 stage-one row order, geqrf's output on the sorted rows (R0 and the
-reflectors of Q0), the n x (2n+1) [R0^T, I_n - u u^T, u], rb, k and h,
-the stage-two geqrf workspace size, alpha and |C(0)|_F^2; the unsorted
-blocks are not kept. Each public function validates y and xi, looks the
-context up once, and hands it to the kernel.
+reflectors of Q0), the n x (2n+1) [R0^T, I_n - u u^T, u] with the largest
+magnitude of each of its columns (the stage-two sort keys before the
+per-xi scales), rb, k and h, v1 = e/rb and |v1|, the stage-two geqrf
+workspace size, alpha and |C(0)|_F^2; the unsorted blocks are not kept.
+Each public function checks the shapes of y and xi, looks the context up
+once and hands it to the kernel. Only a cache miss scans y's entries: a hit
+has the shape and the bytes of a y that passed that scan. One sum of
+squares gives |xi| and shows that xi is finite (_check_multiplier); where
+it overflows, |xi| comes from core._scaled_norm.
 
-One kernel, _min_norm_factor(ctx, xi), evaluates rho for
+One kernel, _min_norm_factor(ctx, xi, |xi|), evaluates rho for
 backward_error_estimate and min_norm_perturbation. Per xi it forms t once,
-scales the columns of [R0^T, I_n - u u^T, u] by (1, c, a), gathers the
-sorted rows of its transpose into one Fortran-ordered buffer, factors that
-buffer in place with LAPACK geqrf (_stage_two_factor), and solves
-R_T^T v2 = w with trtrs. The rank test needs sigma_min and sigma_max of C,
-and a certified pre-test replaces the SVD where it can: sigma_min >=
-min(alpha, 1/theta3) at every xi (pinv_norm_bound), and sigma_max <= |C|_F
-with |C(xi)|_F^2 = |C(0)|_F^2 + n t^2, since the block -u xi^T/theta2 adds
+orders the stack's rows by the context's keys times (1, c, a), gathers
+those columns of [R0^T, I_n - u u^T, u], scaled, into one Fortran-ordered
+buffer, factors that buffer in place with LAPACK geqrf
+(_stage_two_factor), forms w in place and solves R_T^T v2 = w with trtrs.
+The rank test needs sigma_min and sigma_max of C, and certified pre-tests
+replace the SVD where they can. sigma_min >= min(alpha, 1/theta3) at
+every xi (pinv_norm_bound), and sigma_max <= |C|_F with
+|C(xi)|_F^2 = |C(0)|_F^2 + n t^2, since the block -u xi^T/theta2 adds
 t^2 and c (I - u u^T) adds (n-1) t^2. When the first exceeds 100 RANK_RTOL
 times the second, sigma_min > RANK_RTOL sigma_max holds; the factor 100
-(PRETEST_MARGIN) absorbs the rounding in alpha and |C(0)|_F. Else the SVD
-of the assembled R_full decides, and a RankDeficiencyError carries its
+(PRETEST_MARGIN) absorbs the rounding in alpha and |C(0)|_F. The other
+way, sigma_min <= rb, the norm of a multiplier row of C, and
+sigma_max >= t, the norm of the block -u xi^T/theta2, so past
+RANK_RTOL t > PRETEST_MARGIN rb the kernel raises before the QR, which a
+t near the overflow threshold would defeat. Else the SVD of the
+assembled R_full decides, and a RankDeficiencyError carries its
 sigma_min.
 
 min_norm_perturbation maps the minimum-norm solution back through the same
@@ -119,6 +129,7 @@ from .core import (
     RankDeficiencyError,
     WeightScheme,
     BackwardErrorReport,
+    _scaled_norm,
     apply_signature,
 )
 
@@ -134,22 +145,33 @@ RANK_RTOL = 10.0 * np.finfo(float).eps
 PRETEST_MARGIN = 100.0
 
 
-def _check_candidate(problem: IlseProblem, y: np.ndarray) -> np.ndarray:
+def _candidate_array(problem: IlseProblem, y: np.ndarray) -> np.ndarray:
+    """y as a float array of shape (n,); its entries are tested by
+    _check_candidate, or by _context on a cache miss."""
     y = np.asarray(y, dtype=float)
     if y.shape != (problem.n,):
         raise ValueError(f"candidate y must have length {problem.n}, got shape {y.shape}")
+    return y
+
+
+def _check_candidate(problem: IlseProblem, y: np.ndarray) -> np.ndarray:
+    y = _candidate_array(problem, y)
     if not np.isfinite(y).all():
         raise ValueError("candidate y contains non-finite entries")
     return y
 
 
-def _check_multiplier(problem: IlseProblem, xi: np.ndarray) -> np.ndarray:
+def _check_multiplier(problem: IlseProblem, xi: np.ndarray):
+    """(xi, |xi|_2): xi as a float array of shape (s,) and its _norm. A
+    finite fast sum of squares already shows that every entry is finite,
+    so the entries are scanned only where that sum is not."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (problem.s,):
         raise ValueError(f"multiplier must have length {problem.s}, got shape {xi.shape}")
-    if not np.isfinite(xi).all():
+    xi_norm = _norm(xi)
+    if not math.isfinite(xi_norm) and not np.isfinite(xi).all():
         raise ValueError("multiplier xi contains non-finite entries")
-    return xi
+    return xi, xi_norm
 
 
 def linearization_matrix(
@@ -159,7 +181,7 @@ def linearization_matrix(
     from the Kronecker formula in the module docstring; its column blocks
     act on (vec(E), theta1 f, theta2 vec(F), theta3 g)."""
     y = _check_candidate(problem, y)
-    xi = _check_multiplier(problem, xi)
+    xi, _ = _check_multiplier(problem, xi)
     m, n, s = problem.m, problem.n, problem.s
     sr = apply_signature(problem.sig, problem.residual(y))
     AtS = apply_signature(problem.sig, problem.A).T
@@ -183,14 +205,17 @@ def rhs_vector(problem: IlseProblem, y: np.ndarray, xi: np.ndarray) -> np.ndarra
     """Stacked optimality residual (B^T xi - A^T S r_y, d - B y), the two
     blocks of solver.normal_equation_residuals at (y, xi)."""
     y = _check_candidate(problem, y)
-    xi = _check_multiplier(problem, xi)
+    xi, _ = _check_multiplier(problem, xi)
     return np.concatenate(solver.normal_equation_residuals(problem, y, xi))
 
 
 def _norm(v: np.ndarray) -> float:
     """|v|_2 of a vector, as np.linalg.norm computes it (sqrt of v.dot(v)),
-    without its dispatch."""
-    return math.sqrt(v.dot(v))
+    without its dispatch; core._scaled_norm where that sum overflows, so a
+    finite v has a finite norm unless |v|_2 itself is out of range. np.vdot
+    gives the bits of v.dot(v) without numpy's overflow warning."""
+    sq = np.vdot(v, v)
+    return math.sqrt(sq) if math.isfinite(sq) else _scaled_norm(v)
 
 
 def _multiplier_free_blocks(problem: IlseProblem, y: np.ndarray, w: WeightScheme):
@@ -237,11 +262,18 @@ class _Context:
     on the sorted rows: R0 in the upper triangle of qr0[:n], Q0 in the
     reflectors below it. top is the n x (2n+1) [R0^T, I_n - u u^T, u]: the
     transposed stage-two stack [R0; c (I - u u^T); a u^T]^T before the
-    per-xi scales c and a. rb = sqrt(beta), k = (|y|/theta2)/rb and
-    h = (1/theta3)/rb eliminate the multiplier rows (module docstring);
-    k^2 + h^2 = 1. alpha is sigma_min of the stack's factor at xi = 0, and
-    the rank pre-test's bound min(alpha, 1/theta3); fro0_sq = |C(0)|_F^2 =
-    s beta + |R_T(0)|_F^2 from the same factor, to which each xi adds n t^2
+    per-xi scales c and a. row_max holds the largest magnitude of each
+    column of top, from which _stage_two_stack keys its sort: rounding to
+    nearest is monotone and symmetric, so for a finite scale s >= 0,
+    max_i |fl(x_i s)| = fl(s max_i |x_i|), and row_max times the row
+    scales (1, c, a) is bitwise the key _sorted_rows takes of the scaled
+    stack. rb = sqrt(beta), k = (|y|/theta2)/rb and h = (1/theta3)/rb
+    eliminate the multiplier rows (module docstring); k^2 + h^2 = 1.
+    v1 = e/rb, the multiplier-row block of R_full^-T (e, rhs_top), is the
+    same at every xi; v1_norm is its norm. alpha is sigma_min of the
+    stack's factor at xi = 0, and the rank pre-test's bound
+    min(alpha, 1/theta3); fro0_sq = |C(0)|_F^2 = s beta + |R_T(0)|_F^2
+    from the same factor, to which each xi adds n t^2
     (module docstring).
 
     A context is read-only once built: __init__ sets every attribute,
@@ -256,7 +288,8 @@ class _Context:
     """
 
     __slots__ = ("problem", "w", "y_bytes", "u", "y_norm", "r_norm", "sr", "AtSr", "e",
-                 "order0", "qr0", "tau0", "top", "rb", "k", "h", "lwork", "alpha", "fro0_sq")
+                 "order0", "qr0", "tau0", "top", "row_max", "rb", "k", "h", "v1", "v1_norm",
+                 "lwork", "alpha", "fro0_sq")
 
     def __init__(self, problem: IlseProblem, y: np.ndarray, w: WeightScheme):
         m, n = problem.m, problem.n
@@ -270,19 +303,22 @@ class _Context:
         # rows in place.
         self.order0, stage_one = _sorted_rows(blocks)
         del blocks
-        self.qr0, self.tau0, _, _ = dgeqrf(
-            stage_one, lwork=int(dgeqrf_lwork(2 * m, n)[0]), overwrite_a=1)
+        self.qr0, self.tau0, _, _ = dgeqrf(stage_one, int(dgeqrf_lwork(2 * m, n)[0]), 1)
         self.top = np.empty((n, 2 * n + 1))
         self.top[:, :n] = np.triu(self.qr0[:n]).T
         self.top[:, n:2 * n] = np.eye(n) - np.outer(self.u, self.u)
         self.top[:, 2 * n] = self.u
+        self.row_max = np.abs(self.top).max(axis=0)
         self.rb = math.hypot(self.y_norm / w.theta2, 1.0 / w.theta3)
         self.k, self.h = self.y_norm / w.theta2 / self.rb, 1.0 / w.theta3 / self.rb
+        self.v1 = self.e / self.rb
+        self.v1_norm = _norm(self.v1)
         self.lwork = int(dgeqrf_lwork(2 * n + 1, n)[0])
         R = np.triu(_stage_two_factor(self, 0.0)[1][:n])
         self.alpha = float(sla.svdvals(R)[-1])
         self.fro0_sq = problem.s * self.rb * self.rb + float(np.vdot(R, R))
-        for a in (self.u, self.sr, self.AtSr, self.e, self.order0, self.qr0, self.tau0, self.top):
+        for a in (self.u, self.sr, self.AtSr, self.e, self.order0, self.qr0, self.tau0, self.top,
+                  self.row_max, self.v1):
             a.flags.writeable = False
 
 
@@ -291,12 +327,15 @@ _last_context: _Context | None = None
 
 
 def _context(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> _Context:
-    """The context of (problem, y, w): the cached one when its key matches,
-    else a new one, which replaces it (see _Context)."""
+    """The context of (problem, y, w) for a y from _candidate_array: the
+    cached one when its key matches, else a new one, built once y passes
+    _check_candidate, which replaces it (see _Context). A hit needs no
+    scan of y's entries: y has shape (n,) and the bytes of a y that passed
+    one."""
     global _last_context
     ctx = _last_context
     if ctx is None or ctx.problem is not problem or ctx.w != w or ctx.y_bytes != y.tobytes():
-        ctx = _last_context = _Context(problem, y, w)
+        ctx = _last_context = _Context(problem, _check_candidate(problem, y), w)
     return ctx
 
 
@@ -305,21 +344,24 @@ def _stage_two_stack(ctx: _Context, t: float):
     row i of the Fortran-ordered (2n+1) x n matrix is row order[i] of
     [R0; c (I - u u^T); a u^T] at t = |xi|/theta2, c = hypot(|r_y|, t) and
     a = h t, so geqrf factors it in place. The stack sees xi only through t.
+    Its sort keys are ctx.row_max times the row scales (see _Context).
     """
     n = ctx.problem.n
     c = math.hypot(ctx.r_norm, t)
     scale = np.ones(2 * n + 1)
     scale[n:2 * n] = c
     scale[2 * n] = ctx.h * t
-    order, stack = _sorted_rows(ctx.top * scale)
-    return order, stack, c
+    order = (-(ctx.row_max * scale)).argsort(kind="stable")
+    stack = ctx.top.take(order, axis=1)
+    stack *= scale.take(order)
+    return order, stack.T, c
 
 
 def _stage_two_factor(ctx: _Context, t: float):
     """(order, qr, tau, c): _stage_two_stack(ctx, t) with geqrf's output on
     the stack, factored in place; the one QR of the stage-two stack."""
     order, stack, c = _stage_two_stack(ctx, t)
-    qr, tau, _, _ = dgeqrf(stack, lwork=ctx.lwork, overwrite_a=1)
+    qr, tau, _, _ = dgeqrf(stack, ctx.lwork, 1)
     return order, qr, tau, c
 
 
@@ -354,34 +396,43 @@ def _certainly_full_rank(ctx: _Context, t: float) -> bool:
     return min(ctx.alpha, 1.0 / ctx.w.theta3) > PRETEST_MARGIN * RANK_RTOL * fro
 
 
-def _min_norm_factor(ctx: _Context, xi: np.ndarray):
-    """The rho kernel: the Householder QR of the sorted stage-two stack, the
-    full-row-rank check on R_full (whose singular values are those of J),
-    and R_full^-T (e, rhs_top) in its two blocks v1 = e/rb and
+def _min_norm_factor(ctx: _Context, xi: np.ndarray, xi_norm: float):
+    """The rho kernel at xi, with xi_norm = |xi|_2 from _check_multiplier:
+    the Householder QR of the sorted stage-two stack, the full-row-rank
+    check on R_full (whose singular values are those of J), and
+    R_full^-T (e, rhs_top) in its two blocks, ctx.v1 = e/rb and
     v2 = R_T^-T w, so that rho = hypot(|v1|, |v2|).
 
-    Returns (order, qr, tau, v1, v2, c): _stage_two_factor's output with v1
-    and v2; min_norm_perturbation maps z back with them.
+    Returns (order, qr, tau, v2, c): _stage_two_factor's output with v2;
+    min_norm_perturbation maps z back with them.
     """
-    t = _norm(xi) / ctx.w.theta2
+    t = xi_norm / ctx.w.theta2
+    # Certainly rank deficient (module docstring), and so large a t could
+    # overflow geqrf.
+    if RANK_RTOL * t > PRETEST_MARGIN * ctx.rb:
+        raise RankDeficiencyError(
+            f"linearization matrix is numerically rank deficient "
+            f"(sigma_min <= {ctx.rb:.3e}, sigma_max >= |xi|/theta2 = {t:.3e})",
+            sigma_min=ctx.rb,
+        )
     order, qr, tau, c = _stage_two_factor(ctx, t)
     if not _certainly_full_rank(ctx, t):
         _require_full_row_rank(sla.svdvals(_full_factor(ctx, xi, qr)))
-    v1 = ctx.e / ctx.rb
     # w = B^T xi - A^T S r_y + y (xi.e)/(theta2^2 beta), in the original basis.
-    w = ctx.problem.B.T @ xi - ctx.AtSr + (ctx.k * (xi @ v1) / ctx.w.theta2) * ctx.u
-    v2, _ = dtrtrs(qr, w, trans=1)
-    return order, qr, tau, v1, v2, c
+    w = ctx.problem.B.T @ xi
+    w -= ctx.AtSr
+    w += (ctx.k * (xi @ ctx.v1) / ctx.w.theta2) * ctx.u
+    v2, _ = dtrtrs(qr, w, 0, 1)
+    return order, qr, tau, v2, c
 
 
 def backward_error_estimate(
     problem: IlseProblem, y: np.ndarray, xi: np.ndarray, w: WeightScheme
 ) -> float:
     """rho(xi): norm of the minimum-norm solution of J(xi) z = rhs(xi)."""
-    y = _check_candidate(problem, y)
-    xi = _check_multiplier(problem, xi)
-    _, _, _, v1, v2, _ = _min_norm_factor(_context(problem, y, w), xi)
-    return math.hypot(_norm(v1), _norm(v2))
+    ctx = _context(problem, _candidate_array(problem, y), w)
+    xi, xi_norm = _check_multiplier(problem, xi)
+    return math.hypot(ctx.v1_norm, _norm(_min_norm_factor(ctx, xi, xi_norm)[3]))
 
 
 def min_norm_perturbation(
@@ -404,17 +455,15 @@ def min_norm_perturbation(
     |J z - rhs| at rounding level; forming v and multiplying by J^T instead
     left relative residuals up to 3.5e-10 at kappa_B = 1e8.
     """
-    y = _check_candidate(problem, y)
-    xi = _check_multiplier(problem, xi)
     m, n = problem.m, problem.n
-    ctx = _context(problem, y, w)
-    order, qr, tau, v1, v2, c = _min_norm_factor(ctx, xi)
-    u, sr = ctx.u, ctx.sr
+    ctx = _context(problem, _candidate_array(problem, y), w)
+    xi, xi_norm = _check_multiplier(problem, xi)
+    order, qr, tau, v2, c = _min_norm_factor(ctx, xi, xi_norm)
+    u, v1, sr = ctx.u, ctx.v1, ctx.sr
     z_stack = np.empty(2 * n + 1)
     z_stack[order] = dorgqr(qr, tau, overwrite_a=1)[0] @ v2
     # The folded row's entry spreads over the second rows of the rotated
     # pairs along -xi/|xi|; each pair then rotates back to (a3, a5).
-    xi_norm = _norm(xi)
     z2 = (xi / xi_norm) * -z_stack[2 * n] if xi_norm > 0.0 else np.zeros_like(xi)
     a3 = ctx.k * v1 + ctx.h * z2
     a5 = ctx.k * z2 - ctx.h * v1
@@ -451,7 +500,7 @@ def stability_constant(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> 
     """alpha: smallest singular value of the n x (nm + m) block of J that
     does not depend on the multiplier: sigma_min of the stage-two factor at
     xi = 0 (module docstring), held by the context of (problem, y, w)."""
-    return _context(problem, _check_candidate(problem, y), w).alpha
+    return _context(problem, _candidate_array(problem, y), w).alpha
 
 
 def stability_constant_lower_bound(
@@ -460,15 +509,17 @@ def stability_constant_lower_bound(
     """Certified lower bound |r_y|_2 / sqrt(1 + theta1^2 |y|_2^2) on alpha,
     computed without the context that alpha comes from."""
     y = _check_candidate(problem, y)
-    r_norm = float(np.linalg.norm(problem.residual(y)))
+    # _norm and np.vdot give the bits of np.linalg.norm and y @ y without
+    # an overflow warning, and _norm stays finite where |r_y|^2 overflows.
+    r_norm = _norm(problem.residual(y))
     try:
-        total = 1.0 + w.theta1**2 * float(y @ y)
+        total = 1.0 + w.theta1**2 * float(np.vdot(y, y))
     except OverflowError:  # theta1**2 is out of range
         total = math.inf
     if math.isfinite(total):
         return r_norm / math.sqrt(total)
     # theta1 |y| can be in range where its square is not
-    return r_norm / math.hypot(1.0, w.theta1 * float(np.linalg.norm(y)))
+    return r_norm / math.hypot(1.0, w.theta1 * _norm(y))
 
 
 def pinv_norm_bound(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> float:
@@ -552,7 +603,7 @@ def backward_error_bounds(
             raise
 
     rho1 = try_rho(xi1)
-    rho0 = try_rho(_check_multiplier(problem, xi0)) if xi0 is not None else None
+    rho0 = try_rho(xi0) if xi0 is not None else None
 
     try:
         scale = math.sqrt(1.0 / w.theta1**2 + float(y @ y))

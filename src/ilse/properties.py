@@ -579,7 +579,7 @@ def compressed_matches_kron(case):
     J = be.linearization_matrix(problem, y, xi, w)
     sv_J = sla.svdvals(J)
     ctx = be._context(problem, y, w)
-    sv_C = sla.svdvals(be._full_factor(ctx, xi, be._min_norm_factor(ctx, xi)[1]))
+    sv_C = sla.svdvals(be._full_factor(ctx, xi, be._min_norm_factor(ctx, xi, be._norm(xi))[1]))
     rhs = be.rhs_vector(problem, y, xi)
     R = sla.qr(J.T, mode="economic")[1]
     rho_J = float(np.linalg.norm(sla.solve_triangular(R, rhs, trans="T")))

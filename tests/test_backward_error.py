@@ -24,7 +24,7 @@ from ilse import (
     stability_constant,
     stability_constant_lower_bound,
 )
-from ilse import backward_error as be, properties
+from ilse import backward_error as be, oracle, properties
 from ilse.backward_error import linearization_matrix
 from ilse.oracle import estimate_via_normal_equations, linearization_pinv_norm
 
@@ -141,6 +141,29 @@ class TestEstimate:
             backward_error_estimate(problem, np.zeros(1), np.zeros(1), unit_weights)
         assert excinfo.value.sigma_min == pytest.approx(1e-17, rel=1e-12)
 
+    @pytest.mark.parametrize("xi", [[1e160, 0.0, 0.0], [1e200, -1e200, 0.0], [1e308, 1e308, 1e308]])
+    @pytest.mark.parametrize("function", [backward_error_estimate, be.min_norm_perturbation])
+    def test_multiplier_out_of_range_is_certainly_rank_deficient(self, function, xi):
+        # |xi|/theta2 >= 1e160 is far past rb/RANK_RTOL: sigma_max >= t and
+        # sigma_min <= rb, so the kernel raises before the QR, and no sum of
+        # squares overflows on the way (the suite turns a RuntimeWarning
+        # into an error). |xi| = sqrt(3) 1e308 is in range only when scaled.
+        problem, _, _, psol = properties.solved_case(properties.TINY, 1e-6, 0)
+        w = WeightScheme()
+        rb = be._context(problem, psol.x, w).rb
+        with pytest.raises(RankDeficiencyError, match=r"sigma_max >= \|xi\|/theta2") as excinfo:
+            function(problem, psol.x, np.array(xi), w)
+        assert excinfo.value.sigma_min == rb
+
+    def test_large_multiplier_below_the_margin_reaches_the_svd(self):
+        problem, _, _, psol = properties.solved_case(properties.TINY, 1e-6, 0)
+        w = WeightScheme()
+        rb = be._context(problem, psol.x, w).rb
+        assert math.isfinite(backward_error_estimate(problem, psol.x, np.array([1e12, 0.0, 0.0]), w))
+        xi = np.array([0.5 * be.PRETEST_MARGIN * rb / be.RANK_RTOL, 0.0, 0.0])
+        with pytest.raises(RankDeficiencyError, match=r"\(sigma_min=.*, sigma_max="):
+            backward_error_estimate(problem, psol.x, xi, w)
+
 
 class TestStageTwoFactor:
     """The (2n+1) x n stage-two stack and the factor R_full built on it."""
@@ -180,12 +203,33 @@ class TestStageTwoFactor:
         assert np.all(order[ties] < order[ties + 1])
         assert ties.size > 0 or name != "zero-candidate"
 
+    @pytest.mark.parametrize("name", ["tiny", "kappa-1e8", "zero-residual"])
+    def test_context_keys_give_the_order_of_sorted_rows(self, name):
+        # The stack's rows are ordered by ctx.row_max times the row scales;
+        # the reference keys the scaled stack itself, as _sorted_rows does.
+        # With r_y = 0, t = 0 zeroes all but the n R0 rows: n + 1 tied rows.
+        dims = replace(properties.TINY, kappa_a=1e8, kappa_b=1e8) if name == "kappa-1e8" else properties.TINY
+        problem, _, _, psol = properties.solved_case(dims, 1e-12, 0)
+        if name == "zero-residual":
+            problem = IlseProblem(A=problem.A, b=problem.A @ psol.x, B=problem.B, d=problem.d, sig=problem.sig)
+        n, w = problem.n, WeightScheme(3.0, 0.5, 4.0)
+        ctx = be._context(problem, psol.x, w)
+        ts = [0.0, 1e-300, *np.logspace(-8, 12, 81), 1e160 / w.theta2]
+        for t in ts:
+            scale = np.ones(2 * n + 1)
+            scale[n:2 * n] = math.hypot(ctx.r_norm, t)
+            scale[2 * n] = ctx.h * t
+            ref_order, ref_stack = be._sorted_rows(ctx.top * scale)
+            order, stack, _ = be._stage_two_stack(ctx, t)
+            assert np.array_equal(order, ref_order), t
+            assert stack.flags.f_contiguous and bits(stack) == bits(ref_stack), t
+
     @pytest.mark.parametrize("name", CASES)
     def test_factor_has_the_gram_matrix_of_J(self, name):
         problem, y, xi, w = self.case(name)
         n, s = problem.n, problem.s
         ctx = be._context(problem, y, w)
-        R_full = be._full_factor(ctx, xi, be._min_norm_factor(ctx, xi)[1])
+        R_full = be._full_factor(ctx, xi, be._min_norm_factor(ctx, xi, be._norm(xi))[1])
         J = linearization_matrix(problem, y, xi, w)
         multipliers_first = np.r_[n:n + s, :n]
         JJt = (J @ J.T)[np.ix_(multipliers_first, multipliers_first)]
@@ -309,6 +353,12 @@ class TestStabilityLowerBound:
         expected = np.linalg.norm(problem.residual(y)) / (1e150 * np.linalg.norm(y))
         got = stability_constant_lower_bound(problem, y, WeightScheme(theta1=1e150))
         assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_candidate_whose_norms_overflow_when_squared(self, t1, unit_weights):
+        # y = 1e160: |y|^2 and |r_y|^2 are out of range, |r_y|/sqrt(1 + |y|^2)
+        # is 1 to rounding; the suite's filter makes an overflow warning fail.
+        y = np.array([1e160])
+        assert stability_constant_lower_bound(t1, y, unit_weights) == pytest.approx(1.0, rel=1e-15)
 
 
 class TestPinvNormBound:
@@ -494,6 +544,47 @@ class TestContextCache:
         rho = backward_error_estimate(problem, y, sol.xi, WeightScheme())
         assert be._last_context is not ctx
         assert bits(rho) == bits(cold(backward_error_estimate, problem, y, sol.xi, WeightScheme()))
+        # A hit skips the scan of y's entries; a non-finite y never hits.
+        y[1] = math.nan
+        with pytest.raises(ValueError, match="candidate y contains non-finite entries"):
+            backward_error_estimate(problem, y, sol.xi, WeightScheme())
+
+    @pytest.mark.parametrize("shape", ["column", "row"])
+    def test_cached_bytes_in_another_shape_are_rejected(self, shape):
+        problem, sol, _, psol = solved_case(4)
+        n, y = problem.n, psol.x
+        bad = y.reshape((n, 1) if shape == "column" else (1, n))
+        with pytest.raises(ValueError) as on_miss:
+            cold(backward_error_estimate, problem, bad, sol.xi, WeightScheme())
+        backward_error_estimate(problem, y, sol.xi, WeightScheme())
+        assert be._last_context.y_bytes == bad.tobytes()
+        with pytest.raises(ValueError) as on_hit:
+            backward_error_estimate(problem, bad, sol.xi, WeightScheme())
+        assert str(on_hit.value) == str(on_miss.value) == f"candidate y must have length {n}, got shape {bad.shape}"
+
+    def test_list_candidate_hits(self):
+        problem, sol, _, psol = solved_case(4)
+        rho = cold(backward_error_estimate, problem, psol.x, sol.xi, WeightScheme())
+        ctx = be._last_context
+        assert bits(backward_error_estimate(problem, psol.x.tolist(), sol.xi, WeightScheme())) == bits(rho)
+        assert be._last_context is ctx
+
+    def test_every_point_of_a_search_equals_a_cold_call(self, monkeypatch):
+        problem, sol, _, psol = solved_case(3, eps=1e-8, kappa_a=1e8, kappa_b=1e8)
+        y, w = psol.x, WeightScheme()
+        seen = []
+
+        def recorded(*args):
+            value = backward_error_estimate(*args)
+            seen.append((args[2].copy(), value))
+            return value
+
+        monkeypatch.setattr(oracle, "backward_error_estimate", recorded)
+        result = oracle.minimize_estimate(problem, y, w, xi0=sol.xi, seed=11)
+        # Every point was evaluated (none rank deficient) and recorded.
+        assert len(seen) == result.iterations > 100
+        for xi, value in seen:
+            assert bits(value) == bits(cold(backward_error_estimate, problem, y, xi, w))
 
     def test_equal_but_distinct_problem_misses(self):
         problem, sol, _, psol = solved_case(5)
