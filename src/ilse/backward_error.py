@@ -82,7 +82,8 @@ Each public function checks the shapes of y and xi, looks the context up
 once and hands it to the kernel. Only a cache miss scans y's entries: a hit
 has the shape and the bytes of a y that passed that scan. One sum of
 squares gives |xi| and shows that xi is finite (_check_multiplier); where
-it overflows, |xi| comes from core._scaled_norm.
+it overflows, |xi| comes from core._scaled_norm, and so do |y| and |r_y| in
+the context and the distance bound's residual norm (_norm).
 
 One kernel, _min_norm_factor(ctx, xi, |xi|), evaluates rho for
 backward_error_estimate and min_norm_perturbation. Per xi it forms t once,
@@ -222,7 +223,7 @@ def _multiplier_free_blocks(problem: IlseProblem, y: np.ndarray, w: WeightScheme
     """u, |y|, r_y, S r_y and the n x 2m block [u (S r_y)^T - |y| A^T S, A^T S/theta1]
     of C that does not depend on xi, whose transpose stage one factors."""
     m, n = problem.m, problem.n
-    y_norm = float(np.linalg.norm(y))
+    y_norm = _norm(y)
     u = y / y_norm if y_norm > 0.0 else np.eye(1, n)[0]
     r_y = problem.residual(y)
     sr = apply_signature(problem.sig, r_y)
@@ -296,7 +297,7 @@ class _Context:
         self.problem, self.w, self.y_bytes = problem, w, y.tobytes()
         # Through the module attribute, so a patched builder is seen.
         self.u, self.y_norm, r_y, self.sr, blocks = _multiplier_free_blocks(problem, y, w)
-        self.r_norm = float(np.linalg.norm(r_y))
+        self.r_norm = _norm(r_y)
         self.AtSr = problem.A.T @ self.sr
         self.e = problem.d - problem.B @ y
         # The unsorted blocks are dropped before geqrf factors the sorted
@@ -561,7 +562,7 @@ def _distance_lower_bound(problem: IlseProblem, y: np.ndarray, xi1: np.ndarray) 
     top eigenvalue is needed, and forming the Gram matrix costs it no
     relative accuracy, so no SVD is taken.
     """
-    num = float(np.linalg.norm(rhs_vector(problem, y, xi1)))
+    num = _norm(rhs_vector(problem, y, xi1))
     stacked = np.vstack([problem.A.T @ apply_signature(problem.sig, problem.A), problem.B])
     scale = float(np.abs(stacked).max())
     if scale == 0.0:
@@ -606,9 +607,12 @@ def backward_error_bounds(
     rho0 = try_rho(xi0) if xi0 is not None else None
 
     try:
-        scale = math.sqrt(1.0 / w.theta1**2 + float(y @ y))
+        # np.vdot gives the bits of y @ y without an overflow warning.
+        scale_sq = 1.0 / w.theta1**2 + float(np.vdot(y, y))
     except (OverflowError, ZeroDivisionError):  # theta1**2 is out of range
-        scale = math.hypot(1.0 / w.theta1, float(np.linalg.norm(y)))
+        scale_sq = math.inf
+    # 1/theta1 and |y| can be in range where their squares are not
+    scale = math.sqrt(scale_sq) if math.isfinite(scale_sq) else math.hypot(1.0 / w.theta1, _norm(y))
     # A NaN rho that did not raise (overflow, say) voids the bounds as r_y = 0 does.
     applicable = not (r_zero or math.isnan(rho1))
     condition = applicable and 4.0 * tau0 * rho1 * scale < 1.0

@@ -314,17 +314,21 @@ def _linearization_cases(fam, suite):
         yield problem, y, rng.standard_normal(s), WeightScheme(*np.exp(rng.uniform(-1, 1, size=3)))
 
 
-def _well_posedness_cases(fam, suite):
-    """Generated instances with kappa_A, kappa_B in {1e2, 1e8}; generated
-    instances at s = 0, s = n, q = 0 and p = 0 (with s = n, since a
-    negative definite A^T S A has no well-posed draw otherwise); then
-    Gaussian data at the edge shapes, which are ill posed in some draws
-    (every p = 0 draw with s < n), and Gaussian data whose B repeats a
-    row, which fails the rank test."""
-    dims = fam.params(suite)
+def _generated_shapes(dims: GenParams) -> list[dict]:
+    """Changes to dims for generated instances: kappa_A, kappa_B in
+    {1e2, 1e8}, then s = 0, s = n, q = 0 and p = 0 (with s = n, since a
+    negative definite A^T S A has no well-posed draw otherwise)."""
     shapes = [dict(kappa_a=ka, kappa_b=kb) for ka in (1e2, 1e8) for kb in (1e2, 1e8)]
-    shapes += [dict(s=0), dict(s=dims.n), dict(p=dims.m, q=0), dict(s=dims.n, p=0, q=dims.m)]
-    for k, change in enumerate(shapes):
+    return shapes + [dict(s=0), dict(s=dims.n), dict(p=dims.m, q=0), dict(s=dims.n, p=0, q=dims.m)]
+
+
+def _well_posedness_cases(fam, suite):
+    """Generated instances at the _generated_shapes; then Gaussian data at
+    the edge shapes, which are ill posed in some draws (every p = 0 draw
+    with s < n), and Gaussian data whose B repeats a row, which fails the
+    rank test."""
+    dims = fam.params(suite)
+    for k, change in enumerate(_generated_shapes(dims)):
         yield gen_ilse_instance(replace(dims, seed=fam.instance_seed(suite, k), **change))[0]
     rng = _philox(fam.aux_seed(suite))
     for (m, n, s, p, q), _ in _EDGE_SHAPES:
@@ -336,6 +340,16 @@ def _well_posedness_cases(fam, suite):
     B[-1] = B[0]
     yield IlseProblem(A=rng.standard_normal((dims.m, dims.n)), b=rng.standard_normal(dims.m), B=B,
                       d=rng.standard_normal(dims.s), sig=SignatureMatrix(dims.p, dims.q))
+
+
+def _route_cases(fam, suite):
+    """Generated instances that cycle through the _generated_shapes, n = 1
+    and n = 1 with s = 0."""
+    dims = fam.params(suite)
+    shapes = _generated_shapes(dims) + [dict(m=4, n=1, s=1, p=3, q=1), dict(m=4, n=1, s=0, p=3, q=1)]
+    for k in range(fam.count):
+        change = shapes[k % len(shapes)]
+        yield gen_ilse_instance(replace(dims, seed=fam.instance_seed(suite, k), **change))[0]
 
 
 def _rank_threshold_cases(fam, suite):
@@ -500,6 +514,35 @@ def normal_equations(problem):
 def solves_repeat(problem):
     a, b = solve_ilse(problem), solve_ilse(problem)
     return Outcome(all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("x", "xi", "r")))
+
+
+@_row(
+    "solver: checked null-space solve agrees with the unchecked LU",
+    Family(_route_cases, count=20, seed=1900, dims=TINY),
+    summary=lambda ratios: f"largest distance {max(ratios):.2e} of its bound",
+)
+def routes_agree(problem):
+    """Two checks: the checked route's residual_gamma is at most N eps,
+    N = s + m + n (it is backward stable), and its u = (lam, s_vec, x)
+    lies within 2 N eps kappa_2(K) |u| of the unchecked LU's. For any u,
+    u - K^-1 rhs = K^-1 (K u - rhs), so |u - K^-1 rhs| <= eta kappa_2(K) |u|
+    with eta = |K u - rhs| / (|K|_2 |u|), the normwise backward error; a
+    backward-stable route has eta <= c eps, and the row takes c = N for
+    both routes (Higham, Accuracy and Stability, ch. 7). Over suite seeds
+    0-9, residual_gamma reached 0.06 N eps and the distance 4.2e-2 of its
+    bound; kappa_2(K) reaches 7e14 at kappa_B = 1e8, where the distance
+    bound says little and the residual test carries the row."""
+    K, _ = assemble_augmented(problem)
+    eps = float(np.finfo(float).eps)
+    N = K.shape[0]
+    checked, lu = solve_ilse(problem), solve_ilse(problem, check_well_posed=False)
+    u, u_lu = (np.concatenate([sol.lam, sol.s_vec, sol.x]) for sol in (checked, lu))
+    gamma = residual_gamma(problem, checked)
+    sv = sla.svdvals(K)
+    bound = 2 * N * eps * float(sv[0] / sv[-1]) * max(float(np.linalg.norm(u)), float(np.linalg.norm(u_lu)))
+    ratio = float(np.linalg.norm(u - u_lu)) / bound
+    return Outcome(gamma <= N * eps and ratio <= 1.0,
+                   f"residual_gamma {gamma:.2e}, distance {ratio:.2e} of its bound", ratio)
 
 
 @_row(

@@ -361,6 +361,32 @@ class TestStabilityLowerBound:
         assert stability_constant_lower_bound(t1, y, unit_weights) == pytest.approx(1.0, rel=1e-15)
 
 
+class TestOverflowingCandidate:
+    """y = 1e160 on t1: |y|^2 and |r_y|^2 are out of range, yet every norm
+    the report needs is not. Each call ends in a finite value, with no
+    overflow warning (an error under this filter)."""
+
+    Y = np.array([1e160])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_estimate_is_finite(self, t1, unit_weights):
+        assert math.isfinite(backward_error_estimate(t1, self.Y, np.array([1.0]), unit_weights))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stability_constant(self, t1, unit_weights):
+        # n = 1: alpha is the norm of the row [u (S r_y)^T - |y| A^T S, A^T S],
+        # (-2e160 + 1, -1, 1, 0), which is 2e160 to rounding.
+        assert stability_constant(t1, self.Y, unit_weights) == pytest.approx(2e160, rel=1e-15)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_report_is_finite(self, t1, unit_weights):
+        report = backward_error_bounds(t1, self.Y, unit_weights, xi0=np.array([1.0]))
+        assert report.bounds_applicable
+        for value in (report.rho_xi1, report.rho_xi0, report.tau0, report.alpha, report.alpha_lower,
+                      report.mu_lower, report.distance_lower):
+            assert math.isfinite(value)
+
+
 class TestPinvNormBound:
     def test_t1_value(self, t1, unit_weights):
         assert pinv_norm_bound(t1, Y01, unit_weights) == 1.0

@@ -19,7 +19,7 @@ from ilse import (
     solve_ilse,
 )
 from ilse import oracle, solver, testgen
-from ilse.harness import run_experiment
+from ilse.harness import residual_gamma, run_experiment
 from scipy.linalg import blas, lapack
 
 from conftest import small_params
@@ -131,16 +131,40 @@ class TestReportMemo:
 
     def test_generated_problem_is_not_checked_again(self, monkeypatch):
         problem, _ = gen_ilse_instance(small_params(5))
-        # Any recomputation would reach scipy.linalg or one of the LAPACK and
-        # BLAS routines the check calls; only the LU of solve_ilse stays.
+        n, s = problem.n, problem.s
+        # Every LAPACK and BLAS routine of the solver, and scipy.linalg, is
+        # spied on. A recomputed check would reach scipy.linalg, the geqrf of
+        # the n x s B^T, the dsyrk over the row blocks of A or dsymm; the
+        # null-space solve's own calls (a geqrf of the m x (n-s) A Z, dsyrk
+        # over the rows of its Q factor) go through.
+        calls = []
         fortran = (type(lapack.dgeqrf), type(blas.dsyrk))
-        routines = {name for name, value in vars(solver).items() if isinstance(value, fortran)}
-        blocked = routines - {"dgetrf", "dgetrs"}
-        assert {"dgeqrf", "dormqr", "dsyrk", "dsymm", "dgemm", "dlantr"} <= blocked
-        for name in blocked | {"sla"}:
-            monkeypatch.setattr(solver, name, None)
+
+        def spy(name, fn):
+            def call(*args, **kwargs):
+                arrays = [*args, *kwargs.values()]
+                calls.append((name, [np.shape(a) for a in arrays if isinstance(a, np.ndarray)]))
+                return fn(*args, **kwargs)
+            return call
+
+        routines = {name: value for name, value in vars(solver).items() if isinstance(value, fortran)}
+        assert {"dgeqrf", "dormqr", "dsyrk", "dsymm", "dgemm", "dlantr"} <= routines.keys()
+        for name, value in routines.items():
+            monkeypatch.setattr(solver, name, spy(name, value))
+
+        class Sla:
+            def __getattr__(self, name):
+                return spy(name, getattr(sla, name))
+
+        monkeypatch.setattr(solver, "sla", Sla())
         assert check_well_posedness(problem).well_posed
+        assert calls == []
         solve_ilse(problem)
+        names = {name for name, _ in calls}
+        assert {"dgeqrf", "dorgqr", "dsyrk", "dsysv", "dtrtrs"} <= names
+        assert not names & {"dsymm", "dlantr", "dgetrf", "svdvals", "eigvalsh"}
+        assert all(shapes[0] == (problem.m, n - s) for name, shapes in calls if name == "dgeqrf")
+        assert all(shapes[0][0] == n - s for name, shapes in calls if name == "dsyrk")
 
     def test_memo_keeps_an_ill_posed_verdict(self):
         problem = indefinite_on_nullspace()
@@ -228,12 +252,13 @@ class TestSolveIlse:
         pytest.param(small_params(24, p=24, q=0), id="q=0"),
     ])
     def test_bitwise_equal_to_scipy_lu(self, params):
-        # The old route: lu_factor/lu_solve on the assembled K.
+        # The unchecked route keeps the bits of lu_factor/lu_solve on the
+        # assembled K; the checked route solves on the null space of B.
         problem, _ = gen_ilse_instance(params)
         K, rhs = assemble_augmented(problem)
         u = sla.lu_solve(sla.lu_factor(K), rhs)
         s, m = problem.s, problem.m
-        sol = solve_ilse(problem)
+        sol = solve_ilse(problem, check_well_posed=False)
         assert sol.x.tobytes() == u[s + m:].tobytes()
         assert sol.lam.tobytes() == u[:s].tobytes()
         assert sol.xi.tobytes() == (-u[:s]).tobytes()
@@ -248,6 +273,35 @@ class TestSolveIlse:
             warnings.simplefilter("error")
             with pytest.raises(IllPosedProblemError, match="^augmented matrix is numerically singular$"):
                 solve_ilse(problem, check_well_posed=False)
+
+
+class TestNullSpaceSolve:
+    def test_exactly_singular_w_raises(self):
+        # Qa = -[1, 1, 1, 1]/2 exactly, so W = 1/4 + 1/4 - 1/4 - 1/4 = 0.
+        problem = IlseProblem(A=np.ones((4, 1)), b=np.ones(4), B=np.zeros((0, 1)), d=np.zeros(0),
+                              sig=SignatureMatrix(2, 2))
+        assert not check_well_posedness(problem).well_posed
+        with pytest.raises(IllPosedProblemError, match="W = Qa\\^T S Qa is exactly singular"):
+            solver._null_space_solve(problem, None, None)
+
+    def test_exactly_singular_r_factor_raises(self):
+        # A zero column: Ra has an exact zero on its diagonal.
+        problem = IlseProblem(A=np.eye(3, 2) * [1.0, 0.0], b=np.ones(3), B=np.zeros((0, 2)), d=np.zeros(0),
+                              sig=SignatureMatrix(3, 0))
+        with pytest.raises(IllPosedProblemError, match="triangular factor .* is exactly singular"):
+            solver._null_space_solve(problem, None, None)
+
+    @pytest.mark.parametrize("params, skipped", [
+        pytest.param(small_params(31, s=0), "_null_space_basis", id="s=0"),
+        pytest.param(small_params(32, s=12), "dsysv", id="s=n"),
+    ])
+    def test_edge_shapes_skip_what_they_do_not_need(self, monkeypatch, params, skipped):
+        # s = 0 takes A Z = A without building an identity; s = n has no
+        # reduced system.
+        problem, _ = gen_ilse_instance(params)
+        monkeypatch.setattr(solver, skipped, None)
+        sol = solve_ilse(problem)
+        assert residual_gamma(problem, sol) <= 1e-15
 
 
 class TestNormalEquationResiduals:
