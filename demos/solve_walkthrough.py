@@ -62,13 +62,20 @@ problem, achieved_kappa = gen_ilse_instance(params)
 print(f"\ngenerated instance: nominal kappa_A = {params.kappa_a:.0e}, "
       f"achieved = {achieved_kappa:.3e}")
 
+# The verdict reads W = Qa^T S Qa for A Z = Qa Ra, with Z a basis of the
+# null space of B: Z^T A^T S A Z = Ra^T W Ra is positive definite exactly
+# when W is and Ra is nonsingular. |W|_2 <= 1 whatever kappa_A is.
+report = check_well_posedness(problem)
+print(f"lambda_min(W) = {report.min_projected_eig:.3e} (tolerance {report.pd_tolerance:.1e}), "
+      f"rcond(Ra) = {report.ra_rcond:.3e} (tolerance {report.ra_tolerance:.1e})")
+
 sol = solve_ilse(problem)
 gamma = residual_gamma(problem, sol)
 r1, r2 = normal_equation_residuals(problem, sol.x, sol.xi)
 print(f"relative augmented residual gamma = {gamma:.3e}")
 
-# The checked solve above works on the null space of B with the check's QR
-# of B^T; the unchecked route factors the whole augmented matrix by LU.
+# The checked solve above took x and xi from the check's factors of B^T
+# and A Z; the unchecked route factors the whole augmented matrix by LU.
 # Both are backward stable, so they agree to rounding times conditioning.
 lu = solve_ilse(problem, check_well_posed=False)
 print(f"null-space x vs LU x: relative distance "

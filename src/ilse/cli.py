@@ -123,6 +123,8 @@ def _cmd_solve(args) -> int:
         ],
         "min_projected_eig": report.min_projected_eig,
         "pd_tolerance": report.pd_tolerance,
+        "ra_rcond": report.ra_rcond,
+        "ra_tolerance": report.ra_tolerance,
     }
     print(harness.to_json(payload))
     return 0

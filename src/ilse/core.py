@@ -107,8 +107,8 @@ class IlseProblem:
     s <= n, d has length s, and sig.p + sig.q = m. All entries must be
     finite. Arrays are copied and marked read-only.
 
-    The problem may carry its WellPosednessReport, with the QR factors of
-    B^T that the check computed, kept once by
+    The problem may carry its WellPosednessReport, with the solution and
+    multiplier of a well-posed problem, kept once by
     solver.check_well_posedness in the instance __dict__. It is not a
     field: ==, repr and dataclasses.replace ignore it, and a replaced or
     perturbed problem starts without one.

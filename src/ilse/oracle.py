@@ -7,7 +7,7 @@ minimum-norm solve is redone through the normal equations of the
 transposed system, the uniform pseudoinverse bound is recomputed from an
 explicit SVD, the minimization over multipliers is done numerically
 with a derivative-free method, and the well-posedness report is redone
-from a full orthogonal factor and the full spectrum of A^T S A. These
+from a full orthogonal factor and the projection of A^T S A. These
 paths exist so the closed-form and factored routes in backward_error and
 solver can be cross-checked, never to replace them.
 """
@@ -41,13 +41,19 @@ _EPS = np.finfo(float).eps
 
 def well_posedness_reference(problem: IlseProblem) -> WellPosednessReport:
     """The well-posedness report from the full n x n orthogonal factor of
-    B^T and the full spectrum of A^T S A, recomputed on every call.
+    B^T and the projection of A^T S A, recomputed on every call.
 
     Q comes from sla.qr(B^T, mode="full"), Z is its last n-s columns,
-    M = A^T S A is one gemm, and pd_tolerance = eps |M|_2 = eps max |eig(M)|.
-    solver.check_well_posedness states its tolerance as eps |M|_F, which
-    lies between eps |M|_2 and sqrt(n) eps |M|_2, so where min_projected_eig
-    clears the larger tolerance it clears this one too.
+    M = A^T S A is one gemm, min_projected_eig is the smallest eigenvalue
+    of Z^T M Z, and pd_tolerance = eps |M|_2 = eps max |eig(M)|. ra_rcond
+    is sigma_min/sigma_max of A Z from its singular values, against
+    ra_tolerance = 0. The verdict therefore squares kappa_A, where
+    solver.check_well_posedness reads lambda_min(W) for A Z = Qa Ra and
+    W = Qa^T S Qa against m eps, and the rank of Ra against m eps. Since
+    Z^T M Z = Ra^T W Ra, the two verdicts agree wherever this
+    min_projected_eig lies outside the rounding of forming M, about
+    n eps |M|_F + m eps |A|_F^2; inside it the check's is the one that
+    rounding does not decide.
     """
     A, B, sig = problem.A, problem.B, problem.sig
     n, s = problem.n, problem.s
@@ -63,17 +69,21 @@ def well_posedness_reference(problem: IlseProblem) -> WellPosednessReport:
     M = A.T @ apply_signature(sig, A)
     pd_tolerance = float(_EPS * np.max(np.abs(sla.eigvalsh(M))))
     if Z.shape[1] == 0:
-        min_eig = np.inf
+        min_eig = ra_rcond = np.inf
     else:
         proj = Z.T @ M @ Z
         proj = 0.5 * (proj + proj.T)
         min_eig = float(sla.eigvalsh(proj)[0])
+        sv = sla.svdvals(A @ Z)
+        ra_rcond = float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0
     return WellPosednessReport(
         rank_ok=rank_ok,
-        projected_pd_ok=bool(min_eig > pd_tolerance),
+        projected_pd_ok=bool(min_eig > pd_tolerance and ra_rcond > 0.0),
         min_projected_eig=min_eig,
         rank_tolerance=rank_tolerance,
         pd_tolerance=pd_tolerance,
+        ra_rcond=ra_rcond,
+        ra_tolerance=0.0,
     )
 
 

@@ -9,21 +9,24 @@ with s = S r, r = b - A x and lam = -xi. The coefficient matrix is
 invertible exactly when B has full row rank and A^T S A is positive
 definite on the null space of B.
 
-The check factors B^T = Q R once with LAPACK's geqrf and never forms Q:
-the rank test reads the singular values of the s x s R, and the
-null-space basis Z = Q [0; I] comes from applying the reflectors to the
-last n-s columns of the identity (ormqr). A^T S A is formed once, as two
-symmetric rank-k updates over the p and q row blocks of A, and serves
-both the projection Z^T A^T S A Z and the tolerance eps |A^T S A|_F. The
-well-posedness report is computed once per problem object and kept on
-it, with geqrf's factors of B^T.
+One analysis per problem object (_analyse) serves check_well_posedness
+and the checked solve_ilse. It factors B^T = Q R once with LAPACK's
+geqrf and never forms Q: the rank test reads the singular values of the
+s x s R, and the null-space basis Z = Q [0; I] comes from applying the
+reflectors to the last n-s columns of the identity (ormqr). It then
+factors A Z = Qa Ra and forms W = Qa^T S Qa (Chandrasekaran, Gu & Sayed,
+SIMAX 1998; Bojanczyk, Higham & Patel, BIT 2003). By Sylvester's law of
+inertia, Z^T A^T S A Z = Ra^T W Ra is positive definite exactly when Ra
+is nonsingular and W is positive definite. A^T S A is never formed, so
+the verdict does not square kappa_A, and |W|_2 <= 1 whatever kappa_A is.
+On a well-posed problem the same factors give the solution and its
+multiplier. The problem object keeps the report and that (x, xi), not
+the factors.
 
-solve_ilse has two routes. A checked solve reuses those factors and
-solves on the null space of B: a QR of the m x (n-s) A Z and an
-(n-s) x (n-s) indefinite solve with W = Qa^T S Qa, so that A^T S A is
-never formed and K is never assembled. An unchecked solve assembles K
-bitwise symmetric, so its C-ordered buffer is also its Fortran array:
-LAPACK's getrf factors it in place and getrs solves with the factors.
+solve_ilse has two routes. A checked solve takes (x, xi) from that
+analysis: K is never assembled. An unchecked solve assembles K bitwise
+symmetric, so its C-ordered buffer is also its Fortran array: LAPACK's
+getrf factors it in place and getrs solves with the factors.
 """
 
 from __future__ import annotations
@@ -33,17 +36,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.blas import dgemm, dsymm, dsyrk
+from scipy.linalg.blas import dgemm, dsyrk
 from scipy.linalg.lapack import (
     dgeqrf,
     dgeqrf_lwork,
     dgetrf,
     dgetrs,
-    dlantr,
     dorgqr,
     dormqr,
     dsysv,
     dsysv_lwork,
+    dtrcon,
     dtrtrs,
 )
 
@@ -57,7 +60,7 @@ from .core import (
 _EPS = np.finfo(float).eps
 
 # Instance-dict key of an IlseProblem's well-posedness memo: the tuple
-# (report, qr, tau) of check_well_posedness.
+# (report, x, xi) of _analyse, with x and xi None on an ill-posed problem.
 _MEMO_KEY = "_well_posedness_memo"
 
 
@@ -65,12 +68,14 @@ _MEMO_KEY = "_well_posedness_memo"
 class WellPosednessReport:
     """Outcome of the two existence/uniqueness conditions.
 
-    min_projected_eig is the smallest eigenvalue of Z^T (A^T S A) Z for an
-    orthonormal null-space basis Z of B; it is +inf when the null space is
-    trivial. projected_pd_ok is min_projected_eig > pd_tolerance, with
-    pd_tolerance = eps |A^T S A|_F; rank_ok compares the s-th singular
-    value of B with rank_tolerance times the largest. The tolerances used
-    are recorded so the booleans can be re-derived.
+    rank_ok compares the s-th singular value of B with rank_tolerance times
+    the largest. With Z an orthonormal basis of the null space of B and
+    A Z = Qa Ra, min_projected_eig is the smallest eigenvalue of
+    W = Qa^T S Qa and ra_rcond is the reciprocal condition number of Ra;
+    both are +inf when the null space is trivial. projected_pd_ok is
+    min_projected_eig > pd_tolerance and ra_rcond > ra_tolerance. The
+    tolerances used are recorded so the booleans can be re-derived;
+    check_well_posedness states them.
     """
 
     rank_ok: bool
@@ -78,6 +83,8 @@ class WellPosednessReport:
     min_projected_eig: float
     rank_tolerance: float
     pd_tolerance: float
+    ra_rcond: float
+    ra_tolerance: float
 
     @property
     def well_posed(self) -> bool:
@@ -85,10 +92,10 @@ class WellPosednessReport:
 
 
 def _signed_gram(A: np.ndarray, p: int) -> np.ndarray:
-    """Upper triangle of M = A^T S A as an n x n Fortran array, from one
-    dsyrk over the p rows of A with sign +1 and one over the q rows with
-    sign -1; a sign block without rows is skipped. The strict lower
-    triangle is zero."""
+    """Upper triangle of A^T S A as a Fortran array, from one dsyrk over
+    the p rows of A with sign +1 and one over the rest with sign -1; a
+    sign block without rows is skipped. The strict lower triangle is
+    zero."""
     n = A.shape[1]
     M = np.zeros((n, n), order="F")
     for rows, sign in ((A[:p], 1.0), (A[p:], -1.0)):
@@ -97,87 +104,111 @@ def _signed_gram(A: np.ndarray, p: int) -> np.ndarray:
     return M
 
 
-def _symmetric_frobenius(upper: np.ndarray) -> float:
-    """|M|_F of the symmetric M whose upper triangle ``upper`` holds.
-
-    With U the upper triangle and D the diagonal, |M|_F^2 = 2 |U|_F^2 -
-    |D|_F^2; both norms are taken scaled (LAPACK's dlantr, math.hypot),
-    so the result overflows only where |M|_F itself does.
-    """
-    u = float(dlantr("F", upper))
-    if u == 0.0:
-        return 0.0
-    return u * math.sqrt(2.0 - (math.hypot(*upper.diagonal()) / u) ** 2)
-
-
-def _null_space_basis(qr: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Z = Q [0; I_{n-s}] for the geqrf factors (qr, tau) of the n x s B^T:
-    the reflectors applied to the last n-s columns of the identity."""
-    n, s = qr.shape
-    Z = np.zeros((n, n - s), order="F")
-    np.fill_diagonal(Z[s:], 1.0)
-    return _apply_q(qr, tau, Z, "N")
-
-
 def check_well_posedness(problem: IlseProblem) -> WellPosednessReport:
     """Verify rank(B) = s and positive definiteness of A^T S A on N(B).
 
-    One Householder QR of B^T (geqrf) serves both tests, and Q is never
-    formed:
+    One Householder QR of B^T (geqrf) and one of A Z serve both tests, and
+    neither Q nor A^T S A is formed:
     - the rank test compares the s-th singular value of the s x s R
       against rank_tolerance * sigma_max(R), with rank_tolerance =
-      max(s, n) * eps;
-    - the null-space basis Z is the reflectors applied to [0; I_{n-s}].
-    M = A^T S A is formed once, as two dsyrk calls over the p and q row
-    blocks of A. The projected matrix Z^T M Z must have its smallest
-    eigenvalue above pd_tolerance = eps |M|_F. That tolerance is never
-    below eps |M|_2 and at most sqrt(n) times it, and it needs no
-    eigenvalues of M. At s = 0, Z = I and the test reads M itself; at
-    s = n the null space is trivial and min_projected_eig is +inf. Always
-    returns a report; nothing is raised here.
+      max(s, n) eps;
+    - Z is the reflectors applied to [0; I_{n-s}], A Z = Qa Ra, and
+      W = Qa^T S Qa comes from two dsyrk calls over the p and q row blocks
+      of Qa. Z^T A^T S A Z = Ra^T W Ra is positive definite exactly when
+      W is and Ra is nonsingular, so projected_pd_ok asks for both:
+      - min_projected_eig = lambda_min(W) > pd_tolerance = m eps. Qa has
+        orthonormal columns, so each entry of W is formed to about m eps
+        whatever kappa_A is, and |W|_2 <= 1;
+      - ra_rcond, LAPACK's dtrcon estimate of the reciprocal 1-norm
+        condition number of Ra, > ra_tolerance = m eps. That is the
+        numerical-rank test of the m x (n-s) A Z, with a constant of
+        order its dimension.
+    At s = 0, Z = I and A Z = A; at s = n the null space is trivial and
+    min_projected_eig and ra_rcond are +inf. Always returns a report;
+    nothing is raised here.
 
-    The report is computed once per problem object: it is kept in the
+    The analysis runs once per problem object: its result is kept in the
     instance __dict__ (the way functools.cached_property keeps a value)
-    and the same frozen report is returned on every later call. The memo
-    also holds geqrf's output (qr, tau) on B^T, read-only and of the size
-    of B, which the checked solve of solve_ilse reuses; Z is not kept.
-    The problem's arrays are read-only copies, so the kept report cannot
-    go stale. oracle.well_posedness_reference recomputes the report from
-    the full Q and the full spectrum of M.
+    and the same frozen report is returned on every later call. On a
+    well-posed problem the memo also holds the solution x and multiplier
+    xi that the checked solve_ilse returns, read-only, of lengths n and s;
+    the factors are not kept. The problem's arrays are read-only copies,
+    so the memo cannot go stale. oracle.well_posedness_reference recomputes
+    the verdict from the full Q and the projection Z^T A^T S A Z.
     """
-    if _MEMO_KEY in problem.__dict__:
-        return problem.__dict__[_MEMO_KEY][0]
-    n, s = problem.n, problem.s
-    rank_tolerance = float(max(s, n) * _EPS)
-    M = _signed_gram(problem.A, problem.sig.p)
-    pd_tolerance = float(_EPS * _symmetric_frobenius(M))
+    if _MEMO_KEY not in problem.__dict__:
+        problem.__dict__[_MEMO_KEY] = _analyse(problem)
+    return problem.__dict__[_MEMO_KEY][0]
 
-    qr = tau = None
-    if s == 0:
-        rank_ok = True
-        min_eig = float(sla.eigvalsh(M, lower=False)[0])
-    else:
+
+def _analyse(
+    problem: IlseProblem,
+) -> tuple[WellPosednessReport, np.ndarray | None, np.ndarray | None]:
+    """(report, x, xi) of check_well_posedness; x and xi are None unless
+    the problem is well posed.
+
+    With B^T = [Q1 Q2] [R; 0], B x = d fixes x_p = Q1 R^-T d, and
+    x = x_p + Z z with Z = Q2. The stationarity condition
+    Z^T A^T S (b - A x) = 0 reads Ra^T W Ra z = Ra^T Qa^T S (b - A x_p);
+    Ra is nonsingular on a well-posed problem, so W (Ra z) =
+    Qa^T S (b - A x_p). W is solved by LAPACK's sysv (Bunch-Kaufman), then
+    Ra z by trtrs. The multiplier is xi = R^-1 Q1^T A^T S r with
+    r = b - A x. At s = 0, A Z = A and x = z; at s = n, Z is empty and
+    x = x_p.
+    """
+    A, b, sig = problem.A, problem.b, problem.sig
+    m, n, s = problem.m, problem.n, problem.s
+    k = n - s
+    rank_tolerance = float(max(s, n) * _EPS)
+    pd_tolerance = ra_tolerance = float(m * _EPS)
+    rank_ok = True
+    if s:
         qr, tau, _, _ = dgeqrf(problem.B.T, lwork=int(dgeqrf_lwork(n, s)[0]))
         sv = sla.svdvals(np.triu(qr[:s]))
         rank_ok = bool(sv[0] > 0.0 and sv[s - 1] > rank_tolerance * sv[0])
-        if s == n:
-            min_eig = math.inf
-        else:
-            Z = _null_space_basis(qr, tau)
-            proj = dgemm(1.0, Z, dsymm(1.0, M, Z), trans_a=1)
-            proj = 0.5 * (proj + proj.T)
-            min_eig = float(sla.eigvalsh(proj)[0])
-        qr.flags.writeable = tau.flags.writeable = False
-
+    min_eig = ra_rcond = math.inf
+    if k:
+        if s:
+            Z = np.zeros((n, k), order="F")
+            np.fill_diagonal(Z[s:], 1.0)
+            Z = _apply_q(qr, tau, Z, "N")
+        AZ = dgemm(1.0, A.T, Z, trans_a=1) if s else np.array(A, order="F")
+        lwork = int(dgeqrf_lwork(m, k)[0])
+        qa, tau_a, _, _ = dgeqrf(AZ, lwork, 1)
+        Ra = np.triu(qa[:k])
+        Qa = dorgqr(qa, tau_a, lwork, 1)[0]
+        W = _signed_gram(Qa, sig.p)
+        min_eig = float(sla.eigvalsh(W, lower=False, subset_by_index=[0, 0])[0])
+        ra_rcond = float(dtrcon(Ra)[0])
     report = WellPosednessReport(
         rank_ok=rank_ok,
-        projected_pd_ok=bool(min_eig > pd_tolerance),
+        projected_pd_ok=bool(min_eig > pd_tolerance and ra_rcond > ra_tolerance),
         min_projected_eig=min_eig,
         rank_tolerance=rank_tolerance,
         pd_tolerance=pd_tolerance,
+        ra_rcond=ra_rcond,
+        ra_tolerance=ra_tolerance,
     )
-    problem.__dict__[_MEMO_KEY] = (report, qr, tau)
-    return report
+    if not report.well_posed:
+        return report, None, None
+
+    x = np.zeros(n)
+    if s:
+        # x_p = Q [R^-T d; 0]; trtrs reads the s x s R in qr's top rows.
+        x_p = np.zeros((n, 1), order="F")
+        x_p[:s, 0] = dtrtrs(qr, problem.d, 0, 1)[0]
+        x = _apply_q(qr, tau, x_p, "N")[:, 0]
+    if k:
+        rhs = Qa.T @ apply_signature(sig, b - A @ x)
+        v = dsysv(W, rhs, int(dsysv_lwork(k)[0]), overwrite_a=1)[2]
+        z = dtrtrs(Ra, v)[0]
+        x = x + Z @ z if s else z
+    xi = np.zeros(0)
+    if s:
+        g = (A.T @ apply_signature(sig, b - A @ x))[:, None]
+        xi = dtrtrs(qr, _apply_q(qr, tau, g, "T")[:s, 0])[0]
+    x.flags.writeable = xi.flags.writeable = False
+    return report, x, xi
 
 
 def assemble_augmented(problem: IlseProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -206,10 +237,11 @@ def solve_ilse(problem: IlseProblem, check_well_posed: bool = True) -> IlseSolut
 
     A checked solve (the default) runs the well-posedness check, or reuses
     the problem's memo when check_well_posedness has already computed it
-    (a problem from gen_ilse_instance carries one), and then solves on the
-    null space of B with the check's QR of B^T (_null_space_solve): no
-    order-(s+m+n) matrix is formed. Raises IllPosedProblemError if the
-    check fails or the reduced system meets an exactly zero pivot.
+    (a problem from gen_ilse_instance carries one), and returns the x and
+    xi that the check's analysis solved for on the null space of B, from
+    the same QR factors of B^T and A Z that its verdict read: no
+    order-(s+m+n) matrix is formed, and on a memoized problem no factor
+    is computed again. Raises IllPosedProblemError if the check fails.
 
     check_well_posed=False skips the check and returns the stationary
     point of the augmented system whenever it is invertible, by LU
@@ -237,9 +269,9 @@ def solve_ilse(problem: IlseProblem, check_well_posed: bool = True) -> IlseSolut
             raise IllPosedProblemError(
                 "problem is not well posed: "
                 f"rank_ok={report.rank_ok}, projected_pd_ok={report.projected_pd_ok} "
-                f"(min projected eigenvalue {report.min_projected_eig:.3e})"
+                f"(lambda_min(W) {report.min_projected_eig:.3e}, rcond(Ra) {report.ra_rcond:.3e})"
             )
-        x, xi = _null_space_solve(problem, *problem.__dict__[_MEMO_KEY][1:])
+        x, xi = problem.__dict__[_MEMO_KEY][1:]
     else:
         x, xi = _augmented_solve(problem)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))):
@@ -257,64 +289,6 @@ def _augmented_solve(problem: IlseProblem) -> tuple[np.ndarray, np.ndarray]:
     u, _ = dgetrs(lu, piv, rhs, overwrite_b=1)
     s, m = problem.s, problem.m
     return u[s + m:], -u[:s]
-
-
-def _null_space_solve(
-    problem: IlseProblem, qr: np.ndarray | None, tau: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(x, xi) of a well-posed problem from the geqrf factors (qr, tau) of
-    B^T = [Q1 Q2] [R; 0], None at s = 0 (Chandrasekaran, Gu & Sayed, SIMAX
-    1998; Bojanczyk, Higham & Patel, BIT 2003).
-
-    B x = d fixes x_p = Q1 R^-T d, and x = x_p + Z z with Z = Q2 rebuilt by
-    _null_space_basis. With A Z = Qa Ra (geqrf, then orgqr for the
-    m x (n-s) Qa) and W = Qa^T S Qa from two dsyrk calls over the p and q
-    row blocks of Qa (_signed_gram), the stationarity condition
-    Z^T A^T S (b - A x) = 0 reads Ra^T W Ra z = Ra^T Qa^T S (b - A x_p);
-    Ra is nonsingular on a well-posed problem, so W (Ra z) =
-    Qa^T S (b - A x_p). W is solved by LAPACK's sysv (Bunch-Kaufman), which
-    does not need W definite, then Ra z by trtrs. |W|_2 <= 1 whatever
-    kappa_A is, and A^T S A is never formed, so kappa_A is not squared.
-    The multiplier is xi = R^-1 Q1^T A^T S r with r = b - A x. At s = 0,
-    A Z = A and x = z; at s = n, Z is empty and x = x_p.
-    """
-    A, b, sig = problem.A, problem.b, problem.sig
-    m, n, s = problem.m, problem.n, problem.s
-    k = n - s
-    x = np.zeros(n)
-    if s:
-        # x_p = Q [R^-T d; 0]; trtrs reads the s x s R in qr's top rows.
-        x_p = np.zeros((n, 1), order="F")
-        x_p[:s, 0] = _triangular_solve(qr, problem.d, trans=1)
-        x = _apply_q(qr, tau, x_p, "N")[:, 0]
-    if k:
-        Z = _null_space_basis(qr, tau) if s else None
-        AZ = dgemm(1.0, A.T, Z, trans_a=1) if s else np.array(A, order="F")
-        lwork = int(dgeqrf_lwork(m, k)[0])
-        qa, tau_a, _, _ = dgeqrf(AZ, lwork, 1)
-        Ra = np.triu(qa[:k])
-        Qa = dorgqr(qa, tau_a, lwork, 1)[0]
-        W = _signed_gram(Qa, sig.p)
-        rhs = Qa.T @ apply_signature(sig, b - A @ x)
-        _, _, v, info = dsysv(W, rhs, int(dsysv_lwork(k)[0]), overwrite_a=1)
-        if info > 0:
-            raise IllPosedProblemError("reduced matrix W = Qa^T S Qa is exactly singular")
-        z = _triangular_solve(Ra, v)
-        x = x + Z @ z if s else z
-    if not s:
-        return x, np.zeros(0)
-    g = (A.T @ apply_signature(sig, b - A @ x))[:, None]
-    return x, _triangular_solve(qr, _apply_q(qr, tau, g, "T")[:s, 0])
-
-
-def _triangular_solve(a: np.ndarray, v: np.ndarray, trans: int = 0) -> np.ndarray:
-    """T^-1 v (trans=0) or T^-T v (trans=1) for the upper triangle T of
-    the leading k x k block of the n x k a; IllPosedProblemError on an
-    exactly zero diagonal entry."""
-    x, info = dtrtrs(a, v, 0, trans)
-    if info > 0:
-        raise IllPosedProblemError("triangular factor of the null-space solve is exactly singular")
-    return x
 
 
 def _apply_q(qr: np.ndarray, tau: np.ndarray, c: np.ndarray, trans: str) -> np.ndarray:

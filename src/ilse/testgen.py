@@ -222,9 +222,11 @@ def gen_ilse_instance(params: GenParams) -> tuple[IlseProblem, float]:
     Ill-posed draws (possible at extreme conditioning) are regenerated
     from a derived sub-seed, up to 10 attempts. With no constraints
     (s = 0) the whole of A^T S A must be positive definite, not only its
-    projection on the null space of B, with its smallest eigenvalue above
-    eps |A^T S A|_F. Near kappa_a = 1/sqrt(eps) that fails in most draws,
-    and the error then says so.
+    projection on the null space of B. A = Q D U with Q^T S Q = S, so
+    A^T S A = U^T D^T S D U, which is positive definite exactly when
+    p >= n: with p < n every draw is ill posed, and the error then says
+    so. At kappa_a beyond 1/eps, A Z is numerically rank deficient in
+    every draw whatever the shape.
     """
     for attempt in range(10):
         seed = params.seed if attempt == 0 else subseed(params.seed, _STREAM_RETRY * attempt)
@@ -241,11 +243,8 @@ def gen_ilse_instance(params: GenParams) -> tuple[IlseProblem, float]:
         if check_well_posedness(problem).well_posed:
             achieved = float(sv[0] / sv[-1])
             return problem, achieved
-    cause = (
-        "; with no constraints (s = 0) the whole of A^T S A must be positive definite, "
-        "with its smallest eigenvalue above eps |A^T S A|_F: try a smaller kappa_a or hyper_bound"
-        if params.s == 0 else ""
-    )
+    cause = "; with no constraints (s = 0) A^T S A must be positive definite, which needs p >= n"
+    cause = cause if params.s == 0 and params.p < params.n else ""
     raise GenerationError(
         f"no well-posed instance after 10 attempts (seed={params.seed}, "
         f"kappa_a={params.kappa_a:g}, kappa_b={params.kappa_b:g}){cause}"

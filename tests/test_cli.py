@@ -33,7 +33,7 @@ def strict_json(text):
 
 SOLVE_KEYS = [
     "x", "xi", "lambda", "residual_norm", "gamma", "normal_equation_residual_norms",
-    "min_projected_eig", "pd_tolerance",
+    "min_projected_eig", "pd_tolerance", "ra_rcond", "ra_tolerance",
 ]
 BACKWARD_ERROR_KEYS = [
     "rho_xi1", "rho_xi0", "tau0", "alpha", "alpha_lower", "small_rho_condition", "mu_upper",
@@ -64,14 +64,15 @@ def test_json_outputs_keep_their_key_order_and_print_non_finite_values_as_null(
     assert code == 0 and list(payload) == BACKWARD_ERROR_KEYS
     assert payload["rho_xi1"] is None and payload["alpha"] is None
 
-    # At s = 0 and kappa_A = 1e8 instance generation fails: those rows carry no numbers.
+    # At kappa_A = 1e20 > 1/eps, A is numerically rank deficient by
+    # construction and instance generation fails: those rows carry no numbers.
     code, out, _ = run_cli(capsys, "experiment", "--m", "12", "--n", "6", "--s", "0", "--p", "7",
-                           "--q", "5", "--kappa-a", "1e2", "--kappa-a", "1e8", "--kappa-b", "1e2",
+                           "--q", "5", "--kappa-a", "1e2", "--kappa-a", "1e20", "--kappa-b", "1e2",
                            "--eps", "1e-6", "--trials", "2", "--format", "json")
     rows = strict_json(out)["rows"]
     assert code == 0 and all(list(row) == EXPERIMENT_ROW_KEYS for row in rows)
     failed = [row for row in rows if row["failed"]]
-    assert [row["kappa_A_nominal"] for row in failed] == [1e8, 1e8]
+    assert [row["kappa_A_nominal"] for row in failed] == [1e20, 1e20]
     assert all(row["reason"] and row["rho_xi1"] is None and row["kappa_A"] is None for row in failed)
 
 

@@ -178,13 +178,20 @@ class TestGenInstance:
             gen_ilse_instance(params)
 
     def test_no_constraints_failure_names_its_cause(self):
-        # At s = 0 nothing projects A^T S A, and at kappa_a = 1e8 seed 0
-        # draws no definite one in 10 attempts; a smaller kappa_a does.
-        params = GenParams(12, 6, 0, 7, 5, kappa_a=1e8, kappa_b=1.0, seed=0)
-        with pytest.raises(GenerationError, match=r"\(s = 0\) the whole of A\^T S A must be positive "
-                                                  r"definite, .*: try a smaller kappa_a or hyper_bound$"):
+        # At s = 0 nothing projects A^T S A = U^T D^T S D U, which has a
+        # negative eigenvalue in every draw when p < n.
+        params = GenParams(12, 6, 0, 5, 7, kappa_a=1e2, kappa_b=1.0, seed=0)
+        with pytest.raises(GenerationError, match=r"\(s = 0\) A\^T S A must be positive definite, "
+                                                  r"which needs p >= n$"):
             gen_ilse_instance(params)
-        problem, _ = gen_ilse_instance(dataclasses.replace(params, kappa_a=1e6))
+        # With p >= n, a numerically rank-deficient A (kappa_a > 1/eps) fails without that cause.
+        with pytest.raises(GenerationError, match=r"kappa_b=1\)$"):
+            gen_ilse_instance(dataclasses.replace(params, p=7, q=5, kappa_a=1e20))
+
+    def test_no_constraints_at_kappa_a_1e8_is_well_posed(self):
+        # p >= n makes A^T S A positive definite by construction, though its
+        # smallest eigenvalue, about 1e-16, lies below the rounding of forming it.
+        problem, _ = gen_ilse_instance(GenParams(12, 6, 0, 7, 5, kappa_a=1e8, kappa_b=1.0, seed=0))
         assert check_well_posedness(problem).well_posed
 
     def test_constrained_failure_keeps_its_message(self):
