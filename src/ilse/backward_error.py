@@ -126,6 +126,7 @@ from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr, dtrtrs
 
 from . import solver
 from .core import (
+    IlseError,
     IlseProblem,
     RankDeficiencyError,
     WeightScheme,
@@ -221,16 +222,25 @@ def _norm(v: np.ndarray) -> float:
 
 def _multiplier_free_blocks(problem: IlseProblem, y: np.ndarray, w: WeightScheme):
     """u, |y|, r_y, S r_y and the n x 2m block [u (S r_y)^T - |y| A^T S, A^T S/theta1]
-    of C that does not depend on xi, whose transpose stage one factors."""
+    of C that does not depend on xi, whose transpose stage one factors.
+
+    Where r_y or the first block is out of floating-point range, an
+    IlseError names |y|: the linearization at y cannot be represented."""
     m, n = problem.m, problem.n
     y_norm = _norm(y)
     u = y / y_norm if y_norm > 0.0 else np.eye(1, n)[0]
-    r_y = problem.residual(y)
-    sr = apply_signature(problem.sig, r_y)
     AtS = apply_signature(problem.sig, problem.A).T
     blocks = np.empty((n, 2 * m))
-    np.multiply(AtS, -y_norm, out=blocks[:, :m])
-    blocks[:, :m] += np.outer(u, sr)
+    try:
+        with np.errstate(over="raise"):
+            r_y = problem.residual(y)
+            sr = apply_signature(problem.sig, r_y)
+            np.multiply(AtS, -y_norm, out=blocks[:, :m])
+            blocks[:, :m] += np.outer(u, sr)
+    except FloatingPointError:
+        raise IlseError(
+            f"|y| = {y_norm:.6e} puts the linearization out of floating-point range"
+        ) from None
     np.divide(AtS, w.theta1, out=blocks[:, m:])
     return u, y_norm, r_y, sr, blocks
 

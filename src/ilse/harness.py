@@ -24,6 +24,7 @@ import json
 import math
 import numbers
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -138,7 +139,12 @@ def run_trial(params: GenParams, eps: float, w: WeightScheme, seed: int) -> Expe
     try:
         gen_params = replace(params, seed=subseed(seed, _STREAM_TRIAL_GEN))
         problem, achieved = gen_ilse_instance(gen_params)
-        # gen_ilse_instance only returns instances that passed check_well_posedness.
+        # gen_ilse_instance only returns instances that passed
+        # check_well_posedness, whose memo holds the null-space (x, xi). The
+        # trial still solves by the LU of K. On the acceptance grid the memo's
+        # (x, xi) keeps rho_xi1, tau0 and mu_1 bit for bit in 120 of 120
+        # trials, but it moves rho_xi0, whose xi0 is this xi, by up to 36% at
+        # eps = 1e-12, and it changes gamma. So the LU stays while rho_xi0 does.
         sol = solve_ilse(problem, check_well_posed=False)
         gamma = residual_gamma(problem, sol)
 
@@ -289,7 +295,9 @@ def _fmt(x: float) -> str:
 
 
 def summarize_rows(rows: list[ExperimentRow]) -> list[str]:
-    """Per-cell medians of rho_xi1 / eps over the successful trials."""
+    """Per-cell medians of rho_xi1 / eps over the successful trials, then
+    the failed trials counted by reason: the text before the first ":" of
+    each reason (the exception's name), most frequent first, ties by name."""
     cells: dict[tuple[float, float, float], list[float]] = {}
     for row in rows:
         if row.failed or row.eps == 0.0:
@@ -303,9 +311,11 @@ def summarize_rows(rows: list[ExperimentRow]) -> list[str]:
             f"median rho_xi1/eps = {_fmt(med)} "
             f"[eps={_fmt(eps)}, kappa_A={_fmt(ka)}, kappa_B={_fmt(kb)}, trials={len(ratios)}]"
         )
-    failed = sum(1 for row in rows if row.failed)
-    if failed:
-        lines.append(f"failed trials: {failed} of {len(rows)}")
+    reasons = Counter(row.reason.split(":", 1)[0] for row in rows if row.failed)
+    if reasons:
+        counts = sorted(reasons.items(), key=lambda item: (-item[1], item[0]))
+        lines.append(f"failed trials: {reasons.total()} of {len(rows)} "
+                     f"({', '.join(f'{name}: {k}' for name, k in counts)})")
     return lines
 
 

@@ -10,6 +10,11 @@ with a derivative-free method, and the well-posedness report is redone
 from a full orthogonal factor and the projection of A^T S A. These
 paths exist so the closed-form and factored routes in backward_error and
 solver can be cross-checked, never to replace them.
+
+The derivative-free method is _nelder_mead, the fixed-coefficient
+Nelder-Mead simplex search, written here with scipy's iterates bit for
+bit, so that the package needs no scipy.optimize: importing it would add
+about 20 MB of resident memory to every process that searches.
 """
 
 from __future__ import annotations
@@ -159,6 +164,107 @@ def estimate_on_grid(
     return float(ts[best]), float(rhos[best])
 
 
+class _BudgetSpent(Exception):
+    """The evaluation budget of a _nelder_mead search is spent."""
+
+
+def _nelder_mead(func, x0, maxfev: int, xatol: float, fatol: float):
+    """Minimize func from x0 with the Nelder-Mead simplex method (Nelder &
+    Mead, Comput. J. 1965); returns (x, fun, nfev, success).
+
+    The iterates are bitwise those of scipy.optimize.minimize(func, x0,
+    method="Nelder-Mead", options={"maxfev": maxfev, "xatol": xatol,
+    "fatol": fatol}), the variant without bounds, adaptive coefficients or
+    callback, which tests/test_oracle.py compares against:
+    - reflection 1, expansion 2, contraction 1/2, shrink 1/2: from the
+      centroid xbar of the best N vertices and the worst vertex w, the
+      trial points are 2 xbar - w, 3 xbar - 2 w, 1.5 xbar - 0.5 w and
+      0.5 xbar + 0.5 w, and a shrink moves each vertex v to
+      v0 + 0.5 (v - v0), with scipy's roundings;
+    - vertex k of the start simplex is x0 with entry k scaled by 1.05, or
+      set to 0.00025 where it is zero;
+    - func gets a copy of each point, and the budget is checked before
+      each evaluation. When it is spent the step stops where it is, a
+      shrink part-way through included, and the simplex is sorted once
+      more;
+    - vertices are sorted by np.argsort of their values, NaN included;
+    - the search stops once every vertex lies within xatol of the best in
+      each entry and every value within fatol of the best.
+    x is the best vertex, fun is np.min of the vertex values (NaN when one
+    is NaN), and success means that the stopping test was met while budget
+    was left.
+    """
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return func(np.copy(x))
+
+    x0 = np.asarray(x0, dtype=float)
+    N = len(x0)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        sim[k + 1] = x0
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(N + 1, np.inf)
+    try:
+        for k in range(N + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    # scipy sorts the start simplex twice. argsort is not stable, and past
+    # 16 values with NaN among them the second sort can reorder ties.
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    while nfev < maxfev:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = 2.0 * xbar - sim[-1]
+            fxr = f(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = 3.0 * xbar - 2.0 * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = 0.5 * xbar + 0.5 * sim[-1]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), nfev, nfev < maxfev
+
+
 # Nelder-Mead budget per multiplier dimension, shared by the start points;
 # relative stopping tolerance of each search; random start points.
 _EVALS_PER_DIMENSION = 200
@@ -190,7 +296,8 @@ def minimize_estimate(
     _RANDOM_STARTS random Gaussian points. A budget of 200 evaluations per
     multiplier dimension is split over the start points and does not cap
     the total number of rho evaluations: each start point costs one
-    evaluation of its own plus a Nelder-Mead search of at most
+    evaluation of its own plus a _nelder_mead search (coefficients 1, 2,
+    1/2, 1/2; scipy's iterates, without scipy.optimize) of at most
     max(200 s // number_of_start_points, 2s + 4) evaluations. So a search
     with xi0 at s = 4 makes 5 x (1 + 160) = 805 evaluations. Each search
     stops once its values and points agree to a relative _SEARCH_TOL.
@@ -200,11 +307,6 @@ def minimize_estimate(
     bitwise-identical output. At s = 0 there is nothing to search: the
     result is rho at the empty multiplier after one evaluation.
     """
-    # Imported here, not at module level: scipy.optimize adds about 20 MB
-    # of resident memory and 0.2 s to every `import ilse`, and this search
-    # is its only user.
-    from scipy.optimize import minimize as _nelder_mead
-
     y = np.asarray(y, dtype=float)
     s = problem.s
 
@@ -243,21 +345,16 @@ def minimize_estimate(
             break
         if not math.isfinite(f0):
             continue
-        res = _nelder_mead(
+        x, fun, _, success = _nelder_mead(
             objective,
             x0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": budget_per_start,
-                "fatol": _SEARCH_TOL * max(f0, 1e-300),
-                "xatol": _SEARCH_TOL * (1.0 + float(np.linalg.norm(x0))),
-                "disp": False,
-            },
+            maxfev=budget_per_start,
+            xatol=_SEARCH_TOL * (1.0 + float(np.linalg.norm(x0))),
+            fatol=_SEARCH_TOL * max(f0, 1e-300),
         )
-        if res.success:
-            converged = True
-        if math.isfinite(res.fun) and res.fun < best_rho:
-            best_rho, best_xi = float(res.fun), np.array(res.x, dtype=float)
+        converged = converged or success
+        if math.isfinite(fun) and fun < best_rho:
+            best_rho, best_xi = float(fun), np.array(x, dtype=float)
 
     if not math.isfinite(best_rho):
         raise OptimizationError(

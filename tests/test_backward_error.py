@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg as sla
 
 from ilse import (
+    IlseError,
     IlseProblem,
     RankDeficiencyError,
     SignatureMatrix,
@@ -385,6 +386,29 @@ class TestOverflowingCandidate:
         for value in (report.rho_xi1, report.rho_xi0, report.tau0, report.alpha, report.alpha_lower,
                       report.mu_lower, report.distance_lower):
             assert math.isfinite(value)
+
+
+class TestCandidateAtTheEdgeOfRange:
+    """On t1 the row of C that does not depend on xi has the entry
+    1 - 2|y|: in range at y = 5e307, out of it at y = 1e308, though |y|
+    itself is not."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_last_candidate_in_range(self, t1, unit_weights):
+        y = np.array([5e307])
+        assert stability_constant(t1, y, unit_weights) == 1e308
+        assert backward_error_estimate(t1, y, np.array([1.0]), unit_weights) == math.sqrt(1.25)
+        assert backward_error_bounds(t1, y, unit_weights).rho_xi1 == math.sqrt(1.25)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("call", [
+        lambda t1, y, w: stability_constant(t1, y, w),
+        lambda t1, y, w: backward_error_estimate(t1, y, np.array([1.0]), w),
+        lambda t1, y, w: backward_error_bounds(t1, y, w),
+    ], ids=["stability_constant", "backward_error_estimate", "backward_error_bounds"])
+    def test_out_of_range_names_the_candidate_norm(self, t1, unit_weights, call):
+        with pytest.raises(IlseError, match=r"\|y\| = 1\.000000e\+308"):
+            call(t1, np.array([1e308]), unit_weights)
 
 
 class TestPinvNormBound:

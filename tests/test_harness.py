@@ -22,7 +22,7 @@ from ilse import (
 )
 from ilse import backward_error as be
 from ilse import properties
-from ilse.harness import CSV_HEADER, ExperimentConfig, format_rows
+from ilse.harness import CSV_HEADER, ExperimentConfig, ExperimentRow, format_rows, summarize_rows
 from ilse.testgen import gen_ilse_instance
 
 from conftest import SMALL_DIMS, small_params
@@ -206,6 +206,24 @@ class TestFormats:
             np.testing.assert_equal(record, {key: getattr(row, name) for key, name in JSON_SCHEMA})
             assert isinstance(record["condition_flag"], bool)
         assert payload["summary"]
+
+    def test_summary_counts_failed_trials_by_reason(self, rows):
+        def failed(reason):
+            nan = math.nan
+            return ExperimentRow(eps=1e-6, kappa_a=nan, kappa_b=1e2, gamma=nan, gamma_bar=nan,
+                                 mu_1=nan, rho_xi1=nan, rho_xi0=nan, tau0=nan, condition_flag=False,
+                                 seed=0, kappa_a_nominal=1e2, failed=True, reason=reason)
+
+        failures = [
+            failed("GenerationError: no well-posed instance after 10 attempts"),
+            failed("RankDeficiencyError: linearization is rank deficient (sigma_min=0)"),
+            failed("IlseError: |y| = 1.000000e+308 puts the linearization out of range"),
+            failed("RankDeficiencyError: zeroed linearization is singular"),
+        ]
+        summary = summarize_rows(list(rows) + failures)
+        assert summary[:-1] == summarize_rows(rows)
+        assert summary[-1] == (f"failed trials: 4 of {len(rows) + 4} "
+                               "(RankDeficiencyError: 2, GenerationError: 1, IlseError: 1)")
 
     def test_parse_rejects_bad_header(self):
         with pytest.raises(ValueError):
