@@ -54,61 +54,93 @@ X = -k (xi/theta2) u^T and the row -h (xi_i/theta2) [0 | u^T]. One
 reflection, whose first row is -xi^T/|xi|, folds the s rows of the second
 kind into the single row a [0 | u^T], a = h |xi|/theta2. So
 
-    C^T = Q [rb I_s  X  ]      R_T the triangular factor of the
-            [0       R_T],     (2n+1) x n stack [R0; c (I_n - u u^T); a u^T],
+    C^T = Q M(xi),   M(xi) = [rb I_s  X              ]
+                             [0       R0             ]
+                             [0       c (I_n - u u^T)]
+                             [0       a u^T          ]
 
-for an orthonormal Q built from Q0, the rotations, the reflection and the
-stack's own Q_T. This R_full has C C^T (rows reordered) as its Gram matrix,
-hence C's singular values, the same rank test and tau(xi). Stage two, per
-xi, is the Householder QR of the (2n+1) x n stack, which sees xi only
-through t = |xi|/theta2 (c = hypot(|r_y|, t), a = h t), so each rho costs
-O(n^3) whatever m and s are. Both stages sort their rows by decreasing
-largest magnitude first (_sorted_rows). Solving R_full^T v = (e, rhs_top),
-e = d - B y, by blocks gives v1 = e/rb and R_T^T v2 = w with
-w = B^T xi - A^T S r_y + y (xi.e)/(theta2^2 beta), formed in the original
-basis, so rho = hypot(|v1|, |v2|). At xi = 0 (c = |r_y|, a = 0) the
-stack's Gram matrix R0^T R0 + |r_y|^2 (I_n - u u^T) is that top-left
-block, so alpha = sigma_min(R_T) at xi = 0, from the same QR as every rho.
+for the (s + 2n + 1) x (s + n) matrix M(xi) and an orthonormal Q built
+from Q0, the rotations and the reflection, so M^T M is C C^T with C's
+rows reordered and M has C's singular values.
+
+M sees xi only through X and t = |xi|/theta2 (c = hypot(|r_y|, t), a = h t).
+Solving against M's triangular factor by blocks, with e = d - B y, gives
+v1 = e/rb and a v2 with |v2|^2 = w^T G(t)^-1 w, where G(t) is the Gram
+matrix of the (2n+1) x n stack [R0; c (I_n - u u^T); a u^T] in M's last
+n columns and w = B^T xi - A^T S r_y + y (xi.e)/(theta2^2 beta), formed in
+the original basis; rho = hypot(|v1|, |v2|).
+
+That quadratic form needs no factor of the stack. Take the SVD
+R0 = P diag(sigma) V^T once per context and write z = V^T u (|z| = 1),
+d_i = sigma_i^2 + c^2 and gamma = c^2 - a^2 = |r_y|^2 + k^2 t^2 >= 0. Then
+G(t) = V (D - gamma z z^T) V^T, a diagonal minus a rank-one matrix, and
+for w_hat = V^T w Sherman-Morrison gives
+
+    w^T G^-1 w = sum w_hat_i^2/d_i + gamma (sum z_i w_hat_i/d_i)^2 / sum z_i^2 (sigma_i^2 + a^2)/d_i,
+
+O(n^2) per xi. Every term is non-negative: the denominator is
+1 - gamma z^T D^-1 z with |z|^2 = 1 put in, so that it does not cancel.
+sigma, c, a and w_hat are divided by kappa = max(sigma_max, c) before they
+are squared (the form is invariant under that scaling), so that a y or
+xi whose squares are out of range still gives a finite rho. w_hat must
+be V^T applied to the w formed in the original basis: combining V^T B^T
+and V^T A^T S r_y, rotated beforehand, lost up to 8.6e-5 at eps = 1e-12.
+
+At xi = 0 (c = |r_y|, a = 0) G is the top-left block of the Gram
+matrices, so alpha^2 is the smallest eigenvalue of
+diag(sigma^2 + |r_y|^2) - |r_y|^2 z z^T, a rank-one downdate, the
+smallest root of its secular equation (Golub, SIAM Rev. 1973; Bunch,
+Nielsen & Sorensen, Numer. Math. 1978). It lies in
+[sigma_p^2, sigma_p^2 + |r_y|^2] for the smallest sigma_p whose z_p is
+not zero. _secular_alpha solves for mu = alpha^2 - sigma_p^2 >= 0 when
+the root lies in the lower half of that interval and for
+tau = sigma_p^2 + |r_y|^2 - alpha^2 > 0, the distance to the pole, when it
+lies in the upper half, as Gu & Eisenstat (SIMAX 1994) shift the origin
+to the nearer end; alpha^2 = sigma_p^2 + mu then never cancels. A z_i
+whose weight |r_y|^2 z_i^2 is negligible deflates: sigma_i^2 + |r_y|^2 is
+an eigenvalue, and alpha^2 is the least of those and the root. Tied
+sigmas need nothing: their poles coincide and their weights add. r_y = 0
+gives alpha = sigma_min(R0).
 
 Everything that does not depend on xi is built once per (problem, y, w)
 into a private, read-only context (_Context, which tells how it is cached
 and why that is safe): u and |y|, |r_y|, S r_y, A^T S r_y, e, the
 stage-one row order, geqrf's output on the sorted rows (R0 and the
-reflectors of Q0), the n x (2n+1) [R0^T, I_n - u u^T, u] with the largest
-magnitude of each of its columns (the stage-two sort keys before the
-per-xi scales), rb, k and h, v1 = e/rb and |v1|, the stage-two geqrf
-workspace size, alpha and |C(0)|_F^2; the unsorted blocks are not kept.
-Each public function checks the shapes of y and xi, looks the context up
-once and hands it to the kernel. Only a cache miss scans y's entries: a hit
-has the shape and the bytes of a y that passed that scan. One sum of
-squares gives |xi| and shows that xi is finite (_check_multiplier); where
-it overflows, |xi| comes from core._scaled_norm, and so do |y| and |r_y| in
-the context and the distance bound's residual norm (_norm).
+reflectors of Q0), the SVD's sigma and V^T, z, rb, k and h,
+v1 = e/rb and |v1|, alpha and |C(0)|_F^2; the unsorted blocks are not
+kept. Each public function checks the shapes of y and xi, looks the
+context up once and hands it to the kernel. Only a cache miss scans y's
+entries: a hit has the shape and the bytes of a y that passed that scan.
+One sum of squares gives |xi| and shows that xi is finite
+(_check_multiplier); where it overflows, |xi| comes from
+core._scaled_norm, and so do |y| and |r_y| in the context and the
+distance bound's residual norm (_norm).
 
-One kernel, _min_norm_factor(ctx, xi, |xi|), evaluates rho for
-backward_error_estimate and min_norm_perturbation. Per xi it forms t once,
-orders the stack's rows by the context's keys times (1, c, a), gathers
-those columns of [R0^T, I_n - u u^T, u], scaled, into one Fortran-ordered
-buffer, factors that buffer in place with LAPACK geqrf
-(_stage_two_factor), forms w in place and solves R_T^T v2 = w with trtrs.
-The rank test needs sigma_min and sigma_max of C, and certified pre-tests
-replace the SVD where they can. sigma_min >= min(alpha, 1/theta3) at
-every xi (pinv_norm_bound), and sigma_max <= |C|_F with
-|C(xi)|_F^2 = |C(0)|_F^2 + n t^2, since the block -u xi^T/theta2 adds
-t^2 and c (I - u u^T) adds (n-1) t^2. When the first exceeds 100 RANK_RTOL
-times the second, sigma_min > RANK_RTOL sigma_max holds; the factor 100
+The kernel, _rhs_top(ctx, xi, |xi|), runs the rank test and forms w;
+_stage_two_norm turns w into sqrt(w^T G^-1 w). The rank test needs
+sigma_min and sigma_max of C, and certified pre-tests replace the SVD
+where they can. sigma_min >= min(alpha, 1/theta3) at every xi
+(pinv_norm_bound), and sigma_max <= |C|_F with
+|C(xi)|_F^2 = |C(0)|_F^2 + n t^2 and |C(0)|_F^2 = s beta + |R0|_F^2
++ (n-1) |r_y|^2, since the block -u xi^T/theta2 adds t^2 and
+c (I - u u^T) adds (n-1) t^2. When the first exceeds 100 RANK_RTOL times
+the second, sigma_min > RANK_RTOL sigma_max holds; the factor 100
 (PRETEST_MARGIN) absorbs the rounding in alpha and |C(0)|_F. The other
 way, sigma_min <= rb, the norm of a multiplier row of C, and
 sigma_max >= t, the norm of the block -u xi^T/theta2, so past
-RANK_RTOL t > PRETEST_MARGIN rb the kernel raises before the QR, which a
-t near the overflow threshold would defeat. Else the SVD of the
-assembled R_full decides, and a RankDeficiencyError carries its
-sigma_min.
+RANK_RTOL t > PRETEST_MARGIN rb the kernel raises before it scales
+anything, which a t near the overflow threshold would defeat. Else the
+SVD of the unfactored M(xi) decides (_fallback_matrix), and a
+RankDeficiencyError carries its sigma_min.
 
-min_norm_perturbation maps the minimum-norm solution back through the same
-factor: Q_T (orgqr on the stack) takes v2 to the stack's rows, the folded
-row's entry omega spreads over the pairs as -omega xi/|xi|, each pair
-rotates back, and Q0 takes the R0 rows' entries to C's first 2m columns.
+min_norm_perturbation is the one function that factors the stack: it
+builds [R0; c (I - u u^T); a u^T] in its natural order, sorts its rows
+with _sorted_rows and factors them with geqrf. The stack's Q (orgqr)
+takes v2 = R^-T w to the stack's rows, the folded row's entry omega
+spreads over the pairs as -omega xi/|xi|, each pair rotates back, and Q0
+takes the R0 rows' entries to C's first 2m columns. (z = stack G^-1 w is
+the same vector in exact arithmetic, but left J z - rhs at 1.7e-9
+relative where the factor leaves rounding level.)
 
 linearization_matrix is the one dense builder of J: it assembles the
 formula above term by term with Kronecker products, as the reference that
@@ -122,7 +154,7 @@ import math
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dgesdd, dorgqr, dtrtrs
 
 from . import solver
 from .core import (
@@ -143,7 +175,7 @@ RANK_RTOL = 10.0 * np.finfo(float).eps
 
 # The rank pre-test skips the SVD only when its certified bound on
 # sigma_min/sigma_max clears RANK_RTOL by this factor, a margin for the
-# rounding in the computed alpha and R_T.
+# rounding in the computed alpha and |C(0)|_F.
 PRETEST_MARGIN = 100.0
 
 
@@ -220,6 +252,10 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(sq) if math.isfinite(sq) else _scaled_norm(v)
 
 
+def _out_of_range(y_norm: float) -> IlseError:
+    return IlseError(f"|y| = {y_norm:.6e} puts the linearization out of floating-point range")
+
+
 def _multiplier_free_blocks(problem: IlseProblem, y: np.ndarray, w: WeightScheme):
     """u, |y|, r_y, S r_y and the n x 2m block [u (S r_y)^T - |y| A^T S, A^T S/theta1]
     of C that does not depend on xi, whose transpose stage one factors.
@@ -238,9 +274,7 @@ def _multiplier_free_blocks(problem: IlseProblem, y: np.ndarray, w: WeightScheme
             np.multiply(AtS, -y_norm, out=blocks[:, :m])
             blocks[:, :m] += np.outer(u, sr)
     except FloatingPointError:
-        raise IlseError(
-            f"|y| = {y_norm:.6e} puts the linearization out of floating-point range"
-        ) from None
+        raise _out_of_range(y_norm) from None
     np.divide(AtS, w.theta1, out=blocks[:, m:])
     return u, y_norm, r_y, sr, blocks
 
@@ -251,18 +285,99 @@ def _sorted_rows(MT: np.ndarray):
     i of the Fortran-ordered M is row order[i], so geqrf factors it in place.
 
     Householder QR is row-wise stable with its rows sorted this way (Cox &
-    Higham, BIT 1998), so both stages of the rho kernel sort their rows
-    here. At kappa_B = 1e8, where |xi| and |y| reach 1e13 and 1e8, unsorted
-    rows gave rho up to 60 times further from a 50-digit referee than the
-    dense QR of J^T did. With both stages sorted by row 2-norm instead, rho
-    on the 40 referee instances at kappa_A = kappa_B = 1e8 (TINY and
-    m = 10 n, both eps, seeds 0-9) was 27% further from the referee in
-    geometric mean.
+    Higham, BIT 1998), so stage one and min_norm_perturbation's stack sort
+    their rows here. At kappa_B = 1e8, where |xi| and |y| reach 1e13 and
+    1e8, unsorted rows gave rho up to 60 times further from a 50-digit
+    referee than the dense QR of J^T did. With both sorted by row 2-norm
+    instead, rho on the 40 referee instances at kappa_A = kappa_B = 1e8
+    (TINY and m = 10 n, both eps, seeds 0-9) was 27% further from the
+    referee in geometric mean.
     """
     order = (-np.abs(MT).max(axis=0)).argsort(kind="stable")
     # np.take gathers into a C-ordered array; MT[:, order] comes out
     # Fortran-ordered, and geqrf would copy its transpose.
     return order, np.take(MT, order, axis=1).T
+
+
+# Where |r_y|^2 z_i^2 (with sigma_max or |r_y| scaled to 1) is below this,
+# _secular_alpha drops z_i: its share of alpha^2 is second order in it,
+# far below the rounding of any alpha the rank test accepts, and every
+# 1/(delta + tau) and its square stay finite.
+_NEGLIGIBLE = 1e-140
+
+# A cap on the secular iterations. Newton's steps are monotone from the
+# start the solver takes (the functions are concave), and converge in a
+# few steps; the cap only bounds a loop that rounding keeps alive.
+_SECULAR_STEPS = 60
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _secular_alpha(sigma: np.ndarray, z: np.ndarray, r_norm: float) -> float:
+    """alpha = sqrt(lambda_min(diag(sigma^2 + r^2) - r^2 z z^T)) for the
+    singular values sigma of R0 (in decreasing order), z = V^T u and
+    r = |r_y| (module docstring).
+
+    With kappa = max(sigma_max, r) scaled to 1, rho = r^2 and, over the
+    z_i that do not deflate, delta_i = sigma_i^2 - sigma_p^2 >= 0 for the
+    smallest of their sigmas, sigma_p, the secular equation in
+    mu = lambda - sigma_p^2 and tau = rho - mu reads
+
+        F = sum z_i^2 (delta_i - mu)/(delta_i + tau) = 0,
+
+    which is |z|^2 - rho sum z_i^2/(delta_i + tau) without the
+    cancellation of the 1. F decreases in mu, from F >= 0 at mu = 0 to a
+    pole at tau = 0. Below mu = rho/2 Newton runs on F in mu from
+    mu = rho/2, with tau = rho - mu exact to rounding; above it Newton runs
+    on 1/sum z_i^2/(delta_i + tau) = rho/|z|^2 in tau, exactly linear near
+    the pole, from the tangent bound tau >= rho z_pole^2/|z|^2. Both are
+    concave, so both iterations approach the root from one side."""
+    if r_norm == 0.0:
+        return float(sigma[-1])
+    kappa = max(float(sigma[0]), r_norm)
+    s = sigma / kappa
+    rho = (r_norm / kappa) ** 2
+    z2 = z * z
+    live = z2 * rho > _NEGLIGIBLE
+    # A deflated z_i leaves the eigenvalue s_i^2 + rho.
+    lam = float(np.min(s[~live] ** 2)) + rho if not live.all() else math.inf
+    if live.any():
+        s, z2 = s[live], z2[live]
+        sp = float(s[-1])
+        delta = (s - sp) * (s + sp)
+        half = 0.5 * rho
+        if not delta.any():
+            # Every live pole is tied with sigma_p: F = -|z|^2 mu/tau.
+            mu = 0.0
+        elif float(np.vdot(z2, (delta - half) / (delta + half))) < 0.0:
+            mu = half
+            for _ in range(_SECULAR_STEPS):
+                inv = 1.0 / (delta + (rho - mu))
+                q = z2 * inv
+                f = float(np.vdot(q, delta - mu))
+                if f >= 0.0:
+                    break
+                step = f / (rho * float(np.vdot(q, inv)))
+                mu = max(mu + step, 0.0)
+                if -step <= _EPS * (sp * sp + mu):
+                    break
+        else:
+            target = rho / float(z2.sum())
+            tau = target * float(z2[delta == 0.0].sum())
+            for _ in range(_SECULAR_STEPS):
+                inv = 1.0 / (delta + tau)
+                q = z2 * inv
+                wt = float(q.sum())
+                gap = target * wt - 1.0
+                if gap <= 0.0:
+                    break
+                step = gap * wt / float(np.vdot(q, inv))
+                tau = min(tau + step, half)
+                if step <= _EPS * tau:
+                    break
+            mu = rho - tau
+        lam = min(lam, sp * sp + mu)
+    return kappa * math.sqrt(lam)
 
 
 class _Context:
@@ -271,21 +386,16 @@ class _Context:
     sr is S r_y, which z's E block reuses. order0 is _sorted_rows' order of
     the rows of the 2m x n block blocks^T, and qr0, tau0 are geqrf's output
     on the sorted rows: R0 in the upper triangle of qr0[:n], Q0 in the
-    reflectors below it. top is the n x (2n+1) [R0^T, I_n - u u^T, u]: the
-    transposed stage-two stack [R0; c (I - u u^T); a u^T]^T before the
-    per-xi scales c and a. row_max holds the largest magnitude of each
-    column of top, from which _stage_two_stack keys its sort: rounding to
-    nearest is monotone and symmetric, so for a finite scale s >= 0,
-    max_i |fl(x_i s)| = fl(s max_i |x_i|), and row_max times the row
-    scales (1, c, a) is bitwise the key _sorted_rows takes of the scaled
-    stack. rb = sqrt(beta), k = (|y|/theta2)/rb and h = (1/theta3)/rb
-    eliminate the multiplier rows (module docstring); k^2 + h^2 = 1.
-    v1 = e/rb, the multiplier-row block of R_full^-T (e, rhs_top), is the
-    same at every xi; v1_norm is its norm. alpha is sigma_min of the
-    stack's factor at xi = 0, and the rank pre-test's bound
-    min(alpha, 1/theta3); fro0_sq = |C(0)|_F^2 = s beta + |R_T(0)|_F^2
-    from the same factor, to which each xi adds n t^2
-    (module docstring).
+    reflectors below it. sigma (decreasing) and VT = V^T are gesdd's SVD
+    of R0, sigma_max = sigma[0], and z = V^T u (module docstring); z2 = z^2,
+    s_sq = (sigma/sigma_max)^2 and z2s = z2 s_sq are rho's scaled squares at
+    kappa = sigma_max, which a larger c rescales by (sigma_max/c)^2.
+    rb = sqrt(beta), k = (|y|/theta2)/rb and h = (1/theta3)/rb eliminate
+    the multiplier rows (module docstring); k^2 + h^2 = 1. v1 = e/rb, the
+    multiplier-row block of rho's solve, is the same at every xi; v1_norm is
+    its norm. alpha is _secular_alpha's root, and the rank pre-test's bound
+    min(alpha, 1/theta3); fro0_sq = |C(0)|_F^2 = s beta + |R0|_F^2
+    + (n-1) |r_y|^2, to which each xi adds n t^2 (module docstring).
 
     A context is read-only once built: __init__ sets every attribute,
     alpha included, and makes the arrays unwriteable. _context caches the
@@ -299,8 +409,8 @@ class _Context:
     """
 
     __slots__ = ("problem", "w", "y_bytes", "u", "y_norm", "r_norm", "sr", "AtSr", "e",
-                 "order0", "qr0", "tau0", "top", "row_max", "rb", "k", "h", "v1", "v1_norm",
-                 "lwork", "alpha", "fro0_sq")
+                 "order0", "qr0", "tau0", "sigma", "sigma_max", "VT", "z", "z2", "s_sq", "z2s",
+                 "rb", "k", "h", "v1", "v1_norm", "alpha", "fro0_sq")
 
     def __init__(self, problem: IlseProblem, y: np.ndarray, w: WeightScheme):
         m, n = problem.m, problem.n
@@ -308,28 +418,36 @@ class _Context:
         # Through the module attribute, so a patched builder is seen.
         self.u, self.y_norm, r_y, self.sr, blocks = _multiplier_free_blocks(problem, y, w)
         self.r_norm = _norm(r_y)
-        self.AtSr = problem.A.T @ self.sr
-        self.e = problem.d - problem.B @ y
+        try:
+            with np.errstate(over="raise"):
+                self.AtSr = problem.A.T @ self.sr
+                self.e = problem.d - problem.B @ y
+        except FloatingPointError:
+            raise _out_of_range(self.y_norm) from None
         # The unsorted blocks are dropped before geqrf factors the sorted
         # rows in place.
         self.order0, stage_one = _sorted_rows(blocks)
         del blocks
         self.qr0, self.tau0, _, _ = dgeqrf(stage_one, int(dgeqrf_lwork(2 * m, n)[0]), 1)
-        self.top = np.empty((n, 2 * n + 1))
-        self.top[:, :n] = np.triu(self.qr0[:n]).T
-        self.top[:, n:2 * n] = np.eye(n) - np.outer(self.u, self.u)
-        self.top[:, 2 * n] = self.u
-        self.row_max = np.abs(self.top).max(axis=0)
+        _, self.sigma, self.VT, info = dgesdd(np.triu(self.qr0[:n]), 1, 0, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"gesdd did not converge on R0 (info {info})")
+        self.sigma_max = float(self.sigma[0])
+        self.z = self.VT @ self.u
+        self.z2 = self.z * self.z
+        self.s_sq = (self.sigma / self.sigma_max) ** 2 if self.sigma_max > 0.0 else np.zeros(n)
+        self.z2s = self.z2 * self.s_sq
         self.rb = math.hypot(self.y_norm / w.theta2, 1.0 / w.theta3)
         self.k, self.h = self.y_norm / w.theta2 / self.rb, 1.0 / w.theta3 / self.rb
         self.v1 = self.e / self.rb
         self.v1_norm = _norm(self.v1)
-        self.lwork = int(dgeqrf_lwork(2 * n + 1, n)[0])
-        R = np.triu(_stage_two_factor(self, 0.0)[1][:n])
-        self.alpha = float(sla.svdvals(R)[-1])
-        self.fro0_sq = problem.s * self.rb * self.rb + float(np.vdot(R, R))
-        for a in (self.u, self.sr, self.AtSr, self.e, self.order0, self.qr0, self.tau0, self.top,
-                  self.row_max, self.v1):
+        self.alpha = _secular_alpha(self.sigma, self.z, self.r_norm)
+        # np.vdot and Python floats go to inf without an overflow warning,
+        # and an infinite bound only sends the pre-test to the SVD.
+        self.fro0_sq = (problem.s * self.rb * self.rb + float(np.vdot(self.sigma, self.sigma))
+                        + (n - 1) * self.r_norm * self.r_norm)
+        for a in (self.u, self.sr, self.AtSr, self.e, self.order0, self.qr0, self.tau0, self.sigma,
+                  self.VT, self.z, self.z2, self.s_sq, self.z2s, self.v1):
             a.flags.writeable = False
 
 
@@ -350,42 +468,28 @@ def _context(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> _Context:
     return ctx
 
 
-def _stage_two_stack(ctx: _Context, t: float):
-    """(order, the stage-two stack with its rows sorted by _sorted_rows, c):
-    row i of the Fortran-ordered (2n+1) x n matrix is row order[i] of
-    [R0; c (I - u u^T); a u^T] at t = |xi|/theta2, c = hypot(|r_y|, t) and
-    a = h t, so geqrf factors it in place. The stack sees xi only through t.
-    Its sort keys are ctx.row_max times the row scales (see _Context).
-    """
-    n = ctx.problem.n
-    c = math.hypot(ctx.r_norm, t)
-    scale = np.ones(2 * n + 1)
-    scale[n:2 * n] = c
-    scale[2 * n] = ctx.h * t
-    order = (-(ctx.row_max * scale)).argsort(kind="stable")
-    stack = ctx.top.take(order, axis=1)
-    stack *= scale.take(order)
-    return order, stack.T, c
+def _stack_transpose(ctx: _Context, t: float) -> np.ndarray:
+    """The n x (2n+1) transpose [R0^T, c (I - u u^T), a u] of the stage-two
+    stack [R0; c (I - u u^T); a u^T] at t = |xi|/theta2, with
+    c = hypot(|r_y|, t) and a = h t."""
+    n, u = ctx.problem.n, ctx.u
+    MT = np.empty((n, 2 * n + 1))
+    MT[:, :n] = np.triu(ctx.qr0[:n]).T
+    np.multiply(np.eye(n) - np.outer(u, u), math.hypot(ctx.r_norm, t), out=MT[:, n:2 * n])
+    np.multiply(u, ctx.h * t, out=MT[:, 2 * n])
+    return MT
 
 
-def _stage_two_factor(ctx: _Context, t: float):
-    """(order, qr, tau, c): _stage_two_stack(ctx, t) with geqrf's output on
-    the stack, factored in place; the one QR of the stage-two stack."""
-    order, stack, c = _stage_two_stack(ctx, t)
-    qr, tau, _, _ = dgeqrf(stack, ctx.lwork, 1)
-    return order, qr, tau, c
-
-
-def _full_factor(ctx: _Context, xi: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """R_full = [rb I_s, X; 0, R_T], X = -k (xi/theta2) u^T, from the upper
-    triangle of R's first n rows: the triangular factor of C^T with C's
-    multiplier rows first, which has C's singular values."""
-    s, n = xi.shape[0], R.shape[1]
-    F = np.zeros((s + n, s + n))
-    np.fill_diagonal(F[:s, :s], ctx.rb)
-    np.multiply.outer(xi / -ctx.w.theta2, ctx.k * ctx.u, out=F[:s, s:])
-    F[s:, s:] = np.triu(R[:n])
-    return F
+def _fallback_matrix(ctx: _Context, xi: np.ndarray, t: float) -> np.ndarray:
+    """M(xi) = [rb I_s, X; 0, stack], X = -k (xi/theta2) u^T: the
+    (s + 2n + 1) x (s + n) matrix with C C^T (multiplier rows first) as
+    its Gram matrix, hence C's singular values (module docstring)."""
+    s, n = xi.shape[0], ctx.problem.n
+    M = np.zeros((s + 2 * n + 1, s + n))
+    np.fill_diagonal(M[:s, :s], ctx.rb)
+    np.multiply.outer(xi / -ctx.w.theta2, ctx.k * ctx.u, out=M[:s, s:])
+    M[s:, s:] = _stack_transpose(ctx, t).T
+    return M
 
 
 def _require_full_row_rank(svals: np.ndarray) -> None:
@@ -407,34 +511,44 @@ def _certainly_full_rank(ctx: _Context, t: float) -> bool:
     return min(ctx.alpha, 1.0 / ctx.w.theta3) > PRETEST_MARGIN * RANK_RTOL * fro
 
 
-def _min_norm_factor(ctx: _Context, xi: np.ndarray, xi_norm: float):
-    """The rho kernel at xi, with xi_norm = |xi|_2 from _check_multiplier:
-    the Householder QR of the sorted stage-two stack, the full-row-rank
-    check on R_full (whose singular values are those of J), and
-    R_full^-T (e, rhs_top) in its two blocks, ctx.v1 = e/rb and
-    v2 = R_T^-T w, so that rho = hypot(|v1|, |v2|).
-
-    Returns (order, qr, tau, v2, c): _stage_two_factor's output with v2;
-    min_norm_perturbation maps z back with them.
-    """
+def _rhs_top(ctx: _Context, xi: np.ndarray, xi_norm: float):
+    """(w, t) at xi, with xi_norm = |xi|_2 from _check_multiplier, once C(xi)
+    passes the full-row-rank test (module docstring):
+    w = B^T xi - A^T S r_y + y (xi.e)/(theta2^2 beta), in the original
+    basis, and t = |xi|/theta2."""
     t = xi_norm / ctx.w.theta2
     # Certainly rank deficient (module docstring), and so large a t could
-    # overflow geqrf.
+    # overflow the scaled solve.
     if RANK_RTOL * t > PRETEST_MARGIN * ctx.rb:
         raise RankDeficiencyError(
             f"linearization matrix is numerically rank deficient "
             f"(sigma_min <= {ctx.rb:.3e}, sigma_max >= |xi|/theta2 = {t:.3e})",
             sigma_min=ctx.rb,
         )
-    order, qr, tau, c = _stage_two_factor(ctx, t)
     if not _certainly_full_rank(ctx, t):
-        _require_full_row_rank(sla.svdvals(_full_factor(ctx, xi, qr)))
-    # w = B^T xi - A^T S r_y + y (xi.e)/(theta2^2 beta), in the original basis.
+        _require_full_row_rank(sla.svdvals(_fallback_matrix(ctx, xi, t)))
     w = ctx.problem.B.T @ xi
     w -= ctx.AtSr
     w += (ctx.k * (xi @ ctx.v1) / ctx.w.theta2) * ctx.u
-    v2, _ = dtrtrs(qr, w, 0, 1)
-    return order, qr, tau, v2, c
+    return w, t
+
+
+def _stage_two_norm(ctx: _Context, w: np.ndarray, t: float) -> float:
+    """sqrt(w^T G(t)^-1 w) by Sherman-Morrison in the SVD basis of R0, with
+    sigma, c, a and w_hat = V^T w divided by kappa = max(sigma_max, c)
+    before they are squared (module docstring)."""
+    c = math.hypot(ctx.r_norm, t)
+    kappa = max(ctx.sigma_max, c)
+    ratio_sq = (ctx.sigma_max / kappa) ** 2
+    cs, a_s, r_s, kt = c / kappa, ctx.h * t / kappa, ctx.r_norm / kappa, ctx.k * t / kappa
+    # 1/d_i, d_i = (sigma_i/kappa)^2 + (c/kappa)^2
+    inv = 1.0 / ((ctx.s_sq * ratio_sq if ratio_sq != 1.0 else ctx.s_sq) + cs * cs)
+    w_hat = ctx.VT @ w
+    w_hat /= kappa
+    wd = w_hat * inv
+    den = ratio_sq * float(np.vdot(ctx.z2s, inv)) + a_s * a_s * float(np.vdot(ctx.z2, inv))
+    zw = float(np.vdot(ctx.z, wd))
+    return math.sqrt(float(np.vdot(w_hat, wd)) + (r_s * r_s + kt * kt) * zw * zw / den)
 
 
 def backward_error_estimate(
@@ -443,7 +557,7 @@ def backward_error_estimate(
     """rho(xi): norm of the minimum-norm solution of J(xi) z = rhs(xi)."""
     ctx = _context(problem, _candidate_array(problem, y), w)
     xi, xi_norm = _check_multiplier(problem, xi)
-    return math.hypot(ctx.v1_norm, _norm(_min_norm_factor(ctx, xi, xi_norm)[3]))
+    return math.hypot(ctx.v1_norm, _stage_two_norm(ctx, *_rhs_top(ctx, xi, xi_norm)))
 
 
 def min_norm_perturbation(
@@ -452,7 +566,7 @@ def min_norm_perturbation(
     """The minimum-norm stacked perturbation z solving J(xi) z = rhs(xi).
 
     z stacks (vec(E), theta1 f, theta2 vec(F), theta3 g); its 2-norm is
-    exactly the value returned by backward_error_estimate.
+    rho(xi), the value backward_error_estimate returns, to rounding.
 
     z = J^T v for v = (C C^T)^-1 rhs, mapped block by block from the
     minimum-norm solution z_C = C^T v of C z_C = rhs, which the module
@@ -469,7 +583,10 @@ def min_norm_perturbation(
     m, n = problem.m, problem.n
     ctx = _context(problem, _candidate_array(problem, y), w)
     xi, xi_norm = _check_multiplier(problem, xi)
-    order, qr, tau, v2, c = _min_norm_factor(ctx, xi, xi_norm)
+    w_top, t = _rhs_top(ctx, xi, xi_norm)
+    order, stack = _sorted_rows(_stack_transpose(ctx, t))
+    qr, tau, _, _ = dgeqrf(stack, int(dgeqrf_lwork(2 * n + 1, n)[0]), 1)
+    v2, _ = dtrtrs(qr, w_top, 0, 1)
     u, v1, sr = ctx.u, ctx.v1, ctx.sr
     z_stack = np.empty(2 * n + 1)
     z_stack[order] = dorgqr(qr, tau, overwrite_a=1)[0] @ v2
@@ -484,6 +601,7 @@ def min_norm_perturbation(
     a12[ctx.order0] = dorgqr(ctx.qr0, ctx.tau0)[0] @ z_stack[:n]
     a1, a2 = a12[:m], a12[m:]
     a4 = z_stack[n:2 * n]
+    c = math.hypot(ctx.r_norm, t)
     p = (a4 - u * (u @ a4)) / c if c > 0.0 else a4
     E = np.outer(a1, u) + np.outer(sr, p)
     F = np.outer(a3, u) - np.outer(xi, p) / w.theta2
@@ -509,8 +627,8 @@ def least_squares_multiplier(problem: IlseProblem, y: np.ndarray) -> np.ndarray:
 
 def stability_constant(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> float:
     """alpha: smallest singular value of the n x (nm + m) block of J that
-    does not depend on the multiplier: sigma_min of the stage-two factor at
-    xi = 0 (module docstring), held by the context of (problem, y, w)."""
+    does not depend on the multiplier: the root of a secular equation in the
+    SVD basis of R0 (module docstring), held by the context of (problem, y, w)."""
     return _context(problem, _candidate_array(problem, y), w).alpha
 
 

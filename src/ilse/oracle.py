@@ -7,7 +7,9 @@ minimum-norm solve is redone through the normal equations of the
 transposed system, the uniform pseudoinverse bound is recomputed from an
 explicit SVD, the minimization over multipliers is done numerically
 with a derivative-free method, and the well-posedness report is redone
-from a full orthogonal factor and the projection of A^T S A. These
+from a full orthogonal factor and the projection of A^T S A. Where the
+problem is plain least squares, ls_backward_error gives the exact
+backward error in closed form, ground truth for the estimate. These
 paths exist so the closed-form and factored routes in backward_error and
 solver can be cross-checked, never to replace them.
 
@@ -133,6 +135,32 @@ def linearization_pinv_norm(
     if svals[-1] <= RANK_RTOL * svals[0]:
         raise RankDeficiencyError("linearization is rank deficient", sigma_min=float(svals[-1]))
     return float(1.0 / svals[-1])
+
+
+def ls_backward_error(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> float:
+    """The exact normwise backward error of y for a problem that is plain
+    least squares (s = 0 and q = 0, so S = I): the smallest |[E, theta1 f]|_F
+    for which y solves min |(b + f) - (A + E) x|_2, the weighting of the
+    estimate at s = 0. Its closed form (Walden, Karlson & Sun, Numer. Linear
+    Algebra Appl. 1995; Higham, ASNA 2nd ed., Thm. 20.5) is
+
+        mu(y) = min(phi, sigma_min([A, phi (I - r r^T/|r|^2)])),
+        phi = theta1 |r| / sqrt(1 + theta1^2 |y|^2),  r = b - A y,
+
+    the ground truth that rho and the bounds built on it are checked
+    against where it applies."""
+    if problem.s != 0 or problem.sig.q != 0:
+        raise ValueError(f"a plain least-squares problem needs s = 0 and q = 0, got "
+                         f"s = {problem.s} and q = {problem.sig.q}")
+    y = np.asarray(y, dtype=float)
+    r = problem.residual(y)
+    r_norm = float(np.linalg.norm(r))
+    if r_norm == 0.0:
+        return 0.0
+    phi = w.theta1 * r_norm / math.hypot(1.0, w.theta1 * float(np.linalg.norm(y)))
+    q = r / r_norm
+    P = np.eye(problem.m) - np.outer(q, q)
+    return min(phi, float(sla.svdvals(np.hstack([problem.A, phi * P]))[-1]))
 
 
 def estimate_on_grid(

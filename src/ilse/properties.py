@@ -408,6 +408,19 @@ def _lower_bound_arguments(fam, suite):
         yield a, t1, t2
 
 
+def _plain_least_squares(fam, suite):
+    """Candidates from perturbed solves of plain least-squares problems
+    (s = 0, q = 0), with kappa_A cycling through 1e2, 1e4, 1e8, eps through
+    1e-6, 1e-10, 1e-12, and weights exp(U(-1, 1))."""
+    rng = _philox(fam.aux_seed(suite))
+    dims = fam.params(suite)
+    for k in range(fam.count):
+        kappa_a, eps = (1e2, 1e4, 1e8)[k % 3], (1e-6, 1e-10, 1e-12)[k // 3 % 3]
+        plain = replace(dims, s=0, p=dims.m, q=0, kappa_a=kappa_a)
+        problem, _, _, psol = solved_case(plain, eps, fam.instance_seed(suite, k))
+        yield problem, psol.x, WeightScheme(*np.exp(rng.uniform(-1, 1, size=3)))
+
+
 def _searches(fam, suite):
     """Cases whose constraint count cycles through 1..s, with a search seed each."""
     dims = fam.params(suite)
@@ -632,8 +645,7 @@ def compressed_matches_kron(case):
     problem, y, xi, w = case
     J = be.linearization_matrix(problem, y, xi, w)
     sv_J = sla.svdvals(J)
-    ctx = be._context(problem, y, w)
-    sv_C = sla.svdvals(be._full_factor(ctx, xi, be._min_norm_factor(ctx, xi, be._norm(xi))[1]))
+    sv_C = sla.svdvals(be._fallback_matrix(be._context(problem, y, w), xi, be._norm(xi) / w.theta2))
     rhs = be.rhs_vector(problem, y, xi)
     R = sla.qr(J.T, mode="economic")[1]
     rho_J = float(np.linalg.norm(sla.solve_triangular(R, rhs, trans="T")))
@@ -657,13 +669,14 @@ def compressed_matches_kron(case):
 )
 def rank_pretest(case):
     """The bound the pre-test rests on, sigma_min >= min(alpha, 1/theta3),
-    holds to RANK_RTOL sigma_max on the assembled R_full, and wherever the
-    pre-test accepts full row rank, the singular-value test accepts it too."""
+    holds to RANK_RTOL sigma_max on the fallback's matrix M(xi), and
+    wherever the pre-test accepts full row rank, the singular-value test
+    accepts it too."""
     problem, y, xi, w = case
     ctx = be._context(problem, y, w)
     t = np.linalg.norm(xi) / w.theta2
     accepted = be._certainly_full_rank(ctx, t)
-    svals = sla.svdvals(be._full_factor(ctx, xi, be._stage_two_factor(ctx, t)[1]))
+    svals = sla.svdvals(be._fallback_matrix(ctx, xi, t))
     if not svals[-1] >= min(ctx.alpha, 1.0 / w.theta3) - be.RANK_RTOL * svals[0]:
         return Outcome(False, f"sigma_min {svals[-1]:.3e} below min(alpha, 1/theta3)", float(accepted))
     try:
@@ -728,6 +741,36 @@ def lower_bound_monotone(case):
     a, t1, t2 = case
     f = lambda t: 2 * t / (1 + math.sqrt(1 + 4 * a * t))
     return Outcome(f(t1) <= f(t2) * (1 + 1e-14))
+
+
+@_row(
+    "estimate: bounds bracket the exact backward error of plain least squares",
+    Family(_plain_least_squares, count=27, seed=4200, aux=4300, dims=SMALL),
+    summary=lambda ratios: "rho/mu " + _ratio_summary(ratios),
+)
+def plain_least_squares_truth(case):
+    """At s = 0 and S = I the exact backward error mu has a closed form
+    (oracle.ls_backward_error). mu_upper >= mu wherever the small-rho
+    condition holds, and mu_lower <= mu up to u |[A, phi P]|_2, the
+    rounding of the singular value that mu is taken from. The value is
+    rho/mu: the estimate against ground truth."""
+    problem, y, w = case
+    r = problem.residual(y)
+    r_norm = float(np.linalg.norm(r))
+    if r_norm == 0.0:
+        return SKIP_ZERO_RESIDUAL
+    mu = oracle.ls_backward_error(problem, y, w)
+    report = be.backward_error_bounds(problem, y, w)
+    phi = w.theta1 * r_norm / math.hypot(1.0, w.theta1 * float(np.linalg.norm(y)))
+    P = np.eye(problem.m) - np.outer(r, r) / r_norm**2
+    allowance = 0.5 * float(np.finfo(float).eps) * float(sla.svdvals(np.hstack([problem.A, phi * P]))[0])
+    checks = {
+        "mu_upper below mu": report.mu_upper is None or report.mu_upper >= mu,
+        "mu_lower above mu": report.mu_lower <= mu + allowance,
+    }
+    failed = ", ".join(k for k, ok in checks.items() if not ok)
+    return Outcome(not failed, f"{failed}: mu={mu:.6e} rho={report.rho_xi1:.6e}" if failed else "",
+                   report.rho_xi1 / mu)
 
 
 @_row(

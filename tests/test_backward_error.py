@@ -5,6 +5,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -128,16 +129,16 @@ class TestEstimate:
 
     def test_pretest_rejection_falls_back_to_the_svd_sigma(self, unit_weights):
         # r_y = 0, y = 0 and xi = 0 leave C = [[0, 0, 1e-17, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, -1]]
-        # and R_full = diag(1, +-1e-17): alpha = 1e-17 puts the pre-test's
-        # bound min(alpha, 1/theta3) below its threshold, so the SVD decides,
-        # and the error carries the singular-value test's sigma_min = 1e-17
+        # and M(0) = [[1, 0], [0, +-1e-17], [0, 0], [0, 0]]: alpha = 1e-17 puts the
+        # pre-test's bound min(alpha, 1/theta3) below its threshold, so the SVD
+        # decides, and the error carries the singular-value test's sigma_min = 1e-17
         problem = IlseProblem(
             A=np.array([[1e-17], [0.0]]), b=np.zeros(2), B=np.array([[1.0]]), d=np.array([1.0]),
             sig=SignatureMatrix(1, 1),
         )
         ctx, xi = be._context(problem, np.zeros(1), unit_weights), np.zeros(1)
-        R_full = be._full_factor(ctx, xi, be._stage_two_factor(ctx, 0.0)[1])
-        assert sla.svdvals(R_full)[-1] == pytest.approx(1e-17, rel=1e-12)
+        assert not be._certainly_full_rank(ctx, 0.0)
+        assert sla.svdvals(be._fallback_matrix(ctx, xi, 0.0))[-1] == pytest.approx(1e-17, rel=1e-12)
         with pytest.raises(RankDeficiencyError) as excinfo:
             backward_error_estimate(problem, np.zeros(1), np.zeros(1), unit_weights)
         assert excinfo.value.sigma_min == pytest.approx(1e-17, rel=1e-12)
@@ -166,8 +167,10 @@ class TestEstimate:
             backward_error_estimate(problem, psol.x, xi, w)
 
 
-class TestStageTwoFactor:
-    """The (2n+1) x n stage-two stack and the factor R_full built on it."""
+class TestFallbackMatrix:
+    """The stage-two stack [R0; c (I - u u^T); a u^T] that min_norm_perturbation
+    factors, and the matrix M(xi) = [rb I_s, X; 0, stack] whose SVD decides
+    the rank where the pre-test cannot."""
 
     CASES = ["perturbed", "zero-candidate", "s-equals-n", "s-zero", "zero-multiplier"]
 
@@ -194,8 +197,7 @@ class TestStageTwoFactor:
         # [R0; c (I - u u^T); a u^T], as the module docstring writes it.
         natural = np.vstack([np.triu(ctx.qr0[:n]), c * (np.eye(n) - np.outer(u, u)), a * u])
 
-        order, stack, c_stack = be._stage_two_stack(ctx, t)
-        assert c_stack == c
+        order, stack = be._sorted_rows(be._stack_transpose(ctx, t))
         assert stack.flags.f_contiguous and stack.shape == (2 * n + 1, n)
         assert np.array_equal(stack, natural[order])
         key = np.abs(stack).max(axis=1)
@@ -204,50 +206,28 @@ class TestStageTwoFactor:
         assert np.all(order[ties] < order[ties + 1])
         assert ties.size > 0 or name != "zero-candidate"
 
-    @pytest.mark.parametrize("name", ["tiny", "kappa-1e8", "zero-residual"])
-    def test_context_keys_give_the_order_of_sorted_rows(self, name):
-        # The stack's rows are ordered by ctx.row_max times the row scales;
-        # the reference keys the scaled stack itself, as _sorted_rows does.
-        # With r_y = 0, t = 0 zeroes all but the n R0 rows: n + 1 tied rows.
-        dims = replace(properties.TINY, kappa_a=1e8, kappa_b=1e8) if name == "kappa-1e8" else properties.TINY
-        problem, _, _, psol = properties.solved_case(dims, 1e-12, 0)
-        if name == "zero-residual":
-            problem = IlseProblem(A=problem.A, b=problem.A @ psol.x, B=problem.B, d=problem.d, sig=problem.sig)
-        n, w = problem.n, WeightScheme(3.0, 0.5, 4.0)
-        ctx = be._context(problem, psol.x, w)
-        ts = [0.0, 1e-300, *np.logspace(-8, 12, 81), 1e160 / w.theta2]
-        for t in ts:
-            scale = np.ones(2 * n + 1)
-            scale[n:2 * n] = math.hypot(ctx.r_norm, t)
-            scale[2 * n] = ctx.h * t
-            ref_order, ref_stack = be._sorted_rows(ctx.top * scale)
-            order, stack, _ = be._stage_two_stack(ctx, t)
-            assert np.array_equal(order, ref_order), t
-            assert stack.flags.f_contiguous and bits(stack) == bits(ref_stack), t
-
     @pytest.mark.parametrize("name", CASES)
-    def test_factor_has_the_gram_matrix_of_J(self, name):
+    def test_has_the_gram_matrix_of_J(self, name):
         problem, y, xi, w = self.case(name)
         n, s = problem.n, problem.s
         ctx = be._context(problem, y, w)
-        R_full = be._full_factor(ctx, xi, be._min_norm_factor(ctx, xi, be._norm(xi))[1])
+        M = be._fallback_matrix(ctx, xi, np.linalg.norm(xi) / w.theta2)
         J = linearization_matrix(problem, y, xi, w)
         multipliers_first = np.r_[n:n + s, :n]
         JJt = (J @ J.T)[np.ix_(multipliers_first, multipliers_first)]
-        assert np.array_equal(R_full, np.triu(R_full))
-        assert np.max(np.abs(R_full.T @ R_full - JJt)) <= 1e-13 * sla.svdvals(J)[0] ** 2
+        assert M.shape == (s + 2 * n + 1, s + n)
+        assert np.max(np.abs(M.T @ M - JJt)) <= 1e-13 * sla.svdvals(J)[0] ** 2
 
     @pytest.mark.parametrize("name", CASES)
     def test_closed_form_frobenius_norms(self, name):
-        # |C(xi)|_F^2 = |C(0)|_F^2 + n t^2 against the dense R_full and J,
-        # whose Frobenius norms are |C|_F since J J^T = C C^T.
+        # |C(xi)|_F^2 = |C(0)|_F^2 + n t^2 against the dense M and J, whose
+        # Frobenius norms are |C|_F since M^T M and J J^T equal C C^T.
         problem, y, xi0, w = self.case(name)
         ctx = be._context(problem, y, w)
         for xi in (xi0, 1e6 * xi0):
             t = np.linalg.norm(xi) / w.theta2
             fro = math.sqrt(ctx.fro0_sq + problem.n * t * t)
-            R_full = be._full_factor(ctx, xi, be._stage_two_factor(ctx, t)[1])
-            assert fro == pytest.approx(np.linalg.norm(R_full), rel=1e-12)
+            assert fro == pytest.approx(np.linalg.norm(be._fallback_matrix(ctx, xi, t)), rel=1e-12)
             assert fro == pytest.approx(np.linalg.norm(linearization_matrix(problem, y, xi, w)), rel=1e-12)
 
 
@@ -332,6 +312,116 @@ class TestStabilityConstant:
         assert alpha == pytest.approx(sla.svdvals(zero_b.A)[-1], rel=1e-12)
 
 
+def natural_alpha(problem, y, w):
+    """sigma_min of the natural [R0; |r_y| (I - u u^T)], whose Gram matrix is
+    the top-left block of J J^T at xi = 0."""
+    ctx = be._context(problem, y, w)
+    n, u = problem.n, ctx.u
+    return float(sla.svdvals(np.vstack([np.triu(ctx.qr0[:n]), ctx.r_norm * (np.eye(n) - np.outer(u, u))]))[-1])
+
+
+def downdate_alpha(sigma, z, r):
+    """sqrt(lambda_min(diag(sigma^2 + r^2) - r^2 z z^T)) at 40 digits, with
+    z normalized at that precision: where r >> sigma the root is sensitive
+    to a rounding of |z| = 1 by (r/sigma)^2."""
+    with mpmath.workdps(40):
+        mp = [[mpmath.mpf(float(v)) for v in vec] for vec in (sigma, z)]
+        r2 = mpmath.mpf(r) ** 2 / sum(v * v for v in mp[1])
+        n = len(sigma)
+        M = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                M[i, j] = (mp[0][i] ** 2 + mpmath.mpf(r) ** 2 if i == j else 0) - r2 * mp[1][i] * mp[1][j]
+        return float(mpmath.sqrt(min(mpmath.eigsy(M, eigvals_only=True))))
+
+
+class TestSecularAlpha:
+    """alpha from the secular equation of the rank-one downdate in the SVD
+    basis of R0, at its deflations and edges: against the natural stack's
+    SVD through the public function, and against a 40-digit eigenvalue
+    where sigma, z and |r_y| are given."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_residual_gives_sigma_min_of_r0(self):
+        problem, _, _, psol = properties.solved_case(properties.TINY, 1e-6, 0)
+        y = psol.x
+        problem = IlseProblem(A=problem.A, b=problem.A @ y, B=problem.B, d=problem.d, sig=problem.sig)
+        w = WeightScheme()
+        ctx = be._context(problem, y, w)
+        assert ctx.r_norm == 0.0
+        alpha = stability_constant(problem, y, w)
+        assert alpha == pytest.approx(sla.svdvals(np.triu(ctx.qr0[:problem.n]))[-1], rel=1e-13)
+        assert alpha == pytest.approx(natural_alpha(problem, y, w), rel=1e-13)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_unknown(self, seed):
+        # n = 1: u = +-1, I - u u^T = 0, and alpha = |R0|.
+        rng = np.random.default_rng(seed)
+        problem = IlseProblem(A=rng.standard_normal((4, 1)), b=rng.standard_normal(4),
+                              B=rng.standard_normal((1, 1)), d=rng.standard_normal(1),
+                              sig=SignatureMatrix(3, 1))
+        y, w = rng.standard_normal(1), WeightScheme(*np.exp(rng.uniform(-1, 1, size=3)))
+        assert stability_constant(problem, y, w) == pytest.approx(natural_alpha(problem, y, w), rel=1e-14)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("noise", [0.0, 1e-17])
+    @pytest.mark.parametrize("r", [0.1, 1.0, 10.0])
+    def test_u_along_a_right_singular_vector(self, r, noise):
+        # z = e_j deflates every other component: the eigenvalues are
+        # sigma_j^2 and sigma_i^2 + r^2 for i != j. Rounding noise of 1e-17
+        # in the other components leaves them live, with tiny weights.
+        sigma = np.array([4.0, 3.0, 2.0, 1.0, 0.5])
+        rng = np.random.default_rng(7)
+        for j in range(sigma.size):
+            z = np.eye(sigma.size)[j] + noise * rng.standard_normal(sigma.size)
+            z /= np.linalg.norm(z)
+            exact = math.sqrt(min(sigma[j] ** 2, min(np.delete(sigma, j) ** 2) + r * r))
+            assert be._secular_alpha(sigma, z, r) == pytest.approx(exact, rel=1e-14), j
+            assert be._secular_alpha(sigma, z, r) == pytest.approx(downdate_alpha(sigma, z, r), rel=1e-14), j
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sigma", [[2.0, 2.0, 1.0, 1.0, 1.0], [3.0, 3.0, 3.0], [5.0, 1e-3, 1e-3],
+                                       [1.0, 1.0, 1.0, 1.0]])
+    def test_repeated_singular_values(self, sigma):
+        sigma = np.array(sigma)
+        rng = np.random.default_rng(3)
+        for r in (1e-6, 0.3, 1.0, 30.0):
+            z = rng.standard_normal(sigma.size)
+            z /= np.linalg.norm(z)
+            natural = sla.svdvals(np.vstack([np.diag(sigma), r * (np.eye(sigma.size) - np.outer(z, z))]))[-1]
+            got = be._secular_alpha(sigma, z, r)
+            assert got == pytest.approx(downdate_alpha(sigma, z, r), rel=1e-14), r
+            assert got == pytest.approx(natural, rel=1e-12), r
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_random_downdates_to_working_accuracy(self):
+        # sigma spread over up to 20 decades, |r_y| from 1e-12 to 1e4 times
+        # sigma_max, ties, zero and near-zero components of z.
+        rng = np.random.default_rng(1)
+        for trial in range(60):
+            n = int(rng.integers(2, 9))
+            sigma = np.sort(np.exp(rng.uniform(-20, 0, n)))[::-1] * 10.0 ** rng.uniform(-5, 5)
+            if trial % 4 == 0:
+                sigma[-2:] = sigma[-1]
+            z = rng.standard_normal(n)
+            if trial % 3 == 0:
+                z[rng.integers(0, n)] = 0.0
+            z /= np.linalg.norm(z)
+            r = float(sigma[0] * 10.0 ** rng.uniform(-12, 4))
+            assert be._secular_alpha(sigma, z, r) == pytest.approx(downdate_alpha(sigma, z, r), rel=1e-14), trial
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_candidate_whose_square_overflows(self):
+        # |y| = 1e160: |y|^2, |r_y|^2 and sigma(R0)^2 are out of range; the
+        # secular equation is solved with them scaled by sigma_max.
+        problem, _, _, psol = properties.solved_case(properties.TINY, 1e-6, 0)
+        y, w = 1e160 * psol.x / np.linalg.norm(psol.x), WeightScheme()
+        alpha = stability_constant(problem, y, w)
+        assert 1e150 < alpha < 1e170
+        assert alpha == pytest.approx(natural_alpha(problem, y, w), rel=1e-13)
+
+
 class TestStabilityLowerBound:
     def test_t1_values(self, t1, unit_weights):
         assert stability_constant_lower_bound(t1, np.array([0.0]), unit_weights) == pytest.approx(
@@ -409,6 +499,32 @@ class TestCandidateAtTheEdgeOfRange:
     def test_out_of_range_names_the_candidate_norm(self, t1, unit_weights, call):
         with pytest.raises(IlseError, match=r"\|y\| = 1\.000000e\+308"):
             call(t1, np.array([1e308]), unit_weights)
+
+
+class TestContextProductOutOfRange:
+    """y = [1e200]: C's blocks are in range, but a product the context forms
+    is not: A^T S r_y = -1e400 with A = [[1e100], [0]], and B y = 1e400
+    with B = [[1e200]]. Each call raises the IlseError naming |y|, with no
+    overflow warning (an error under this filter)."""
+
+    PROBLEMS = {
+        "A^T S r_y": IlseProblem(A=np.array([[1e100], [0.0]]), b=np.ones(2), B=np.array([[1.0]]),
+                                 d=np.ones(1), sig=SignatureMatrix(1, 1)),
+        "B y": IlseProblem(A=np.array([[1.0], [0.0]]), b=np.ones(2), B=np.array([[1e200]]),
+                           d=np.ones(1), sig=SignatureMatrix(1, 1)),
+    }
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("product", PROBLEMS)
+    @pytest.mark.parametrize("call", [
+        lambda p, y, w: stability_constant(p, y, w),
+        lambda p, y, w: backward_error_estimate(p, y, np.array([1.0]), w),
+        lambda p, y, w: backward_error_bounds(p, y, w),
+    ], ids=["stability_constant", "backward_error_estimate", "backward_error_bounds"])
+    def test_names_the_candidate_norm(self, unit_weights, call, product):
+        be._last_context = None
+        with pytest.raises(IlseError, match=r"\|y\| = 1\.000000e\+200"):
+            call(self.PROBLEMS[product], np.array([1e200]), unit_weights)
 
 
 class TestPinvNormBound:
@@ -497,30 +613,34 @@ class TestBackwardErrorBounds:
 
     def test_per_xi_factor_does_not_grow_with_m(self, monkeypatch):
         # At m = 10 n the 2m multiplier-free rows of C^T are factored once
-        # per context; alpha and each rho factor only the (2n+1) x n stack,
-        # and alpha's SVD is of the n x n stack factor at xi = 0.
+        # per context, and R0's n x n SVD gives alpha and every rho: a
+        # report takes no QR per multiplier and no SVD of anything with 2m
+        # rows.
         problem, sol, _, psol = properties.solved_case(
             replace(properties.TINY, m=60, p=35, q=25), 1e-6, 0)
         m, n = problem.m, problem.n
         qr_shapes, svd_shapes = [], []
-        dgeqrf, svdvals = be.dgeqrf, be.sla.svdvals
+        dgeqrf, dgesdd, svdvals = be.dgeqrf, be.dgesdd, be.sla.svdvals
 
         def recording_dgeqrf(a, *args, **kwargs):
             qr_shapes.append(a.shape)
             return dgeqrf(a, *args, **kwargs)
+
+        def recording_dgesdd(a, *args, **kwargs):
+            svd_shapes.append(a.shape)
+            return dgesdd(a, *args, **kwargs)
 
         def recording_svdvals(a, *args, **kwargs):
             svd_shapes.append(np.shape(a))
             return svdvals(a, *args, **kwargs)
 
         monkeypatch.setattr(be, "dgeqrf", recording_dgeqrf)
+        monkeypatch.setattr(be, "dgesdd", recording_dgesdd)
         monkeypatch.setattr(be.sla, "svdvals", recording_svdvals)
         be._last_context = None
         backward_error_bounds(problem, psol.x, WeightScheme(), xi0=sol.xi)
-        assert qr_shapes.count((2 * m, n)) == 1
-        assert [shape for shape in qr_shapes if shape != (2 * m, n)] == [(2 * n + 1, n)] * 3
-        assert (n, n) in svd_shapes
-        assert all(2 * m not in shape for shape in svd_shapes)
+        assert qr_shapes == [(2 * m, n)]
+        assert svd_shapes == [(n, n)]
 
     def test_solves_the_least_squares_multiplier_once(self, monkeypatch):
         problem, sol, _, psol = solved_case(10)

@@ -261,3 +261,60 @@ class TestNelderMead:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+class TestLeastSquaresBackwardError:
+    """oracle.ls_backward_error: the closed form of Walden, Karlson & Sun."""
+
+    @staticmethod
+    def plain(seed, m=4, n=2):
+        rng = np.random.default_rng(seed)
+        return ilse.IlseProblem(A=rng.standard_normal((m, n)), b=rng.standard_normal(m),
+                                B=np.zeros((0, n)), d=np.zeros(0), sig=ilse.SignatureMatrix(m, 0))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_a_direct_minimization(self, seed):
+        # min |[E, theta1 f]|_F over (E, f) subject to the normal equations
+        # (A + E)^T ((b + f) - (A + E) y) = 0 of the perturbed problem.
+        problem = self.plain(seed, m=3, n=1)
+        m, n = problem.m, problem.n
+        rng = np.random.default_rng(10 + seed)
+        y, w = rng.standard_normal(n), WeightScheme(theta1=float(np.exp(rng.uniform(-1, 1))))
+
+        def split(v):
+            return v[:m * n].reshape(m, n), v[m * n:]
+
+        def normal_equations(v):
+            E, f = split(v)
+            return (problem.A + E).T @ ((problem.b + f) - (problem.A + E) @ y)
+
+        def norm_sq(v):
+            E, f = split(v)
+            return float(np.sum(E * E) + w.theta1**2 * f @ f)
+
+        best = min(
+            minimize(norm_sq, start, method="SLSQP", constraints={"type": "eq", "fun": normal_equations},
+                     options={"ftol": 1e-14, "maxiter": 500}).fun
+            for start in rng.standard_normal((20, m * n + m))
+        )
+        assert oracle.ls_backward_error(problem, y, w) == pytest.approx(np.sqrt(best), rel=1e-7)
+
+    def test_zero_at_the_least_squares_solution(self):
+        problem = self.plain(4)
+        x = np.linalg.lstsq(problem.A, problem.b, rcond=None)[0]
+        assert oracle.ls_backward_error(problem, x, WeightScheme()) <= 1e-14
+
+    def test_zero_residual(self):
+        problem = self.plain(5)
+        y = np.ones(problem.n)
+        exact = ilse.IlseProblem(A=problem.A, b=problem.A @ y, B=problem.B, d=problem.d, sig=problem.sig)
+        assert oracle.ls_backward_error(exact, y, WeightScheme()) == 0.0
+
+    def test_needs_plain_least_squares(self, t1, unit_weights):
+        with pytest.raises(ValueError, match="s = 1 and q = 1"):
+            oracle.ls_backward_error(t1, Y01, unit_weights)
+        problem = self.plain(6)
+        indefinite = ilse.IlseProblem(A=problem.A, b=problem.b, B=problem.B, d=problem.d,
+                                      sig=ilse.SignatureMatrix(3, 1))
+        with pytest.raises(ValueError, match="s = 0 and q = 1"):
+            oracle.ls_backward_error(indefinite, np.zeros(problem.n), unit_weights)
