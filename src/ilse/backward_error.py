@@ -139,8 +139,9 @@ with _sorted_rows and factors them with geqrf. The stack's Q (orgqr)
 takes v2 = R^-T w to the stack's rows, the folded row's entry omega
 spreads over the pairs as -omega xi/|xi|, each pair rotates back, and Q0
 takes the R0 rows' entries to C's first 2m columns. (z = stack G^-1 w is
-the same vector in exact arithmetic, but left J z - rhs at 1.7e-9
-relative where the factor leaves rounding level.)
+the same vector in exact arithmetic, but over the 280 cases of the
+compressed_matches_kron row at suite seeds 0-19 it left J z - rhs at up
+to 1.3e-8 relative, where the factor leaves 3.8e-16.)
 
 linearization_matrix is the one dense builder of J: it assembles the
 formula above term by term with Kronecker products, as the reference that

@@ -751,19 +751,17 @@ def lower_bound_monotone(case):
 def plain_least_squares_truth(case):
     """At s = 0 and S = I the exact backward error mu has a closed form
     (oracle.ls_backward_error). mu_upper >= mu wherever the small-rho
-    condition holds, and mu_lower <= mu up to u |[A, phi P]|_2, the
-    rounding of the singular value that mu is taken from. The value is
-    rho/mu: the estimate against ground truth."""
+    condition holds, and mu_lower <= mu up to u hypot(|A|_2, phi) >=
+    u |[A, phi P]|_2, the rounding of the singular value that mu is taken
+    from; phi = theta1 alpha_lower. The value is rho/mu: the estimate
+    against ground truth."""
     problem, y, w = case
-    r = problem.residual(y)
-    r_norm = float(np.linalg.norm(r))
-    if r_norm == 0.0:
+    if float(np.linalg.norm(problem.residual(y))) == 0.0:
         return SKIP_ZERO_RESIDUAL
     mu = oracle.ls_backward_error(problem, y, w)
     report = be.backward_error_bounds(problem, y, w)
-    phi = w.theta1 * r_norm / math.hypot(1.0, w.theta1 * float(np.linalg.norm(y)))
-    P = np.eye(problem.m) - np.outer(r, r) / r_norm**2
-    allowance = 0.5 * float(np.finfo(float).eps) * float(sla.svdvals(np.hstack([problem.A, phi * P]))[0])
+    phi = w.theta1 * report.alpha_lower
+    allowance = 0.5 * float(np.finfo(float).eps) * math.hypot(float(sla.svdvals(problem.A)[0]), phi)
     checks = {
         "mu_upper below mu": report.mu_upper is None or report.mu_upper >= mu,
         "mu_lower above mu": report.mu_lower <= mu + allowance,
