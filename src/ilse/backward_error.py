@@ -106,7 +106,7 @@ Everything that does not depend on xi is built once per (problem, y, w)
 into a private, read-only context (_Context, which tells how it is cached
 and why that is safe): u and |y|, |r_y|, S r_y, A^T S r_y, e, the
 stage-one row order, geqrf's output on the sorted rows (R0 and the
-reflectors of Q0), the SVD's sigma and V^T, z, rb, k and h,
+reflectors of Q0), the SVD's V^T and scaled sigma^2, z, rb, k and h,
 v1 = e/rb and |v1|, alpha and |C(0)|_F^2; the unsorted blocks are not
 kept. Each public function checks the shapes of y and xi, looks the
 context up once and hands it to the kernel. Only a cache miss scans y's
@@ -387,8 +387,8 @@ class _Context:
     sr is S r_y, which z's E block reuses. order0 is _sorted_rows' order of
     the rows of the 2m x n block blocks^T, and qr0, tau0 are geqrf's output
     on the sorted rows: R0 in the upper triangle of qr0[:n], Q0 in the
-    reflectors below it. sigma (decreasing) and VT = V^T are gesdd's SVD
-    of R0, sigma_max = sigma[0], and z = V^T u (module docstring); z2 = z^2,
+    reflectors below it. VT = V^T and sigma_max come from gesdd's SVD
+    R0 = P diag(sigma) V^T, and z = V^T u (module docstring); z2 = z^2,
     s_sq = (sigma/sigma_max)^2 and z2s = z2 s_sq are rho's scaled squares at
     kappa = sigma_max, which a larger c rescales by (sigma_max/c)^2.
     rb = sqrt(beta), k = (|y|/theta2)/rb and h = (1/theta3)/rb eliminate
@@ -410,7 +410,7 @@ class _Context:
     """
 
     __slots__ = ("problem", "w", "y_bytes", "u", "y_norm", "r_norm", "sr", "AtSr", "e",
-                 "order0", "qr0", "tau0", "sigma", "sigma_max", "VT", "z", "z2", "s_sq", "z2s",
+                 "order0", "qr0", "tau0", "sigma_max", "VT", "z", "z2", "s_sq", "z2s",
                  "rb", "k", "h", "v1", "v1_norm", "alpha", "fro0_sq")
 
     def __init__(self, problem: IlseProblem, y: np.ndarray, w: WeightScheme):
@@ -430,25 +430,25 @@ class _Context:
         self.order0, stage_one = _sorted_rows(blocks)
         del blocks
         self.qr0, self.tau0, _, _ = dgeqrf(stage_one, int(dgeqrf_lwork(2 * m, n)[0]), 1)
-        _, self.sigma, self.VT, info = dgesdd(np.triu(self.qr0[:n]), 1, 0, overwrite_a=1)
+        _, sigma, self.VT, info = dgesdd(np.triu(self.qr0[:n]), 1, 0, overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"gesdd did not converge on R0 (info {info})")
-        self.sigma_max = float(self.sigma[0])
+        self.sigma_max = float(sigma[0])
         self.z = self.VT @ self.u
         self.z2 = self.z * self.z
-        self.s_sq = (self.sigma / self.sigma_max) ** 2 if self.sigma_max > 0.0 else np.zeros(n)
+        self.s_sq = (sigma / self.sigma_max) ** 2 if self.sigma_max > 0.0 else np.zeros(n)
         self.z2s = self.z2 * self.s_sq
         self.rb = math.hypot(self.y_norm / w.theta2, 1.0 / w.theta3)
         self.k, self.h = self.y_norm / w.theta2 / self.rb, 1.0 / w.theta3 / self.rb
         self.v1 = self.e / self.rb
         self.v1_norm = _norm(self.v1)
-        self.alpha = _secular_alpha(self.sigma, self.z, self.r_norm)
+        self.alpha = _secular_alpha(sigma, self.z, self.r_norm)
         # np.vdot and Python floats go to inf without an overflow warning,
         # and an infinite bound only sends the pre-test to the SVD.
-        self.fro0_sq = (problem.s * self.rb * self.rb + float(np.vdot(self.sigma, self.sigma))
+        self.fro0_sq = (problem.s * self.rb * self.rb + float(np.vdot(sigma, sigma))
                         + (n - 1) * self.r_norm * self.r_norm)
-        for a in (self.u, self.sr, self.AtSr, self.e, self.order0, self.qr0, self.tau0, self.sigma,
-                  self.VT, self.z, self.z2, self.s_sq, self.z2s, self.v1):
+        for a in (self.u, self.sr, self.AtSr, self.e, self.order0, self.qr0, self.tau0, self.VT,
+                  self.z, self.z2, self.s_sq, self.z2s, self.v1):
             a.flags.writeable = False
 
 
