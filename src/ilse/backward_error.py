@@ -111,10 +111,12 @@ v1 = e/rb and |v1|, alpha and |C(0)|_F^2; the unsorted blocks are not
 kept. Each public function checks the shapes of y and xi, looks the
 context up once and hands it to the kernel. Only a cache miss scans y's
 entries: a hit has the shape and the bytes of a y that passed that scan.
-One sum of squares gives |xi| and shows that xi is finite
-(_check_multiplier); where it overflows, |xi| comes from
-core._scaled_norm, and so do |y| and |r_y| in the context and the
-distance bound's residual norm (_norm).
+Every norm of user data here is core._norm: |xi|, |y|, |r_y|, |v1|, the
+distance bound's residual norm, and the hypot of norms that makes
+alpha_lower and the report's scale sqrt(theta1^-2 + |y|^2), so no square
+of a weight or a norm is formed. A finite _norm(xi) also shows that xi is
+finite (_check_multiplier); where its sum of squares overflows, _norm
+takes the scaled norm, so no norm overflows unless it is out of range.
 
 The kernel, _rhs_top(ctx, xi, |xi|), runs the rank test and forms w;
 _stage_two_norm turns w into sqrt(w^T G^-1 w). The rank test needs
@@ -131,14 +133,17 @@ sigma_max >= t, the norm of the block -u xi^T/theta2, so past
 RANK_RTOL t > PRETEST_MARGIN rb the kernel raises before it scales
 anything, which a t near the overflow threshold would defeat. Else the
 SVD of the unfactored M(xi) decides (_fallback_matrix), and a
-RankDeficiencyError carries its sigma_min.
+RankDeficiencyError carries its sigma_min. Its message names a weight
+whose block of J outweighs the unweighted one (_rank_error), since a
+weight far out of scale with the data fails the test by itself.
 
 min_norm_perturbation is the one function that factors the stack: it
 builds [R0; c (I - u u^T); a u^T] in its natural order, sorts its rows
-with _sorted_rows and factors them with geqrf. The stack's Q (orgqr)
-takes v2 = R^-T w to the stack's rows, the folded row's entry omega
-spreads over the pairs as -omega xi/|xi|, each pair rotates back, and Q0
-takes the R0 rows' entries to C's first 2m columns. (z = stack G^-1 w is
+with _sorted_rows and factors them with geqrf. The stack's Q takes
+v2 = R^-T w to the stack's rows, the folded row's entry omega spreads
+over the pairs as -omega xi/|xi|, each pair rotates back, and Q0 takes
+the R0 rows' entries to C's first 2m columns. Both Q are applied by their
+reflectors (ormqr), never formed. (z = stack G^-1 w is
 the same vector in exact arithmetic, but over the 280 cases of the
 compressed_matches_kron row at suite seeds 0-19 it left J z - rhs at up
 to 1.3e-8 relative, where the factor leaves 3.8e-16.)
@@ -155,7 +160,7 @@ import math
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dgesdd, dorgqr, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dgesdd, dtrtrs
 
 from . import solver
 from .core import (
@@ -164,7 +169,7 @@ from .core import (
     RankDeficiencyError,
     WeightScheme,
     BackwardErrorReport,
-    _scaled_norm,
+    _norm,
     apply_signature,
 )
 
@@ -242,15 +247,6 @@ def rhs_vector(problem: IlseProblem, y: np.ndarray, xi: np.ndarray) -> np.ndarra
     y = _check_candidate(problem, y)
     xi, _ = _check_multiplier(problem, xi)
     return np.concatenate(solver.normal_equation_residuals(problem, y, xi))
-
-
-def _norm(v: np.ndarray) -> float:
-    """|v|_2 of a vector, as np.linalg.norm computes it (sqrt of v.dot(v)),
-    without its dispatch; core._scaled_norm where that sum overflows, so a
-    finite v has a finite norm unless |v|_2 itself is out of range. np.vdot
-    gives the bits of v.dot(v) without numpy's overflow warning."""
-    sq = np.vdot(v, v)
-    return math.sqrt(sq) if math.isfinite(sq) else _scaled_norm(v)
 
 
 def _out_of_range(y_norm: float) -> IlseError:
@@ -494,13 +490,39 @@ def _fallback_matrix(ctx: _Context, xi: np.ndarray, t: float) -> np.ndarray:
     return M
 
 
-def _require_full_row_rank(svals: np.ndarray) -> None:
-    if svals[0] == 0.0 or svals[-1] <= RANK_RTOL * svals[0]:
-        raise RankDeficiencyError(
-            f"linearization matrix is numerically rank deficient "
-            f"(sigma_min={svals[-1]:.3e}, sigma_max={svals[0]:.3e})",
-            sigma_min=float(svals[-1]),
-        )
+def _full_row_rank(svals: np.ndarray) -> bool:
+    """The singular-value rank test on svals, in decreasing order."""
+    return not (svals[0] == 0.0 or svals[-1] <= RANK_RTOL * svals[0])
+
+
+def _rank_error(ctx: _Context, xi_norm: float, detail: str, sigma_min: float) -> RankDeficiencyError:
+    """The error of a failed rank test at |xi| = xi_norm; detail states the
+    singular values the test read.
+
+    A weight out of scale with the data fails the test by itself (at
+    theta1 = 1e-200 on unit-scaled data sigma_max is 1e200), so the
+    Frobenius norms of J's weighted blocks, |A|_F/theta1,
+    max(|y| sqrt(s), |xi| sqrt(n))/theta2 and sqrt(s)/theta3, are compared
+    with |K|_F, where |K|_F^2 = |u (S r_y)^T - |y| A^T S|_F^2 + (n-1) |r_y|^2
+    (module docstring); the message names the weight of a largest block.
+    """
+    problem, w = ctx.problem, ctx.w
+    n, s = problem.n, problem.s
+    AtS = apply_signature(problem.sig, problem.A).T
+    k_norm = math.hypot(_norm(np.outer(ctx.u, ctx.sr) - ctx.y_norm * AtS),
+                        math.sqrt(n - 1) * ctx.r_norm)
+    weighted = {
+        "theta1": _norm(problem.A) / w.theta1,
+        "theta2": max(ctx.y_norm * math.sqrt(s), xi_norm * math.sqrt(n)) / w.theta2,
+        "theta3": math.sqrt(s) / w.theta3,
+    }
+    weight = max(weighted, key=weighted.get)
+    message = f"linearization matrix is numerically rank deficient ({detail})"
+    if weighted[weight] > k_norm:
+        message += (f"; the block scaled by 1/{weight} is the largest (Frobenius norm "
+                    f"{weighted[weight]:.3e}, against {k_norm:.3e} for the unweighted block): "
+                    f"rescaling {weight} may help")
+    return RankDeficiencyError(message, sigma_min=sigma_min)
 
 
 def _certainly_full_rank(ctx: _Context, t: float) -> bool:
@@ -522,13 +544,13 @@ def _rhs_top(ctx: _Context, xi: np.ndarray, xi_norm: float):
     # Certainly rank deficient (module docstring), and so large a t could
     # overflow the scaled solve.
     if RANK_RTOL * t > PRETEST_MARGIN * ctx.rb:
-        raise RankDeficiencyError(
-            f"linearization matrix is numerically rank deficient "
-            f"(sigma_min <= {ctx.rb:.3e}, sigma_max >= |xi|/theta2 = {t:.3e})",
-            sigma_min=ctx.rb,
-        )
+        raise _rank_error(ctx, xi_norm, f"sigma_min <= {ctx.rb:.3e}, "
+                          f"sigma_max >= |xi|/theta2 = {t:.3e}", ctx.rb)
     if not _certainly_full_rank(ctx, t):
-        _require_full_row_rank(sla.svdvals(_fallback_matrix(ctx, xi, t)))
+        svals = sla.svdvals(_fallback_matrix(ctx, xi, t))
+        if not _full_row_rank(svals):
+            raise _rank_error(ctx, xi_norm, f"sigma_min={svals[-1]:.3e}, sigma_max={svals[0]:.3e}",
+                              float(svals[-1]))
     w = ctx.problem.B.T @ xi
     w -= ctx.AtSr
     w += (ctx.k * (xi @ ctx.v1) / ctx.w.theta2) * ctx.u
@@ -591,7 +613,7 @@ def min_norm_perturbation(
     v2, _ = dtrtrs(qr, w_top, 0, 1)
     u, v1, sr = ctx.u, ctx.v1, ctx.sr
     z_stack = np.empty(2 * n + 1)
-    z_stack[order] = dorgqr(qr, tau, overwrite_a=1)[0] @ v2
+    z_stack[order] = _q_times(qr, tau, v2)
     # The folded row's entry spreads over the second rows of the rotated
     # pairs along -xi/|xi|; each pair then rotates back to (a3, a5).
     z2 = (xi / xi_norm) * -z_stack[2 * n] if xi_norm > 0.0 else np.zeros_like(xi)
@@ -600,7 +622,7 @@ def min_norm_perturbation(
     # The R0 rows' share of z_stack maps back to C's first 2m columns
     # through Q0, whose rows are in the stage-one order.
     a12 = np.empty(2 * m)
-    a12[ctx.order0] = dorgqr(ctx.qr0, ctx.tau0)[0] @ z_stack[:n]
+    a12[ctx.order0] = _q_times(ctx.qr0, ctx.tau0, z_stack[:n])
     a1, a2 = a12[:m], a12[m:]
     a4 = z_stack[n:2 * n]
     c = math.hypot(ctx.r_norm, t)
@@ -608,6 +630,14 @@ def min_norm_perturbation(
     E = np.outer(a1, u) + np.outer(sr, p)
     F = np.outer(a3, u) - np.outer(xi, p) / w.theta2
     return np.concatenate([E.ravel(order="F"), a2, F.ravel(order="F"), a5])
+
+
+def _q_times(qr: np.ndarray, tau: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Q [v; 0] for the geqrf reflectors (qr, tau) of a tall matrix, applied
+    by solver._apply_q (ormqr): Q is never formed."""
+    c = np.zeros((qr.shape[0], 1), order="F")
+    c[:v.shape[0], 0] = v
+    return solver._apply_q(qr, tau, c, "N")[:, 0]
 
 
 def least_squares_multiplier(problem: IlseProblem, y: np.ndarray) -> np.ndarray:
@@ -640,17 +670,7 @@ def stability_constant_lower_bound(
     """Certified lower bound |r_y|_2 / sqrt(1 + theta1^2 |y|_2^2) on alpha,
     computed without the context that alpha comes from."""
     y = _check_candidate(problem, y)
-    # _norm and np.vdot give the bits of np.linalg.norm and y @ y without
-    # an overflow warning, and _norm stays finite where |r_y|^2 overflows.
-    r_norm = _norm(problem.residual(y))
-    try:
-        total = 1.0 + w.theta1**2 * float(np.vdot(y, y))
-    except OverflowError:  # theta1**2 is out of range
-        total = math.inf
-    if math.isfinite(total):
-        return r_norm / math.sqrt(total)
-    # theta1 |y| can be in range where its square is not
-    return r_norm / math.hypot(1.0, w.theta1 * _norm(y))
+    return _norm(problem.residual(y)) / math.hypot(1.0, w.theta1 * _norm(y))
 
 
 def pinv_norm_bound(problem: IlseProblem, y: np.ndarray, w: WeightScheme) -> float:
@@ -736,13 +756,7 @@ def backward_error_bounds(
     rho1 = try_rho(xi1)
     rho0 = try_rho(xi0) if xi0 is not None else None
 
-    try:
-        # np.vdot gives the bits of y @ y without an overflow warning.
-        scale_sq = 1.0 / w.theta1**2 + float(np.vdot(y, y))
-    except (OverflowError, ZeroDivisionError):  # theta1**2 is out of range
-        scale_sq = math.inf
-    # 1/theta1 and |y| can be in range where their squares are not
-    scale = math.sqrt(scale_sq) if math.isfinite(scale_sq) else math.hypot(1.0 / w.theta1, _norm(y))
+    scale = math.hypot(1.0 / w.theta1, _norm(y))
     # A NaN rho that did not raise (overflow, say) voids the bounds as r_y = 0 does.
     applicable = not (r_zero or math.isnan(rho1))
     condition = applicable and 4.0 * tau0 * rho1 * scale < 1.0

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import backward_error as be
 from . import harness
-from .core import IlseError, WeightScheme
+from .core import IlseError, WeightScheme, _norm
 from .solver import check_well_posedness, normal_equation_residuals, solve_ilse
 from .testgen import GenParams, gen_ilse_instance
 
@@ -115,12 +115,9 @@ def _cmd_solve(args) -> int:
         "x": sol.x.tolist(),
         "xi": sol.xi.tolist(),
         "lambda": sol.lam.tolist(),
-        "residual_norm": float(np.linalg.norm(sol.r)),
+        "residual_norm": _norm(sol.r),
         "gamma": harness.residual_gamma(problem, sol),
-        "normal_equation_residual_norms": [
-            float(np.linalg.norm(r1)),
-            float(np.linalg.norm(r2)),
-        ],
+        "normal_equation_residual_norms": [_norm(r1), _norm(r2)],
         "min_projected_eig": report.min_projected_eig,
         "pd_tolerance": report.pd_tolerance,
         "ra_rcond": report.ra_rcond,

@@ -5,12 +5,14 @@ indefinite least squares (ILSE) problem
 
 where S = diag(I_p, -I_q) is a signature matrix. This module holds the
 value types shared by the solver, the backward-error machinery, the test
-generators and the experiment harness, plus the two norms everything else
-is built on. All types are immutable after construction and every function
-is pure, so instances can be shared freely across threads. backward_error
-keeps one module-level cache, of the multiplier-free part of the
-linearization for the last (problem, y, w); backward_error._Context says
-why it is invisible in output and safe under threads.
+generators and the experiment harness, plus the norms everything else is
+built on: _norm, the package's one norm of user data, which does not
+overflow where the norm itself is in range, and the weighted perturbation
+norm built from it. All types are immutable after construction and every
+function is pure, so instances can be shared freely across threads.
+backward_error keeps one module-level cache, of the multiplier-free part
+of the linearization for the last (problem, y, w); backward_error._Context
+says why it is invisible in output and safe under threads.
 """
 
 from __future__ import annotations
@@ -241,35 +243,30 @@ class PerturbationQuadruple:
 def weighted_perturbation_norm(pert: PerturbationQuadruple, w: WeightScheme) -> float:
     """Frobenius norm of the weighted block matrix [E, theta1*f; theta2*F, theta3*g].
 
-    Equals sqrt(|E|_F^2 + theta1^2 |f|^2 + theta2^2 |F|_F^2 + theta3^2 |g|^2),
-    taken as the hypot of the weighted block norms when that sum is out of
-    range (a weight's square, a block's squares, or their product
-    overflows). Each block norm is then taken scaled by the block's largest
-    magnitude, so the result is inf only where the norm itself is.
+    The hypot of the weighted block norms, so no square of a weight or of a
+    block is formed: the result is inf only where the norm itself is.
     """
-    try:
-        with np.errstate(over="ignore"):
-            total = (
-                float(np.sum(pert.E**2))
-                + w.theta1**2 * float(np.sum(pert.f**2))
-                + w.theta2**2 * float(np.sum(pert.F**2))
-                + w.theta3**2 * float(np.sum(pert.g**2))
-            )
-    except OverflowError:  # a weight's square
-        total = math.inf
-    if math.isfinite(total):
-        return math.sqrt(total)
-    E, f, F, g = (_scaled_norm(a) for a in (pert.E, pert.f, pert.F, pert.g))
-    return math.hypot(E, w.theta1 * f, w.theta2 * F, w.theta3 * g)
+    return math.hypot(_norm(pert.E), w.theta1 * _norm(pert.f),
+                      w.theta2 * _norm(pert.F), w.theta3 * _norm(pert.g))
 
 
-def _scaled_norm(a: np.ndarray) -> float:
-    """|a|_F as big |a / big|_F with big the largest magnitude in a, so no
-    square overflows."""
+def _norm(a: np.ndarray) -> float:
+    """|a|_2 of a vector, |a|_F of a matrix: the package's one norm of user data.
+
+    Where the sum of squares np.vdot(a, a) is finite, its square root, which
+    has the bits of np.linalg.norm(a) without its dispatch or its overflow
+    warning. Otherwise the scaled norm big |a / big|_F, with big the largest
+    magnitude in a, whose squares cannot overflow (Blue, ACM TOMS 1978). So
+    a finite a has a finite norm unless the norm itself is out of range.
+    """
+    sq = np.vdot(a, a)
+    if math.isfinite(sq):
+        return math.sqrt(sq)
     big = float(np.max(np.abs(a), initial=0.0))
-    if big == 0.0 or not math.isfinite(big):
+    if not math.isfinite(big):
         return big
-    return big * float(np.linalg.norm(a / big))
+    a = a / big
+    return big * math.sqrt(np.vdot(a, a))
 
 
 def perturbed_problem(problem: IlseProblem, pert: PerturbationQuadruple) -> IlseProblem:

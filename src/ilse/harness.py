@@ -38,6 +38,7 @@ from .core import (
     PerturbationQuadruple,
     SignatureMatrix,
     WeightScheme,
+    _norm,
     apply_signature,
     perturbed_problem,
     weighted_perturbation_norm,
@@ -81,7 +82,9 @@ def residual_gamma(problem: IlseProblem, sol: IlseSolution) -> float:
     for the augmented matrix K and right-hand side (d, b, 0) of
     ``solver.assemble_augmented``. K is never built: block by block,
     K u - rhs = (B x - d, S s_vec + A x - b, B^T lam + A^T s_vec) and
-    |K|_F^2 = 2 |B|_F^2 + m + 2 |A|_F^2.
+    |K|_F = hypot(sqrt(2) |B|_F, sqrt(m), sqrt(2) |A|_F). No norm is
+    squared, and the residual norm is divided by |K|_F before it meets
+    |u|_2, so gamma stays finite where |K|_F |u|_2 would overflow.
     """
     A, B = problem.A, problem.B
     residual = np.concatenate([
@@ -89,10 +92,11 @@ def residual_gamma(problem: IlseProblem, sol: IlseSolution) -> float:
         apply_signature(problem.sig, sol.s_vec) + A @ sol.x - problem.b,
         B.T @ sol.lam + A.T @ sol.s_vec,
     ])
-    K_norm = math.sqrt(2.0 * np.linalg.norm(B) ** 2 + problem.m + 2.0 * np.linalg.norm(A) ** 2)
+    root2 = math.sqrt(2.0)
+    K_norm = math.hypot(root2 * _norm(B), math.sqrt(problem.m), root2 * _norm(A))
     u = np.concatenate([sol.lam, sol.s_vec, sol.x])
-    den = float(K_norm * np.linalg.norm(u) + np.linalg.norm(np.concatenate([problem.d, problem.b])))
-    return float(np.linalg.norm(residual)) / den if den > 0.0 else 0.0
+    den = _norm(u) + _norm(np.concatenate([problem.d, problem.b])) / K_norm
+    return _norm(residual) / K_norm / den if den > 0.0 else 0.0
 
 
 @dataclass(frozen=True)

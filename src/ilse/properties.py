@@ -30,9 +30,9 @@ from . import oracle
 from .core import (
     IlseProblem,
     PerturbationQuadruple,
-    RankDeficiencyError,
     SignatureMatrix,
     WeightScheme,
+    _norm,
     apply_signature,
     perturbed_problem,
     weighted_perturbation_norm,
@@ -645,7 +645,7 @@ def compressed_matches_kron(case):
     problem, y, xi, w = case
     J = be.linearization_matrix(problem, y, xi, w)
     sv_J = sla.svdvals(J)
-    sv_C = sla.svdvals(be._fallback_matrix(be._context(problem, y, w), xi, be._norm(xi) / w.theta2))
+    sv_C = sla.svdvals(be._fallback_matrix(be._context(problem, y, w), xi, _norm(xi) / w.theta2))
     rhs = be.rhs_vector(problem, y, xi)
     R = sla.qr(J.T, mode="economic")[1]
     rho_J = float(np.linalg.norm(sla.solve_triangular(R, rhs, trans="T")))
@@ -679,10 +679,9 @@ def rank_pretest(case):
     svals = sla.svdvals(be._fallback_matrix(ctx, xi, t))
     if not svals[-1] >= min(ctx.alpha, 1.0 / w.theta3) - be.RANK_RTOL * svals[0]:
         return Outcome(False, f"sigma_min {svals[-1]:.3e} below min(alpha, 1/theta3)", float(accepted))
-    try:
-        be._require_full_row_rank(svals)
-    except RankDeficiencyError as exc:
-        return Outcome(not accepted, f"pre-test accepted what the SVD rejects: {exc}", float(accepted))
+    if not be._full_row_rank(svals):
+        return Outcome(not accepted, "pre-test accepted what the SVD rejects "
+                       f"(sigma_min={svals[-1]:.3e}, sigma_max={svals[0]:.3e})", float(accepted))
     return Outcome(True, value=float(accepted))
 
 

@@ -52,6 +52,7 @@ from scipy.linalg.lapack import (
 
 from .core import (
     IllPosedProblemError,
+    IlseError,
     IlseProblem,
     IlseSolution,
     apply_signature,
@@ -131,10 +132,12 @@ def check_well_posedness(problem: IlseProblem) -> WellPosednessReport:
     instance __dict__ (the way functools.cached_property keeps a value)
     and the same frozen report is returned on every later call. On a
     well-posed problem the memo also holds the solution x and multiplier
-    xi that the checked solve_ilse returns, read-only, of lengths n and s;
-    the factors are not kept. The problem's arrays are read-only copies,
-    so the memo cannot go stale. oracle.well_posedness_reference recomputes
-    the verdict from the full Q and the projection Z^T A^T S A Z.
+    xi that the checked solve_ilse returns, read-only, of lengths n and s,
+    inf or nan where they are out of floating-point range, which the solve
+    then reports; the factors are not kept. The problem's arrays are
+    read-only copies, so the memo cannot go stale.
+    oracle.well_posedness_reference recomputes the verdict from the full Q
+    and the projection Z^T A^T S A Z.
     """
     if _MEMO_KEY not in problem.__dict__:
         problem.__dict__[_MEMO_KEY] = _analyse(problem)
@@ -192,21 +195,24 @@ def _analyse(
     if not report.well_posed:
         return report, None, None
 
-    x = np.zeros(n)
-    if s:
-        # x_p = Q [R^-T d; 0]; trtrs reads the s x s R in qr's top rows.
-        x_p = np.zeros((n, 1), order="F")
-        x_p[:s, 0] = dtrtrs(qr, problem.d, 0, 1)[0]
-        x = _apply_q(qr, tau, x_p, "N")[:, 0]
-    if k:
-        rhs = Qa.T @ apply_signature(sig, b - A @ x)
-        v = dsysv(W, rhs, int(dsysv_lwork(k)[0]), overwrite_a=1)[2]
-        z = dtrtrs(Ra, v)[0]
-        x = x + Z @ z if s else z
-    xi = np.zeros(0)
-    if s:
-        g = (A.T @ apply_signature(sig, b - A @ x))[:, None]
-        xi = dtrtrs(qr, _apply_q(qr, tau, g, "T")[:s, 0])[0]
+    # A well-posed problem can have an x or xi out of floating-point range;
+    # it is left inf or nan here, and the checked solve_ilse names it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.zeros(n)
+        if s:
+            # x_p = Q [R^-T d; 0]; trtrs reads the s x s R in qr's top rows.
+            x_p = np.zeros((n, 1), order="F")
+            x_p[:s, 0] = dtrtrs(qr, problem.d, 0, 1)[0]
+            x = _apply_q(qr, tau, x_p, "N")[:, 0]
+        if k:
+            rhs = Qa.T @ apply_signature(sig, b - A @ x)
+            v = dsysv(W, rhs, int(dsysv_lwork(k)[0]), overwrite_a=1)[2]
+            z = dtrtrs(Ra, v)[0]
+            x = x + Z @ z if s else z
+        xi = np.zeros(0)
+        if s:
+            g = (A.T @ apply_signature(sig, b - A @ x))[:, None]
+            xi = dtrtrs(qr, _apply_q(qr, tau, g, "T")[:s, 0])[0]
     x.flags.writeable = xi.flags.writeable = False
     return report, x, xi
 
@@ -241,7 +247,10 @@ def solve_ilse(problem: IlseProblem, check_well_posed: bool = True) -> IlseSolut
     xi that the check's analysis solved for on the null space of B, from
     the same QR factors of B^T and A Z that its verdict read: no
     order-(s+m+n) matrix is formed, and on a memoized problem no factor
-    is computed again. Raises IllPosedProblemError if the check fails.
+    is computed again. Raises IllPosedProblemError if the check fails, and
+    an IlseError naming x, xi or the residual when the problem is well
+    posed but that quantity is out of floating-point range (A and b scaled
+    by 1e154 put xi there).
 
     check_well_posed=False skips the check and returns the stationary
     point of the augmented system whenever it is invertible, by LU
@@ -272,11 +281,16 @@ def solve_ilse(problem: IlseProblem, check_well_posed: bool = True) -> IlseSolut
                 f"(lambda_min(W) {report.min_projected_eig:.3e}, rcond(Ra) {report.ra_rcond:.3e})"
             )
         x, xi = problem.__dict__[_MEMO_KEY][1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = problem.b - problem.A @ x
+        for name, v in (("solution x", x), ("multiplier xi", xi), ("residual b - A x", r)):
+            if not np.isfinite(v).all():
+                raise IlseError(f"the {name} of this well-posed problem is out of floating-point range")
     else:
         x, xi = _augmented_solve(problem)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))):
-        raise IllPosedProblemError("solve produced non-finite values")
-    r = problem.b - problem.A @ x
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))):
+            raise IllPosedProblemError("solve produced non-finite values")
+        r = problem.b - problem.A @ x
     return IlseSolution(x=x, xi=xi, lam=-xi, r=r, s_vec=apply_signature(problem.sig, r))
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.blas import dgemm
 
-from .core import GenerationError, IlseProblem, PerturbationQuadruple, SignatureMatrix
+from .core import GenerationError, IlseProblem, PerturbationQuadruple, SignatureMatrix, _norm
 from .solver import check_well_posedness
 
 _MASK64 = (1 << 64) - 1
@@ -262,7 +262,7 @@ def gen_perturbation(problem: IlseProblem, eps: float, seed: int) -> Perturbatio
     rng = _rng(seed)
     m, n, s = problem.m, problem.n, problem.s
     E = eps * rng.standard_normal((m, n))
-    f = eps * float(np.linalg.norm(problem.b)) * rng.standard_normal(m)
+    f = eps * _norm(problem.b) * rng.standard_normal(m)
     F = eps * rng.standard_normal((s, n))
-    g = eps * float(np.linalg.norm(problem.d)) * rng.standard_normal(s)
+    g = eps * _norm(problem.d) * rng.standard_normal(s)
     return PerturbationQuadruple(E=E, f=f, F=F, g=g)

@@ -167,6 +167,19 @@ class TestEstimate:
             backward_error_estimate(problem, psol.x, xi, w)
 
 
+    @pytest.mark.parametrize("value", [1e-160, 1e-200])
+    @pytest.mark.parametrize("weight", ["theta1", "theta2", "theta3"])
+    def test_weight_out_of_scale_names_itself(self, weight, value):
+        # The weight's block of J dwarfs the unweighted block K, so the rank
+        # test fails on the weight alone; the error keeps its type, which the
+        # report's try_rho and the oracle catch, and the SVD's sigma_min.
+        problem, _, _, psol = properties.solved_case(properties.TINY, 1e-6, 3)
+        with pytest.raises(RankDeficiencyError, match=rf"1/{weight} is the largest.*"
+                           rf"rescaling {weight} may help") as excinfo:
+            backward_error_bounds(problem, psol.x, WeightScheme(**{weight: value}))
+        assert 0.0 < excinfo.value.sigma_min < math.inf
+
+
 class TestFallbackMatrix:
     """The stage-two stack [R0; c (I - u u^T); a u^T] that min_norm_perturbation
     factors, and the matrix M(xi) = [rb I_s, X; 0, stack] whose SVD decides
@@ -591,7 +604,8 @@ class TestBackwardErrorBounds:
         assert report.bounds_applicable
 
     def test_zero_residual_marks_bounds_inapplicable(self, unit_weights):
-        # theta1**2 underflows to 0 at theta1 = 1e-200, which the report's scale divides by.
+        # theta1**2 underflows to 0 at theta1 = 1e-200; the report's scale
+        # hypot(1/theta1, |y|) never forms it.
         for w in (unit_weights, WeightScheme(theta1=1e-200)):
             report = backward_error_bounds(residual_free_problem(), np.array([0.5]), w)
             assert not report.bounds_applicable

@@ -196,6 +196,17 @@ class TestBackwardError:
         assert payload["bounds_applicable"] is True and payload["mu_lower"] > 0.0
 
 
+    def test_weight_out_of_scale_names_itself(self, capsys, tmp_path, t1_bundle):
+        yfile = tmp_path / "y"
+        write_vector(yfile, np.array([0.1]))
+        code, out, err = run_cli(
+            capsys, "backward-error", "--problem", str(t1_bundle), "--y", str(yfile),
+            "--theta1", "1e-200",
+        )
+        assert code == 2 and out == ""
+        assert "numerically rank deficient" in err and "rescaling theta1 may help" in err
+
+
 class TestGen:
     def test_gen_without_constraints_then_solve(self, capsys, tmp_path):
         out_dir = tmp_path / "inst"

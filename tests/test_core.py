@@ -12,6 +12,7 @@ from ilse import (
     perturbed_problem,
     weighted_perturbation_norm,
 )
+from ilse.core import _norm
 
 class TestApplySignature:
     def test_mixed_signs(self):
@@ -36,6 +37,27 @@ class TestApplySignature:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             SignatureMatrix(-1, 2)
+
+
+class TestNorm:
+    @pytest.mark.parametrize("shape", [(0,), (7,), (5, 3), (1, 1)])
+    def test_bits_of_numpy_where_the_sum_of_squares_is_finite(self, shape):
+        a = np.random.default_rng(3).standard_normal(shape) * 1e100
+        assert _norm(a) == float(np.linalg.norm(a))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("big", [1e160, 1e300, 1e308])
+    def test_squares_out_of_range(self, big):
+        # The sum of squares overflows; the norm 2 big is in range up to 1e308.
+        assert _norm(np.full((2, 2), big)) == pytest.approx(2.0 * big, rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_out_of_range_norm_is_inf(self):
+        assert _norm(np.full(4, 1e308)) == math.inf
+
+    def test_non_finite_entries(self):
+        assert _norm(np.array([1.0, -math.inf])) == math.inf
+        assert math.isnan(_norm(np.array([1.0, math.nan])))
 
 
 class TestWeightedPerturbationNorm:

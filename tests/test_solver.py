@@ -8,6 +8,7 @@ import scipy.linalg as sla
 from ilse import (
     GenParams,
     IllPosedProblemError,
+    IlseError,
     IlseProblem,
     SignatureMatrix,
     assemble_augmented,
@@ -18,7 +19,7 @@ from ilse import (
     perturbed_problem,
     solve_ilse,
 )
-from ilse import oracle, solver, testgen
+from ilse import oracle, properties, solver, testgen
 from ilse.harness import residual_gamma, run_experiment
 from scipy.linalg import blas, lapack
 
@@ -271,6 +272,28 @@ class TestSolveIlse:
         assert sol.x.tobytes() == u[s + m:].tobytes()
         assert sol.lam.tobytes() == u[:s].tobytes()
         assert sol.xi.tobytes() == (-u[:s]).tobytes()
+
+    @pytest.mark.parametrize("k", [154, 200])
+    def test_checked_solve_names_a_multiplier_out_of_range(self, k):
+        # Scaling A and b by 10^k scales xi by 10^(2k): beyond k = 153 it is
+        # out of floating-point range on this well-posed problem. The check
+        # still returns its verdict, and the solve raises a typed error that
+        # is not an ill-posedness verdict (the suite turns a RuntimeWarning
+        # into an error).
+        problem = properties.solved_case(properties.TINY, 1e-6, 3)[0]
+        scaled = IlseProblem(problem.A * 10.0**k, problem.b * 10.0**k, problem.B, problem.d,
+                             problem.sig)
+        assert check_well_posedness(scaled).well_posed
+        with pytest.raises(IlseError, match="multiplier xi .* out of floating-point range") as excinfo:
+            solve_ilse(scaled)
+        assert not isinstance(excinfo.value, IllPosedProblemError)
+
+    def test_checked_solve_at_the_edge_of_the_range(self):
+        problem = properties.solved_case(properties.TINY, 1e-6, 3)[0]
+        scaled = IlseProblem(problem.A * 1e153, problem.b * 1e153, problem.B, problem.d,
+                             problem.sig)
+        sol = solve_ilse(scaled)
+        assert np.isfinite(sol.xi).all() and residual_gamma(scaled, sol) <= 1e-12
 
     def test_singular_augmented_matrix_raises_without_warning(self):
         problem = IlseProblem(
