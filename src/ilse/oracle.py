@@ -221,6 +221,15 @@ def _nelder_mead(func, x0, maxfev: int, xatol: float, fatol: float):
     x is the best vertex, fun is np.min of the vertex values (NaN when one
     is NaN), and success means that the stopping test was met while budget
     was left.
+
+    A step of minimize_estimate's searches costs about as much as the rho
+    it evaluates, nearly all of it numpy's per-call overhead on arrays of
+    s entries. So the loop calls the array methods argsort, take, max and
+    copy, which give the bits of scipy's np.argsort, np.take, np.max and
+    np.copy with less dispatch; reads the best and worst vertices once per
+    step and the three values its branches compare as Python floats, which
+    compare as the float64 entries do, NaN included; and copies each point
+    only as func receives it.
     """
     nfev = 0
 
@@ -229,7 +238,7 @@ def _nelder_mead(func, x0, maxfev: int, xatol: float, fatol: float):
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return func(np.copy(x))
+        return func(x.copy())
 
     x0 = np.asarray(x0, dtype=float)
     N = len(x0)
@@ -247,50 +256,53 @@ def _nelder_mead(func, x0, maxfev: int, xatol: float, fatol: float):
     # scipy sorts the start simplex twice. argsort is not stable, and past
     # 16 values with NaN among them the second sort can reorder ties.
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
 
     while nfev < maxfev:
         try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            best, worst = sim[0], sim[-1]
+            values = fsim.tolist()
+            f_best, f_next, f_worst = values[0], values[-2], values[-1]
+            if (abs(sim[1:] - best).max() <= xatol
+                    and abs(f_best - fsim[1:]).max() <= fatol):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / N
-            xr = 2.0 * xbar - sim[-1]
+            xr = 2.0 * xbar - worst
             fxr = f(xr)
             shrink = False
-            if fxr < fsim[0]:
-                xe = 3.0 * xbar - 2.0 * sim[-1]
+            if fxr < f_best:
+                xe = 3.0 * xbar - 2.0 * worst
                 fxe = f(xe)
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
                 else:
                     sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
+            elif fxr < f_next:
                 sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-1]:
-                xc = 1.5 * xbar - 0.5 * sim[-1]
+            elif fxr < f_worst:
+                xc = 1.5 * xbar - 0.5 * worst
                 fxc = f(xc)
                 if fxc <= fxr:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     shrink = True
             else:
-                xcc = 0.5 * xbar + 0.5 * sim[-1]
+                xcc = 0.5 * xbar + 0.5 * worst
                 fxcc = f(xcc)
-                if fxcc < fsim[-1]:
+                if fxcc < f_worst:
                     sim[-1], fsim[-1] = xcc, fxcc
                 else:
                     shrink = True
             if shrink:
                 for j in range(1, N + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    sim[j] = best + 0.5 * (sim[j] - best)
                     fsim[j] = f(sim[j])
         except _BudgetSpent:
             pass
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0], np.min(fsim), nfev, nfev < maxfev
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
+    return sim[0], fsim.min(), nfev, nfev < maxfev
 
 
 # Nelder-Mead budget per multiplier dimension, shared by the start points;

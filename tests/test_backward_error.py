@@ -100,6 +100,21 @@ class TestRhsVector:
         np.testing.assert_allclose(rhs_vector(t1, Y01, XI09), [0.0, -0.1], atol=1e-16)
         np.testing.assert_allclose(rhs_vector(t1, Y01, np.array([0.0])), [-0.9, -0.1])
 
+    @pytest.mark.parametrize("kappa", [1e2, 1e8])
+    def test_kernel_w_starts_from_the_bits_of_rhs_vector(self, kappa):
+        # tests/test_referee.py takes rhs_vector's bits as exact, so the
+        # kernel's w = B^T xi - A^T S r_y + y (xi.e)/(theta2^2 beta) must hold
+        # rhs_vector's top block bit for bit, with the rank-one term added last.
+        problem, sol, _, psol = solved_case(7, eps=1e-10, kappa_a=kappa, kappa_b=kappa)
+        y, w = psol.x, WeightScheme(2.0, 0.5, 3.0)
+        ctx = be._context(problem, y, w)
+        xi1 = least_squares_multiplier(problem, y)
+        for xi in (xi1, 1e-3 * xi1, sol.xi, np.zeros(problem.s)):
+            kernel, _ = be._rhs_top(ctx, xi, be._norm(xi))
+            expected = rhs_vector(problem, y, xi)[:problem.n]
+            expected += (ctx.k * (xi @ ctx.v1) / w.theta2) * ctx.u
+            assert kernel.tobytes() == expected.tobytes()
+
 
 class TestEstimate:
     def test_zero_at_exact_solution(self, t1, unit_weights):

@@ -18,7 +18,9 @@ from ilse import (
     gen_sigma_orthogonal,
     residual_gamma,
     solve_ilse,
+    testgen,
 )
+from ilse.testgen import subseed
 
 def signature_residual(Q, p, q):
     S = np.diag(SignatureMatrix(p, q).diagonal())
@@ -51,6 +53,43 @@ class TestSigmaOrthogonal:
         assert np.max(np.abs(Q.T @ Q - np.eye(4))) <= 1e-13 * 4
         Q = gen_sigma_orthogonal(0, 3, seed=3)
         assert np.max(np.abs(Q.T @ Q - np.eye(3))) <= 1e-13 * 3
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 5), (5, 2), (7, 5), (24, 16), (60, 40), (130, 90), (4, 0), (0, 3)])
+    @pytest.mark.parametrize("hyper_bound", [1.0, 0.0])
+    def test_bitwise_equal_to_the_rotation_loop(self, p, q, hyper_bound):
+        # The literal loop: one rotation at a time, each on copies of its two
+        # columns. The waves (orders up to 200; (130, 90) takes the loop)
+        # must give its bits, on which the seeded instances of every table
+        # depend.
+        def reference(p, q, seed, hyper_bound):
+            m = p + q
+
+            def block(seed_p, seed_q):
+                M = np.eye(m)
+                if p > 0:
+                    M[:p, :p] = gen_random_orthogonal(p, seed_p)
+                if q > 0:
+                    M[p:, p:] = gen_random_orthogonal(q, seed_q)
+                return M
+
+            Q = block(subseed(seed, testgen._STREAM_Q_PLUS), subseed(seed, testgen._STREAM_Q_MINUS))
+            rng = np.random.Generator(np.random.Philox(key=subseed(seed, testgen._STREAM_ROTATIONS)))
+            for _ in range(min(p, q)):
+                i = int(rng.integers(0, p))
+                j = p + int(rng.integers(0, q))
+                t = float(rng.uniform(-hyper_bound, hyper_bound))
+                c, s = np.cosh(t), np.sinh(t)
+                col_i = Q[:, i].copy()
+                col_j = Q[:, j].copy()
+                Q[:, i] = c * col_i + s * col_j
+                Q[:, j] = s * col_i + c * col_j
+            right = block(subseed(seed, testgen._STREAM_Q_PLUS ^ testgen._STREAM_U),
+                          subseed(seed, testgen._STREAM_Q_MINUS ^ testgen._STREAM_U))
+            return Q @ right
+
+        for seed in (0, 1, 7, 2**63 + 5, 20240901):
+            got = gen_sigma_orthogonal(p, q, seed, hyper_bound)
+            assert got.tobytes() == reference(p, q, seed, hyper_bound).tobytes()
 
 
 class TestRandomOrthogonal:
