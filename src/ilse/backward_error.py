@@ -185,6 +185,7 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dgesdd, dtrtrs
 
 from . import solver
+from .solver import PRETEST_MARGIN
 from .core import (
     IlseError,
     IlseProblem,
@@ -202,9 +203,8 @@ from .core import (
 RANK_RTOL = 10.0 * float(np.finfo(float).eps)
 
 # The rank pre-test skips the SVD only when its certified bound on
-# sigma_min/sigma_max clears RANK_RTOL by this factor, a margin for the
+# sigma_min/sigma_max clears RANK_RTOL by PRETEST_MARGIN, a margin for the
 # rounding in the computed alpha and |C(0)|_F.
-PRETEST_MARGIN = 100.0
 _PRETEST_RTOL = PRETEST_MARGIN * RANK_RTOL
 
 

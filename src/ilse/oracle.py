@@ -216,8 +216,8 @@ def _nelder_mead(func, x0, maxfev: int, xatol: float, fatol: float):
       shrink part-way through included, and the simplex is sorted once
       more;
     - vertices are sorted by np.argsort of their values, NaN included;
-    - the search stops once every vertex lies within xatol of the best in
-      each entry and every value within fatol of the best.
+    - the search stops once every value lies within fatol of the best and
+      every vertex within xatol of the best in each entry.
     x is the best vertex, fun is np.min of the vertex values (NaN when one
     is NaN), and success means that the stopping test was met while budget
     was left.
@@ -227,9 +227,11 @@ def _nelder_mead(func, x0, maxfev: int, xatol: float, fatol: float):
     s entries. So the loop calls the array methods argsort, take, max and
     copy, which give the bits of scipy's np.argsort, np.take, np.max and
     np.copy with less dispatch; reads the best and worst vertices once per
-    step and the three values its branches compare as Python floats, which
-    compare as the float64 entries do, NaN included; and copies each point
-    only as func receives it.
+    step and the vertex values as Python floats, which compare as the
+    float64 entries do, NaN included; tests the values part of the stopping
+    test on those floats first, which fails on most steps, so the vertex
+    spread is formed only when it passes; and copies each point only as
+    func receives it.
     """
     nfev = 0
 
@@ -264,8 +266,8 @@ def _nelder_mead(func, x0, maxfev: int, xatol: float, fatol: float):
             best, worst = sim[0], sim[-1]
             values = fsim.tolist()
             f_best, f_next, f_worst = values[0], values[-2], values[-1]
-            if (abs(sim[1:] - best).max() <= xatol
-                    and abs(f_best - fsim[1:]).max() <= fatol):
+            if (all(abs(f_best - v) <= fatol for v in values[1:])
+                    and abs(sim[1:] - best).max() <= xatol):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / N
             xr = 2.0 * xbar - worst

@@ -11,17 +11,24 @@ definite on the null space of B.
 
 One analysis per problem object (_analyse) serves check_well_posedness
 and the checked solve_ilse. It factors B^T = Q R once with LAPACK's
-geqrf and never forms Q: the rank test reads the singular values of the
-s x s R, and the null-space basis Z = Q [0; I] comes from applying the
-reflectors to the last n-s columns of the identity (ormqr). It then
-factors A Z = Qa Ra and forms W = Qa^T S Qa (Chandrasekaran, Gu & Sayed,
-SIMAX 1998; Bojanczyk, Higham & Patel, BIT 2003). By Sylvester's law of
-inertia, Z^T A^T S A Z = Ra^T W Ra is positive definite exactly when Ra
-is nonsingular and W is positive definite. A^T S A is never formed, so
-the verdict does not square kappa_A, and |W|_2 <= 1 whatever kappa_A is.
-On a well-posed problem the same factors give the solution and its
-multiplier. The problem object keeps the report and that (x, xi), not
-the factors.
+geqrf and never forms Q. The rank test on the s x s R is certified
+without an SVD where it can be: sigma_max(R) <= |R|_F and
+sigma_min(R) = 1/|R^-1|_2 >= 1/|R^-1|_F (Higham, Accuracy and Stability
+of Numerical Algorithms, 2nd ed.), so the test passes when
+1/(|R|_F |R^-1|_F), with R^-1 from LAPACK's trtri, clears the rank
+tolerance by PRETEST_MARGIN. Where that is inconclusive, the singular
+values of R decide. The null-space basis Z = Q [0; I] comes from
+applying the reflectors to the last n-s columns of the identity (ormqr).
+It then factors A Z = Qa Ra and forms W = Qa^T S Qa (Chandrasekaran, Gu
+& Sayed, SIMAX 1998; Bojanczyk, Higham & Patel, BIT 2003). By
+Sylvester's law of inertia, Z^T A^T S A Z = Ra^T W Ra is positive
+definite exactly when Ra is nonsingular and W is positive definite.
+A^T S A is never formed, so the verdict does not square kappa_A, and
+|W|_2 <= 1 whatever kappa_A is. lambda_min(W) comes from one call of
+LAPACK's syevr with the workspace scipy's eigvalsh queries, so it has
+eigvalsh's bits. On a well-posed problem the same factors give the
+solution, its multiplier and its residual. The problem object keeps the
+report and that (x, xi, r), not the factors.
 
 solve_ilse has two routes. A checked solve takes (x, xi) from that
 analysis: K is never assembled. An unchecked solve assembles K bitwise
@@ -44,9 +51,12 @@ from scipy.linalg.lapack import (
     dgetrs,
     dorgqr,
     dormqr,
+    dsyevr,
+    dsyevr_lwork,
     dsysv,
     dsysv_lwork,
     dtrcon,
+    dtrtri,
     dtrtrs,
 )
 
@@ -55,13 +65,26 @@ from .core import (
     IlseError,
     IlseProblem,
     IlseSolution,
+    _norm,
     apply_signature,
 )
 
 _EPS = np.finfo(float).eps
 
+# A certified rank pre-test skips the SVD only when its bound on
+# sigma_min/sigma_max clears the rank tolerance by this factor, which
+# covers the rounding of the quantities the bound is computed from and of
+# the SVD it stands in for. backward_error's pre-test on J shares it.
+PRETEST_MARGIN = 100.0
+
+# Where a _norm of N entries is at least this, its sum of squares is a
+# normal float, and the squares that underflow change it by a relative
+# N u at most; a smaller _norm may have lost most of its value.
+_NORM_MIN = math.sqrt(np.finfo(float).tiny)
+
 # Instance-dict key of an IlseProblem's well-posedness memo: the tuple
-# (report, x, xi) of _analyse, with x and xi None on an ill-posed problem.
+# (report, x, xi, r) of _analyse, with x, xi and r None on an ill-posed
+# problem.
 _MEMO_KEY = "_well_posedness_memo"
 
 
@@ -112,14 +135,22 @@ def check_well_posedness(problem: IlseProblem) -> WellPosednessReport:
     neither Q nor A^T S A is formed:
     - the rank test compares the s-th singular value of the s x s R
       against rank_tolerance * sigma_max(R), with rank_tolerance =
-      max(s, n) eps;
+      max(s, n) eps. A certificate decides it without an SVD where it
+      can: with R^-1 from LAPACK's dtrtri, 1/(|R|_F |R^-1|_F) <=
+      sigma_min/sigma_max, and when it exceeds PRETEST_MARGIN *
+      rank_tolerance the test passes. When dtrtri meets a zero pivot, a
+      norm is out of range (|R|_F or |R^-1|_F under _NORM_MIN, or the
+      product not finite) or the bound is under the margin, svdvals(R)
+      decides. So every rank_ok is the singular-value test's;
     - Z is the reflectors applied to [0; I_{n-s}], A Z = Qa Ra, and
       W = Qa^T S Qa comes from two dsyrk calls over the p and q row blocks
       of Qa. Z^T A^T S A Z = Ra^T W Ra is positive definite exactly when
       W is and Ra is nonsingular, so projected_pd_ok asks for both:
-      - min_projected_eig = lambda_min(W) > pd_tolerance = m eps. Qa has
-        orthonormal columns, so each entry of W is formed to about m eps
-        whatever kappa_A is, and |W|_2 <= 1;
+      - min_projected_eig = lambda_min(W) > pd_tolerance = m eps, from
+        LAPACK's dsyevr. Qa has orthonormal columns, so each entry of W
+        is formed to about m eps whatever kappa_A is, and |W|_2 <= 1. A
+        W that is not finite (A Z out of floating-point range) gives nan
+        and fails;
       - ra_rcond, LAPACK's dtrcon estimate of the reciprocal 1-norm
         condition number of Ra, > ra_tolerance = m eps. That is the
         numerical-rank test of the m x (n-s) A Z, with a constant of
@@ -131,10 +162,11 @@ def check_well_posedness(problem: IlseProblem) -> WellPosednessReport:
     The analysis runs once per problem object: its result is kept in the
     instance __dict__ (the way functools.cached_property keeps a value)
     and the same frozen report is returned on every later call. On a
-    well-posed problem the memo also holds the solution x and multiplier
-    xi that the checked solve_ilse returns, read-only, of lengths n and s,
-    inf or nan where they are out of floating-point range, which the solve
-    then reports; the factors are not kept. The problem's arrays are
+    well-posed problem the memo also holds the solution x, multiplier xi
+    and residual r = b - A x that the checked solve_ilse returns,
+    read-only, of lengths n, s and m, inf or nan where they are out of
+    floating-point range, which the solve then reports; the factors are
+    not kept. The problem's arrays are
     read-only copies, so the memo cannot go stale.
     oracle.well_posedness_reference recomputes the verdict from the full Q
     and the projection Z^T A^T S A Z.
@@ -146,9 +178,9 @@ def check_well_posedness(problem: IlseProblem) -> WellPosednessReport:
 
 def _analyse(
     problem: IlseProblem,
-) -> tuple[WellPosednessReport, np.ndarray | None, np.ndarray | None]:
-    """(report, x, xi) of check_well_posedness; x and xi are None unless
-    the problem is well posed.
+) -> tuple[WellPosednessReport, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """(report, x, xi, r) of check_well_posedness; x, xi and the residual
+    r = b - A x are None unless the problem is well posed.
 
     With B^T = [Q1 Q2] [R; 0], B x = d fixes x_p = Q1 R^-T d, and
     x = x_p + Z z with Z = Q2. The stationarity condition
@@ -167,8 +199,19 @@ def _analyse(
     rank_ok = True
     if s:
         qr, tau, _, _ = dgeqrf(problem.B.T, lwork=int(dgeqrf_lwork(n, s)[0]))
-        sv = sla.svdvals(np.triu(qr[:s]))
-        rank_ok = bool(sv[0] > 0.0 and sv[s - 1] > rank_tolerance * sv[0])
+        # Where the certificate passes, |R|_F |R^-1|_F < 1/(PRETEST_MARGIN
+        # max(s, n) eps). The computed inverse of a triangular R is off by
+        # a relative amount of order s u kappa(R) (u = eps/2), so under
+        # 1/200 here, and each norm adds about s u: sigma_min/sigma_max of
+        # R exceeds about 99 max(s, n) eps. svdvals(R) errs by a modest
+        # multiple of s u sigma_max, so the singular-value test would pass.
+        R = np.triu(qr[:s])
+        R_inv, info = dtrtri(R)
+        r_norm, inv_norm = _norm(R), _norm(R_inv)
+        if not (info == 0 and min(r_norm, inv_norm) >= _NORM_MIN
+                and r_norm * inv_norm * (PRETEST_MARGIN * rank_tolerance) < 1.0):
+            sv = sla.svdvals(R)
+            rank_ok = bool(sv[0] > 0.0 and sv[s - 1] > rank_tolerance * sv[0])
     min_eig = ra_rcond = math.inf
     if k:
         if s:
@@ -181,7 +224,12 @@ def _analyse(
         Ra = np.triu(qa[:k])
         Qa = dorgqr(qa, tau_a, lwork, 1)[0]
         W = _signed_gram(Qa, sig.p)
-        min_eig = float(sla.eigvalsh(W, lower=False, subset_by_index=[0, 0])[0])
+        ev_lwork, ev_liwork, _ = dsyevr_lwork(k)
+        # dsyevr's positional flags: no vectors, range "I", upper, vl, vu,
+        # il = iu = 1, abstol 0. A W that is not finite (A Z out of range)
+        # ends in info > 0, whose w[0] is no eigenvalue.
+        w, _, _, _, info = dsyevr(W, 0, "I", 0, 0.0, 1.0, 1, 1, 0.0, int(ev_lwork), ev_liwork)
+        min_eig = math.nan if info else float(w[0])
         ra_rcond = float(dtrcon(Ra)[0])
     report = WellPosednessReport(
         rank_ok=rank_ok,
@@ -193,7 +241,7 @@ def _analyse(
         ra_tolerance=ra_tolerance,
     )
     if not report.well_posed:
-        return report, None, None
+        return report, None, None, None
 
     # A well-posed problem can have an x or xi out of floating-point range;
     # it is left inf or nan here, and the checked solve_ilse names it.
@@ -209,12 +257,13 @@ def _analyse(
             v = dsysv(W, rhs, int(dsysv_lwork(k)[0]), overwrite_a=1)[2]
             z = dtrtrs(Ra, v)[0]
             x = x + Z @ z if s else z
+        r = b - A @ x
         xi = np.zeros(0)
         if s:
-            g = (A.T @ apply_signature(sig, b - A @ x))[:, None]
+            g = (A.T @ apply_signature(sig, r))[:, None]
             xi = dtrtrs(qr, _apply_q(qr, tau, g, "T")[:s, 0])[0]
-    x.flags.writeable = xi.flags.writeable = False
-    return report, x, xi
+    x.flags.writeable = xi.flags.writeable = r.flags.writeable = False
+    return report, x, xi, r
 
 
 def assemble_augmented(problem: IlseProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +318,8 @@ def solve_ilse(problem: IlseProblem, check_well_posed: bool = True) -> IlseSolut
 
     A problem with s = 0 is solved as plain indefinite least squares: x
     solves A^T S A x = A^T S b and xi is empty. On either route the
-    residual r and the signed residual s_vec are recomputed from x so the
+    residual r is b - A x formed from the returned x (a checked solve
+    reads the one its analysis formed for xi) and s_vec = S r, so the
     stored fields satisfy their defining identities exactly.
     """
     if check_well_posed:
@@ -280,9 +330,7 @@ def solve_ilse(problem: IlseProblem, check_well_posed: bool = True) -> IlseSolut
                 f"rank_ok={report.rank_ok}, projected_pd_ok={report.projected_pd_ok} "
                 f"(lambda_min(W) {report.min_projected_eig:.3e}, rcond(Ra) {report.ra_rcond:.3e})"
             )
-        x, xi = problem.__dict__[_MEMO_KEY][1:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = problem.b - problem.A @ x
+        x, xi, r = problem.__dict__[_MEMO_KEY][1:]
         for name, v in (("solution x", x), ("multiplier xi", xi), ("residual b - A x", r)):
             if not np.isfinite(v).all():
                 raise IlseError(f"the {name} of this well-posed problem is out of floating-point range")

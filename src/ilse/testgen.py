@@ -199,19 +199,29 @@ def gen_sigma_orthogonal(p: int, q: int, seed: int, hyper_bound: float = 1.0) ->
     if p < 0 or q < 0:
         raise ValueError("p and q must be nonnegative")
     _check_hyper_bound(hyper_bound)
+    return _sigma_orthogonal(p, q, seed, hyper_bound, p + q)
+
+
+def _sigma_orthogonal(p: int, q: int, seed: int, hyper_bound: float, cols: int) -> np.ndarray:
+    """gen_sigma_orthogonal's Q, bitwise in its first cols columns. When
+    cols <= p, the q x q block of the second block-diagonal factor is left
+    as the identity: it only reaches columns p and on. The product with
+    that factor stays full width, since a gemm restricted to fewer columns
+    need not round the same way."""
     m = p + q
 
-    def block(seed_p, seed_q):
+    def block(seed_p, seed_q, with_q):
         M = np.eye(m)
         if p > 0:
             M[:p, :p] = gen_random_orthogonal(p, seed_p)
-        if q > 0:
+        if q > 0 and with_q:
             M[p:, p:] = gen_random_orthogonal(q, seed_q)
         return M
 
-    Q = block(subseed(seed, _STREAM_Q_PLUS), subseed(seed, _STREAM_Q_MINUS))
+    Q = block(subseed(seed, _STREAM_Q_PLUS), subseed(seed, _STREAM_Q_MINUS), True)
     _rotate(Q, p, q, subseed(seed, _STREAM_ROTATIONS), hyper_bound)
-    right = block(subseed(seed, _STREAM_Q_PLUS ^ _STREAM_U), subseed(seed, _STREAM_Q_MINUS ^ _STREAM_U))
+    right = block(subseed(seed, _STREAM_Q_PLUS ^ _STREAM_U), subseed(seed, _STREAM_Q_MINUS ^ _STREAM_U),
+                  cols > p)
     return Q @ right
 
 
@@ -225,13 +235,17 @@ def gen_geometric_diagonal(rows: int, cols: int, kappa: float) -> np.ndarray:
     _check_kappa(kappa)
     if rows < cols or cols < 1:
         raise ValueError(f"need rows >= cols >= 1, got {rows} x {cols}")
-    if cols == 1:
-        ladder = np.ones(1)
-    else:
-        ladder = kappa ** (-np.arange(cols) / (cols - 1))
     D = np.zeros((rows, cols))
-    np.fill_diagonal(D, ladder)
+    np.fill_diagonal(D, _ladder(cols, kappa))
     return D
+
+
+def _ladder(cols: int, kappa: float) -> np.ndarray:
+    """The diagonal of gen_geometric_diagonal: kappa^(-j/(cols-1)) for
+    j < cols, or [1] when cols = 1."""
+    if cols == 1:
+        return np.ones(1)
+    return kappa ** (-np.arange(cols) / (cols - 1))
 
 
 def gen_conditioned_matrix(s: int, n: int, kappa: float, seed: int) -> np.ndarray:
@@ -263,12 +277,15 @@ def gen_ilse_instance(params: GenParams) -> tuple[IlseProblem, float]:
     so. At kappa_a beyond 1/eps, A Z is numerically rank deficient in
     every draw whatever the shape.
     """
+    ladder = _ladder(params.n, params.kappa_a)
     for attempt in range(10):
         seed = params.seed if attempt == 0 else subseed(params.seed, _STREAM_RETRY * attempt)
-        Q = gen_sigma_orthogonal(params.p, params.q, subseed(seed, _STREAM_SIGMA), params.hyper_bound)
-        D = gen_geometric_diagonal(params.m, params.n, params.kappa_a)
+        Q = _sigma_orthogonal(params.p, params.q, subseed(seed, _STREAM_SIGMA), params.hyper_bound, params.n)
         U = gen_random_orthogonal(params.n, subseed(seed, _STREAM_U))
-        A = Q @ D @ U
+        # Q D U with D = gen_geometric_diagonal(m, n, kappa_a): each entry of
+        # Q D is one product plus exact zeros, so scaling the first n
+        # columns of Q by the ladder gives its bits.
+        A = (Q[:, :params.n] * ladder) @ U
         sv = sla.svdvals(A)
         A = A / sv[0]
         B = gen_conditioned_matrix(params.s, params.n, params.kappa_b, subseed(seed, _STREAM_B_MAT))

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ilse import (
     GenParams,
@@ -13,6 +15,7 @@ from ilse import (
     SignatureMatrix,
     assemble_augmented,
     check_well_posedness,
+    gen_conditioned_matrix,
     gen_ilse_instance,
     gen_perturbation,
     normal_equation_residuals,
@@ -63,6 +66,22 @@ class TestWellPosedness:
         assert report.projected_pd_ok == (
             report.min_projected_eig > report.pd_tolerance and report.ra_rcond > report.ra_tolerance)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("s", [0, 2])
+    def test_a_z_out_of_range_gives_a_nan_verdict(self, s):
+        # A near the overflow threshold puts A Z, and so W, out of range:
+        # the check returns a report that fails, it does not raise.
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((8, 4))
+        A *= 1.7e308 / np.abs(A).max()
+        problem = IlseProblem(A=A, b=np.zeros(8), B=rng.standard_normal((s, 4)), d=np.zeros(s),
+                              sig=SignatureMatrix(6, 2))
+        report = check_well_posedness(problem)
+        assert np.isnan(report.min_projected_eig)
+        assert not report.projected_pd_ok
+        with pytest.raises(IllPosedProblemError):
+            solve_ilse(problem)
+
     def test_tolerances_are_m_eps_whatever_the_scale_of_a(self):
         # W = Qa^T S Qa and the condition of Ra do not change when A is
         # scaled, so neither do the verdict's numbers or its tolerances.
@@ -77,6 +96,70 @@ class TestWellPosedness:
             assert scaled.ra_rcond == pytest.approx(report.ra_rcond, rel=1e-12)
 
 
+@st.composite
+def constraint_matrices(draw):
+    """B with s in [1, n], singular values from 1 down to 10^-20 of the
+    largest, a duplicated row or not, scaled by 10^k."""
+    n = draw(st.integers(1, 8))
+    s = draw(st.integers(1, n))
+    kappa = 10.0 ** draw(st.floats(0.0, 20.0))
+    B = gen_conditioned_matrix(s, n, kappa, draw(st.integers(0, 2**32 - 1)))
+    if s > 1 and draw(st.booleans()):
+        B[-1] = B[0]
+    return B * 10.0 ** draw(st.sampled_from([0, 150, -150, 300, -300]))
+
+
+def singular_value_verdict(B):
+    """rank_ok from the singular values of the R that the check factors."""
+    s, n = B.shape
+    R = np.triu(lapack.dgeqrf(B.T, lwork=int(lapack.dgeqrf_lwork(n, s)[0]))[0][:s])
+    sv = sla.svdvals(R)
+    return bool(sv[0] > 0.0 and sv[s - 1] > max(s, n) * np.finfo(float).eps * sv[0])
+
+
+def spy_on_sla(monkeypatch):
+    """Route the solver's scipy.linalg through a recorder; returns the list
+    of the names the solver looks up."""
+    names = []
+
+    class Sla:
+        def __getattr__(self, name):
+            names.append(name)
+            return getattr(sla, name)
+
+    monkeypatch.setattr(solver, "sla", Sla())
+    return names
+
+
+def rank_problem(B):
+    s, n = B.shape
+    return IlseProblem(A=np.eye(n), b=np.zeros(n), B=B, d=np.zeros(s), sig=SignatureMatrix(n, 0))
+
+
+class TestRankPretest:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(constraint_matrices())
+    def test_verdict_is_the_singular_value_test(self, B):
+        assert check_well_posedness(rank_problem(B)).rank_ok == singular_value_verdict(B)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("B, rank_ok", [
+        # |R^-1|_F underflows to 0 though R's condition is 1e100: no certificate.
+        pytest.param(np.diag([1e300, 1e200]), False, id="inverse-underflows"),
+        # |R|_F underflows to 0: no certificate either.
+        pytest.param(np.diag([1e-170, 1e-171]), True, id="r-underflows"),
+        # The inverse of R overflows.
+        pytest.param(np.diag([1e-300, 1e-320]), False, id="inverse-overflows"),
+        # An exactly singular R: dtrtri stops at the zero pivot.
+        pytest.param(np.array([[1.0, 0.0], [1.0, 0.0]]), False, id="singular"),
+    ])
+    def test_inconclusive_pretest_falls_back(self, monkeypatch, B, rank_ok):
+        svd_calls = spy_on_sla(monkeypatch)
+        assert check_well_posedness(rank_problem(B)).rank_ok is rank_ok == singular_value_verdict(B)
+        assert svd_calls == ["svdvals"]
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("params", [
         pytest.param(small_params(6), id="s<n"),
@@ -84,27 +167,38 @@ class TestAgainstReference:
         pytest.param(small_params(8, s=12), id="s=n"),
     ])
     def test_no_full_q_and_no_spectrum_of_the_gram_matrix(self, monkeypatch, params):
+        # The rank of B is read from the inverse of the s x s R, certified
+        # without an SVD; the one spectrum computed is lambda_min of the
+        # (n-s) x (n-s) W. No scipy.linalg function runs.
         problem, _ = gen_ilse_instance(params)
         n, s = problem.n, problem.s
         calls = []
 
-        class Spy:
-            def __getattr__(self, name):
-                def call(a, *args, **kwargs):
-                    calls.append((name, a.shape))
-                    return getattr(sla, name)(a, *args, **kwargs)
-                return call
+        def spy(name, fn):
+            def call(a, *args, **kwargs):
+                calls.append((name, a.shape))
+                return fn(a, *args, **kwargs)
+            return call
 
-        monkeypatch.setattr(solver, "sla", Spy())
+        class Sla:
+            def __getattr__(self, name):
+                return spy(name, getattr(sla, name))
+
+        monkeypatch.setattr(solver, "sla", Sla())
+        for name in ("dtrtri", "dsyevr"):
+            monkeypatch.setattr(solver, name, spy(name, getattr(solver, name)))
         report = check_well_posedness(dataclasses.replace(problem))
-        expected = {0: [("eigvalsh", (n, n))], n: [("svdvals", (s, s))]}
-        assert calls == expected.get(s, [("svdvals", (s, s)), ("eigvalsh", (n - s, n - s))])
+        expected = {0: [("dsyevr", (n, n))], n: [("dtrtri", (s, s))]}
+        assert calls == expected.get(s, [("dtrtri", (s, s)), ("dsyevr", (n - s, n - s))])
         assert report.well_posed
 
     def test_acceptance_grid_verdicts_match_the_reference(self, monkeypatch):
         # Every generation attempt of the acceptance grid, accepted or retried
         # (at base seed 20240901 the first attempt of each trial is accepted).
+        # The certified pre-test decides every rank verdict: the solver calls
+        # no scipy.linalg function, so svdvals never runs.
         verdicts = []
+        sla_calls = spy_on_sla(monkeypatch)
         check = testgen.check_well_posedness
 
         def both(problem):
@@ -116,6 +210,7 @@ class TestAgainstReference:
         run_experiment(PAPER_GRID)
         assert len(verdicts) >= 120
         assert [fast for fast, _ in verdicts] == [ref for _, ref in verdicts]
+        assert sla_calls == []
 
 
 class TestReportMemo:
@@ -168,11 +263,11 @@ class TestReportMemo:
         assert calls == []
         assert residual_gamma(problem, sol) <= 1e-15
 
-    def test_memo_holds_no_array_larger_than_n(self):
+    def test_memo_holds_no_matrix(self):
         problem, _ = gen_ilse_instance(small_params(6))
         report, *arrays = problem.__dict__[solver._MEMO_KEY]
         assert report is check_well_posedness(problem)
-        assert [a.shape for a in arrays] == [(problem.n,), (problem.s,)]
+        assert [a.shape for a in arrays] == [(problem.n,), (problem.s,), (problem.m,)]
         assert not any(a.flags.writeable for a in arrays)
         assert not any(isinstance(v, np.ndarray) for v in dataclasses.astuple(report))
 

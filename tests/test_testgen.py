@@ -8,6 +8,7 @@ import scipy.linalg as sla
 from ilse import (
     GenParams,
     GenerationError,
+    IlseProblem,
     SignatureMatrix,
     check_well_posedness,
     gen_conditioned_matrix,
@@ -282,6 +283,51 @@ class TestGenInstance:
         problem, _ = gen_ilse_instance(GenParams(**numpy_dims, kappa_a=30.0, kappa_b=20.0, seed=9))
         for name in ("A", "b", "B", "d"):
             assert getattr(problem, name).tobytes() == getattr(plain, name).tobytes()
+
+
+def literal_instance(params):
+    """gen_ilse_instance written out with A = Q D U from the public
+    generators, the same seeds and the same retries."""
+    m, n, s, p, q = params.m, params.n, params.s, params.p, params.q
+    for attempt in range(10):
+        seed = params.seed if attempt == 0 else subseed(params.seed, testgen._STREAM_RETRY * attempt)
+        Q = gen_sigma_orthogonal(p, q, subseed(seed, testgen._STREAM_SIGMA), params.hyper_bound)
+        D = gen_geometric_diagonal(m, n, params.kappa_a)
+        A = Q @ D @ gen_random_orthogonal(n, subseed(seed, testgen._STREAM_U))
+        sv = sla.svdvals(A)
+        A = A / sv[0]
+        B = gen_conditioned_matrix(s, n, params.kappa_b, subseed(seed, testgen._STREAM_B_MAT))
+        b = testgen._rng(subseed(seed, testgen._STREAM_RHS_B)).standard_normal(m)
+        d = testgen._rng(subseed(seed, testgen._STREAM_RHS_D)).standard_normal(s)
+        problem = IlseProblem(A, b, B, d, SignatureMatrix(p, q))
+        if check_well_posedness(problem).well_posed:
+            return problem, float(sv[0] / sv[-1])
+    raise AssertionError("no well-posed attempt")
+
+
+class TestGenInstanceBits:
+    @pytest.mark.parametrize("m, n, s, p, q, hyper_bound", [
+        pytest.param(24, 12, 5, 14, 10, 1.0, id="n<p"),
+        pytest.param(12, 6, 3, 4, 8, 1.0, id="n>p"),
+        pytest.param(8, 5, 2, 8, 0, 1.0, id="q=0"),
+        pytest.param(10, 6, 2, 6, 4, 1.0, id="p=n"),
+        pytest.param(12, 6, 0, 7, 5, 0.0, id="s=0"),
+        pytest.param(3, 1, 1, 2, 1, 1.0, id="n=1"),
+        pytest.param(100, 50, 20, 60, 40, 1.0, id="paper"),
+    ])
+    @pytest.mark.parametrize("kappa_a", [1e2, 1e8])
+    def test_bitwise_equal_to_q_d_u(self, m, n, s, p, q, hyper_bound, kappa_a):
+        # gen_ilse_instance scales Q's first n columns by the ladder in place
+        # of the product with D, and leaves out the factor block that only
+        # D's zero rows see; A, B, b and d keep the bits of the literal Q D U.
+        for seed in range(5):
+            params = GenParams(m, n, s, p, q, kappa_a=kappa_a, kappa_b=1e4, seed=seed,
+                               hyper_bound=hyper_bound)
+            expected, expected_kappa = literal_instance(params)
+            problem, achieved = gen_ilse_instance(params)
+            for name in ("A", "B", "b", "d"):
+                assert getattr(problem, name).tobytes() == getattr(expected, name).tobytes(), name
+            assert achieved == expected_kappa
 
 
 class TestGenPerturbation:
