@@ -185,8 +185,10 @@ def _rotate(Q: np.ndarray, p: int, q: int, seed: int, hyper_bound: float) -> Non
         Q[:, i + j] = np.hstack([c * col_i + s * col_j, s * col_i + c * col_j])
 
 
-def gen_sigma_orthogonal(p: int, q: int, seed: int, hyper_bound: float = 1.0) -> np.ndarray:
-    """Random Q of order p+q with Q^T diag(I_p, -I_q) Q = diag(I_p, -I_q).
+def gen_sigma_orthogonal(p: int, q: int, seed: int, hyper_bound: float = 1.0,
+                         cols: int | None = None) -> np.ndarray:
+    """Random Q of order p+q with Q^T diag(I_p, -I_q) Q = diag(I_p, -I_q),
+    or its first cols columns (all of them when cols is None).
 
     Construction: a block-diagonal pair of random orthogonal factors,
     min(p, q) hyperbolic plane rotations with angles uniform in
@@ -195,20 +197,20 @@ def gen_sigma_orthogonal(p: int, q: int, seed: int, hyper_bound: float = 1.0) ->
     indefinite form through cosh^2 - sinh^2 = 1, and block-diagonal
     orthogonal factors commute with the signature matrix, so the identity
     holds by construction.
+
+    The first cols columns have the bits of the full Q's. When cols <= p,
+    the q x q block of the second factor only reaches the columns left
+    out, so it is not drawn and stays the identity; the product with that
+    factor stays full width, since a gemm restricted to fewer columns need
+    not round the same way.
     """
     if p < 0 or q < 0:
         raise ValueError("p and q must be nonnegative")
     _check_hyper_bound(hyper_bound)
-    return _sigma_orthogonal(p, q, seed, hyper_bound, p + q)
-
-
-def _sigma_orthogonal(p: int, q: int, seed: int, hyper_bound: float, cols: int) -> np.ndarray:
-    """gen_sigma_orthogonal's Q, bitwise in its first cols columns. When
-    cols <= p, the q x q block of the second block-diagonal factor is left
-    as the identity: it only reaches columns p and on. The product with
-    that factor stays full width, since a gemm restricted to fewer columns
-    need not round the same way."""
     m = p + q
+    cols = m if cols is None else cols
+    if not 0 <= cols <= m:
+        raise ValueError(f"cols must be in [0, p + q], got {cols}")
 
     def block(seed_p, seed_q, with_q):
         M = np.eye(m)
@@ -222,7 +224,7 @@ def _sigma_orthogonal(p: int, q: int, seed: int, hyper_bound: float, cols: int) 
     _rotate(Q, p, q, subseed(seed, _STREAM_ROTATIONS), hyper_bound)
     right = block(subseed(seed, _STREAM_Q_PLUS ^ _STREAM_U), subseed(seed, _STREAM_Q_MINUS ^ _STREAM_U),
                   cols > p)
-    return Q @ right
+    return (Q @ right)[:, :cols]
 
 
 def _check_kappa(kappa: float) -> None:
@@ -280,12 +282,13 @@ def gen_ilse_instance(params: GenParams) -> tuple[IlseProblem, float]:
     ladder = _ladder(params.n, params.kappa_a)
     for attempt in range(10):
         seed = params.seed if attempt == 0 else subseed(params.seed, _STREAM_RETRY * attempt)
-        Q = _sigma_orthogonal(params.p, params.q, subseed(seed, _STREAM_SIGMA), params.hyper_bound, params.n)
+        Q = gen_sigma_orthogonal(params.p, params.q, subseed(seed, _STREAM_SIGMA), params.hyper_bound,
+                                 params.n)
         U = gen_random_orthogonal(params.n, subseed(seed, _STREAM_U))
         # Q D U with D = gen_geometric_diagonal(m, n, kappa_a): each entry of
         # Q D is one product plus exact zeros, so scaling the first n
         # columns of Q by the ladder gives its bits.
-        A = (Q[:, :params.n] * ladder) @ U
+        A = (Q * ladder) @ U
         sv = sla.svdvals(A)
         A = A / sv[0]
         B = gen_conditioned_matrix(params.s, params.n, params.kappa_b, subseed(seed, _STREAM_B_MAT))

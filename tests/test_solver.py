@@ -112,7 +112,7 @@ def constraint_matrices(draw):
 def singular_value_verdict(B):
     """rank_ok from the singular values of the R that the check factors."""
     s, n = B.shape
-    R = np.triu(lapack.dgeqrf(B.T, lwork=int(lapack.dgeqrf_lwork(n, s)[0]))[0][:s])
+    R = np.triu(solver._householder_qr(B.T, 0)[0][:s])
     sv = sla.svdvals(R)
     return bool(sv[0] > 0.0 and sv[s - 1] > max(s, n) * np.finfo(float).eps * sv[0])
 
@@ -160,6 +160,92 @@ class TestRankPretest:
         assert svd_calls == ["svdvals"]
 
 
+def assert_geqrf_factors(a, qr, tau):
+    """(qr, tau) are geqrf's factors of the rows x k a to rounding: R
+    within rows eps |a|_F of geqrf's, tau within rows eps of geqrf's, and
+    the orgqr Q orthonormal to rows eps."""
+    rows, k = a.shape
+    tol = rows * np.finfo(float).eps
+    lwork = int(lapack.dgeqrf_lwork(rows, k)[0])
+    ref_qr, ref_tau = lapack.dgeqrf(a, lwork)[:2]
+    assert qr.shape == a.shape and tau.shape == (k,)
+    assert np.abs(np.triu(qr[:k]) - np.triu(ref_qr[:k])).max() <= tol * np.sqrt(np.sum(a * a))
+    assert np.abs(tau - ref_tau).max() <= tol
+    Q = lapack.dorgqr(qr, tau, lwork)[0]
+    assert np.abs(Q.T @ Q - np.eye(k)).max() <= tol
+
+
+class TestHouseholderQr:
+    # _analyse factors B^T and A Z by dgeqrt and reads geqrf's tau from the
+    # diagonals of its block factors T; k straddles the block size 32.
+    @pytest.mark.parametrize("k", [1, 20, 31, 32, 33, 65, 300])
+    @pytest.mark.parametrize("graded", [False, True], ids=["gaussian", "graded"])
+    def test_factors_are_geqrf_factors(self, monkeypatch, k, graded):
+        rng = np.random.default_rng(k)
+        a = np.asfortranarray(rng.standard_normal((2 * k + 3, k)))
+        if graded:
+            a *= np.logspace(0, -8, k)
+        block_sizes = []
+        dgeqrt = solver.dgeqrt
+
+        def spy(nb, *args):
+            block_sizes.append(nb)
+            return dgeqrt(nb, *args)
+
+        monkeypatch.setattr(solver, "dgeqrt", spy)
+        qr, tau = solver._householder_qr(a.copy(order="F"), 1)
+        assert block_sizes == [min(32, k)]
+        assert_geqrf_factors(a, qr, tau)
+
+    def test_input_is_kept_without_overwrite(self):
+        a = np.asfortranarray(np.random.default_rng(1).standard_normal((9, 4)))
+        before = a.copy()
+        solver._householder_qr(a, 0)
+        assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("params, shapes", [
+        pytest.param(small_params(7, s=0), [(24, 12)], id="s=0"),
+        pytest.param(small_params(8, s=12), [(12, 12)], id="s=n"),
+        pytest.param(small_params(9, n=1, s=0), [(24, 1)], id="n=1,s=0"),
+        pytest.param(small_params(9, n=1, s=1), [(1, 1)], id="n=1,s=1"),
+        pytest.param(small_params(6), [(12, 5), (24, 7)], id="s<n"),
+    ])
+    def test_factors_of_the_analysis_at_edge_shapes(self, monkeypatch, params, shapes):
+        problem, _ = gen_ilse_instance(params)
+        factored = []
+        qr_of = solver._householder_qr
+
+        def spy(a, overwrite_a):
+            a_in = a.copy()
+            qr, tau = qr_of(a, overwrite_a)
+            factored.append((a_in, qr.copy(), tau))
+            return qr, tau
+
+        monkeypatch.setattr(solver, "_householder_qr", spy)
+        assert check_well_posedness(dataclasses.replace(problem)).well_posed
+        assert [a.shape for a, _, _ in factored] == shapes
+        for a, qr, tau in factored:
+            assert_geqrf_factors(a, qr, tau)
+
+
+class TestSignedGram:
+    # W = Qa^T S Qa from one dsyrk over the smaller sign block matches the
+    # two-block Qp^T Qp - Qq^T Qq within m eps, and is I exactly at q = 0.
+    @pytest.mark.parametrize("p", [0, 14, 20, 26, 40], ids=["p=0", "p<q", "p=q", "p>q", "q=0"])
+    def test_one_block_matches_two_blocks(self, p):
+        m, k = 40, 15
+        Q = sla.qr(np.random.default_rng(p).standard_normal((m, k)), mode="economic")[0]
+        W = solver._signed_gram(np.asfortranarray(Q), p)
+        two_blocks = Q[:p].T @ Q[:p] - Q[p:].T @ Q[p:]
+        assert W.flags.f_contiguous
+        assert np.array_equal(np.tril(W, -1), np.zeros((k, k)))
+        assert np.abs(W - np.triu(two_blocks)).max() <= m * np.finfo(float).eps
+        if p == m:
+            assert np.array_equal(W, np.eye(k))
+        if p == 0:
+            assert np.array_equal(W, -np.eye(k))
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("params", [
         pytest.param(small_params(6), id="s<n"),
@@ -167,17 +253,23 @@ class TestAgainstReference:
         pytest.param(small_params(8, s=12), id="s=n"),
     ])
     def test_no_full_q_and_no_spectrum_of_the_gram_matrix(self, monkeypatch, params):
-        # The rank of B is read from the inverse of the s x s R, certified
-        # without an SVD; the one spectrum computed is lambda_min of the
-        # (n-s) x (n-s) W. No scipy.linalg function runs.
+        # B^T and A Z are factored by dgeqrt with blocks of min(32, k)
+        # columns; the rank of B is read from the inverse of the s x s R,
+        # certified without an SVD; W comes from one dsyrk over the smaller
+        # sign block of Qa (here the q = 10 rows, as I - 2 Qq^T Qq); the one
+        # spectrum computed is lambda_min of the (n-s) x (n-s) W. No
+        # scipy.linalg function runs.
         problem, _ = gen_ilse_instance(params)
-        n, s = problem.n, problem.s
+        m, n, s, q = problem.m, problem.n, problem.s, problem.sig.q
         calls = []
 
+        def described(arg):
+            return arg.shape if isinstance(arg, np.ndarray) else arg
+
         def spy(name, fn):
-            def call(a, *args, **kwargs):
-                calls.append((name, a.shape))
-                return fn(a, *args, **kwargs)
+            def call(*args, **kwargs):
+                calls.append((name, *map(described, args[:2])))
+                return fn(*args, **kwargs)
             return call
 
         class Sla:
@@ -185,11 +277,13 @@ class TestAgainstReference:
                 return spy(name, getattr(sla, name))
 
         monkeypatch.setattr(solver, "sla", Sla())
-        for name in ("dtrtri", "dsyevr"):
+        for name in ("dgeqrt", "dtrtri", "dsyrk", "dsyevr"):
             monkeypatch.setattr(solver, name, spy(name, getattr(solver, name)))
         report = check_well_posedness(dataclasses.replace(problem))
-        expected = {0: [("dsyevr", (n, n))], n: [("dtrtri", (s, s))]}
-        assert calls == expected.get(s, [("dtrtri", (s, s)), ("dsyevr", (n - s, n - s))])
+        k = n - s
+        of_b = [("dgeqrt", min(32, s), (n, s)), ("dtrtri", (s, s))]
+        of_az = [("dgeqrt", min(32, k), (m, k)), ("dsyrk", -2.0, (k, q)), ("dsyevr", (k, k), 0)]
+        assert calls == {0: of_az, n: of_b}.get(s, of_b + of_az)
         assert report.well_posed
 
     def test_acceptance_grid_verdicts_match_the_reference(self, monkeypatch):
@@ -239,7 +333,7 @@ class TestReportMemo:
         # spied on: the check and the checked solve of a generated problem
         # read the memo and call none of them.
         calls = []
-        fortran = (type(lapack.dgeqrf), type(blas.dsyrk))
+        fortran = (type(lapack.dgeqrt), type(blas.dsyrk))
 
         def spy(name, fn):
             def call(*args, **kwargs):
@@ -249,7 +343,7 @@ class TestReportMemo:
             return call
 
         routines = {name: value for name, value in vars(solver).items() if isinstance(value, fortran)}
-        assert {"dgeqrf", "dormqr", "dorgqr", "dsyrk", "dgemm", "dtrcon", "dsysv", "dtrtrs"} <= routines.keys()
+        assert {"dgeqrt", "dormqr", "dorgqr", "dsyrk", "dgemm", "dtrcon", "dsysv", "dtrtrs"} <= routines.keys()
         for name, value in routines.items():
             monkeypatch.setattr(solver, name, spy(name, value))
 

@@ -93,6 +93,18 @@ class TestSigmaOrthogonal:
             assert got.tobytes() == reference(p, q, seed, hyper_bound).tobytes()
 
 
+    @pytest.mark.parametrize("p, q", [(7, 5), (4, 8), (5, 0), (0, 4)])
+    def test_cols_are_the_leading_columns_bitwise(self, p, q):
+        full = gen_sigma_orthogonal(p, q, 11)
+        for cols in range(p + q + 1):
+            assert gen_sigma_orthogonal(p, q, 11, cols=cols).tobytes() == full[:, :cols].tobytes()
+
+    @pytest.mark.parametrize("cols", [-1, 6])
+    def test_cols_out_of_range_is_named(self, cols):
+        with pytest.raises(ValueError, match=r"cols must be in \[0, p \+ q\], got"):
+            gen_sigma_orthogonal(3, 2, seed=0, cols=cols)
+
+
 class TestRandomOrthogonal:
     def test_one_dimensional(self):
         Q = gen_random_orthogonal(1, seed=0)
@@ -209,6 +221,33 @@ class TestGenInstance:
         assert problem.B.shape == (0, 6)
         assert check_well_posedness(problem).well_posed
         assert residual_gamma(problem, solve_ilse(problem)) <= 1e-12
+
+    @pytest.mark.parametrize("params, attempts", [
+        pytest.param(GenParams(10, 6, 2, 4, 6, kappa_a=10.0, kappa_b=10.0, seed=0), 1, id="first"),
+        pytest.param(GenParams(10, 6, 2, 4, 6, kappa_a=10.0, kappa_b=10.0, seed=6), 4, id="retried"),
+        pytest.param(GenParams(4, 2, 1, 0, 4, kappa_a=2.0, kappa_b=2.0, seed=1), 10, id="hopeless"),
+    ])
+    def test_one_sigma_orthogonal_call_per_attempt(self, monkeypatch, params, attempts):
+        # Each attempt draws its Q through the module's gen_sigma_orthogonal
+        # and is judged by one check, so wrapping that attribute counts the
+        # attempts, retries included.
+        counts = {"gen_sigma_orthogonal": 0, "check_well_posedness": 0}
+
+        def counted(name):
+            fn = getattr(testgen, name)
+
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(testgen, name, counted(name))
+        try:
+            gen_ilse_instance(params)
+        except GenerationError:
+            assert attempts == 10
+        assert counts == {"gen_sigma_orthogonal": attempts, "check_well_posedness": attempts}
 
     def test_hopeless_family_errors_after_retries(self):
         # q = m makes A^T S A negative definite, so the uniqueness condition
