@@ -17,13 +17,13 @@ from ilse import (
     backward_error_bounds,
     backward_error_estimate,
     least_squares_multiplier,
-    min_norm_perturbation,
     mu_one,
     gen_perturbation,
     perturbed_problem,
     solution_distance_lower_bound,
     solve_ilse,
 )
+from ilse.backward_error import min_norm_perturbation
 from ilse.testgen import GenParams, gen_ilse_instance
 
 w = WeightScheme()  # unit weights on all data blocks

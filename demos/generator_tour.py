@@ -8,14 +8,14 @@ shown here is reproducible bit for bit.
 import numpy as np
 import scipy.linalg as sla
 
-from ilse import (
-    SignatureMatrix,
+from ilse import SignatureMatrix, gen_sigma_orthogonal
+from ilse.testgen import (
+    GenParams,
     gen_conditioned_matrix,
     gen_geometric_diagonal,
+    gen_ilse_instance,
     gen_random_orthogonal,
-    gen_sigma_orthogonal,
 )
-from ilse.testgen import GenParams, gen_ilse_instance
 
 np.set_printoptions(precision=4, suppress=True)
 

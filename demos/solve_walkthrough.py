@@ -13,12 +13,12 @@ import numpy as np
 from ilse import (
     IlseProblem,
     SignatureMatrix,
-    assemble_augmented,
     check_well_posedness,
     normal_equation_residuals,
     residual_gamma,
     solve_ilse,
 )
+from ilse.solver import assemble_augmented
 from ilse.testgen import GenParams, gen_ilse_instance
 
 np.set_printoptions(precision=4, suppress=True)

@@ -20,7 +20,6 @@ from .core import (
 )
 from .solver import (
     WellPosednessReport,
-    assemble_augmented,
     check_well_posedness,
     normal_equation_residuals,
     solve_ilse,
@@ -29,12 +28,7 @@ from .backward_error import (
     backward_error_bounds,
     backward_error_estimate,
     least_squares_multiplier,
-    min_norm_perturbation,
-    pinv_norm_bound,
-    rhs_vector,
     solution_distance_lower_bound,
-    stability_constant,
-    stability_constant_lower_bound,
 )
 from .oracle import (
     MinimizeResult,
@@ -42,11 +36,8 @@ from .oracle import (
 )
 from .testgen import (
     GenParams,
-    gen_conditioned_matrix,
-    gen_geometric_diagonal,
     gen_ilse_instance,
     gen_perturbation,
-    gen_random_orthogonal,
     gen_sigma_orthogonal,
 )
 from .harness import (
@@ -82,34 +73,25 @@ __all__ = [
     "WeightScheme",
     "WellPosednessReport",
     "apply_signature",
-    "assemble_augmented",
     "backward_error_bounds",
     "backward_error_estimate",
     "check_well_posedness",
     "format_rows",
-    "gen_conditioned_matrix",
-    "gen_geometric_diagonal",
     "gen_ilse_instance",
     "gen_perturbation",
-    "gen_random_orthogonal",
     "gen_sigma_orthogonal",
     "least_squares_multiplier",
-    "min_norm_perturbation",
     "minimize_estimate",
     "mu_one",
     "normal_equation_residuals",
     "parse_experiment_csv",
     "perturbed_problem",
-    "pinv_norm_bound",
     "read_problem",
     "residual_gamma",
-    "rhs_vector",
     "run_experiment",
     "run_trial",
     "solution_distance_lower_bound",
     "solve_ilse",
-    "stability_constant",
-    "stability_constant_lower_bound",
     "weighted_perturbation_norm",
     "write_problem",
 ]

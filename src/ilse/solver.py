@@ -35,6 +35,8 @@ dsyrk over the smaller sign block of Qa: Qa has orthonormal columns, so
 Qp^T Qp + Qq^T Qq = I and W = I - 2 Qq^T Qq = 2 Qp^T Qp - I. By
 Sylvester's law of inertia, Z^T A^T S A Z = Ra^T W Ra is positive
 definite exactly when Ra is nonsingular and W is positive definite.
+Ra's reciprocal condition number is the exact 1/(|Ra|_1 |Ra^-1|_1) with
+Ra^-1 from LAPACK's dtrtri, which has the same bits on every call.
 A^T S A is never formed, so the verdict does not square kappa_A, and
 |W|_2 <= 1 whatever kappa_A is. lambda_min(W) comes from one call of
 LAPACK's syevr with the workspace scipy's eigvalsh queries, so it has
@@ -67,7 +69,6 @@ from scipy.linalg.lapack import (
     dsyevr_lwork,
     dsysv,
     dsysv_lwork,
-    dtrcon,
     dtrtri,
     dtrtrs,
 )
@@ -107,7 +108,8 @@ class WellPosednessReport:
     rank_ok compares the s-th singular value of B with rank_tolerance times
     the largest. With Z an orthonormal basis of the null space of B and
     A Z = Qa Ra, min_projected_eig is the smallest eigenvalue of
-    W = Qa^T S Qa and ra_rcond is the reciprocal condition number of Ra;
+    W = Qa^T S Qa and ra_rcond is the reciprocal 1-norm condition number
+    1/(|Ra|_1 |Ra^-1|_1) of Ra, with Ra^-1 from LAPACK's dtrtri;
     both are +inf when the null space is trivial. projected_pd_ok is
     min_projected_eig > pd_tolerance and ra_rcond > ra_tolerance. The
     tolerances used are recorded so the booleans can be re-derived;
@@ -182,10 +184,12 @@ def check_well_posedness(problem: IlseProblem) -> WellPosednessReport:
         is formed to about m eps whatever kappa_A is, and |W|_2 <= 1. A
         W that is not finite (A Z out of floating-point range) gives nan
         and fails;
-      - ra_rcond, LAPACK's dtrcon estimate of the reciprocal 1-norm
-        condition number of Ra, > ra_tolerance = m eps. That is the
-        numerical-rank test of the m x (n-s) A Z, with a constant of
-        order its dimension.
+      - ra_rcond, the reciprocal 1-norm condition number
+        1/(|Ra|_1 |Ra^-1|_1) of Ra with Ra^-1 from LAPACK's dtrtri,
+        > ra_tolerance = m eps; a zero pivot, or an inverse or a product
+        of norms that is not finite, gives 0. That is the numerical-rank
+        test of the m x (n-s) A Z, with a constant of order its
+        dimension.
     At s = 0, Z = I and A Z = A; at s = n the null space is trivial and
     min_projected_eig and ra_rcond are +inf. Always returns a report;
     nothing is raised here.
@@ -260,7 +264,10 @@ def _analyse(
         # ends in info > 0, whose w[0] is no eigenvalue.
         w, _, _, _, info = dsyevr(W, 0, "I", 0, 0.0, 1.0, 1, 1, 0.0, int(ev_lwork), ev_liwork)
         min_eig = math.nan if info else float(w[0])
-        ra_rcond = float(dtrcon(Ra)[0])
+        Ra_inv, info = dtrtri(Ra)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = float(np.abs(Ra).sum(axis=0).max() * np.abs(Ra_inv).sum(axis=0).max())
+        ra_rcond = 1.0 / norms if info == 0 and math.isfinite(norms) else 0.0
     report = WellPosednessReport(
         rank_ok=rank_ok,
         projected_pd_ok=bool(min_eig > pd_tolerance and ra_rcond > ra_tolerance),

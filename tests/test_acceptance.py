@@ -25,12 +25,11 @@ from ilse import (
     backward_error_estimate,
     least_squares_multiplier,
     minimize_estimate,
-    pinv_norm_bound,
     properties,
     solution_distance_lower_bound,
     solve_ilse,
-    stability_constant,
 )
+from ilse.backward_error import pinv_norm_bound, stability_constant
 from ilse.harness import ExperimentConfig, run_experiment
 from ilse.oracle import estimate_via_normal_equations
 

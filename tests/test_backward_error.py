@@ -19,15 +19,17 @@ from ilse import (
     backward_error_bounds,
     backward_error_estimate,
     least_squares_multiplier,
-    pinv_norm_bound,
-    rhs_vector,
     solution_distance_lower_bound,
     solve_ilse,
+)
+from ilse import backward_error as be, oracle, properties
+from ilse.backward_error import (
+    linearization_matrix,
+    pinv_norm_bound,
+    rhs_vector,
     stability_constant,
     stability_constant_lower_bound,
 )
-from ilse import backward_error as be, oracle, properties
-from ilse.backward_error import linearization_matrix
 from ilse.oracle import estimate_via_normal_equations, linearization_pinv_norm
 
 from conftest import solved_case, t1_problem

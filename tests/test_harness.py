@@ -10,7 +10,6 @@ from ilse import (
     PerturbationQuadruple,
     WeightScheme,
     apply_signature,
-    assemble_augmented,
     mu_one,
     parse_experiment_csv,
     read_problem,
@@ -23,6 +22,7 @@ from ilse import (
 from ilse import backward_error as be
 from ilse import properties
 from ilse.harness import CSV_HEADER, ExperimentConfig, ExperimentRow, format_rows, summarize_rows
+from ilse.solver import assemble_augmented
 from ilse.testgen import gen_ilse_instance
 
 from conftest import SMALL_DIMS, small_params

@@ -22,8 +22,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from ilse import WeightScheme, apply_signature, assemble_augmented, backward_error as be, properties
+from ilse import WeightScheme, apply_signature, backward_error as be, properties
 from ilse import gen_ilse_instance, solve_ilse
+from ilse.solver import assemble_augmented
 
 DIGITS = 50
 SEEDS = (0, 1, 2)

@@ -13,9 +13,7 @@ from ilse import (
     IlseError,
     IlseProblem,
     SignatureMatrix,
-    assemble_augmented,
     check_well_posedness,
-    gen_conditioned_matrix,
     gen_ilse_instance,
     gen_perturbation,
     normal_equation_residuals,
@@ -24,6 +22,8 @@ from ilse import (
 )
 from ilse import oracle, properties, solver, testgen
 from ilse.harness import residual_gamma, run_experiment
+from ilse.solver import assemble_augmented
+from ilse.testgen import gen_conditioned_matrix
 from scipy.linalg import blas, lapack
 
 from conftest import small_params
@@ -257,8 +257,9 @@ class TestAgainstReference:
         # columns; the rank of B is read from the inverse of the s x s R,
         # certified without an SVD; W comes from one dsyrk over the smaller
         # sign block of Qa (here the q = 10 rows, as I - 2 Qq^T Qq); the one
-        # spectrum computed is lambda_min of the (n-s) x (n-s) W. No
-        # scipy.linalg function runs.
+        # spectrum computed is lambda_min of the (n-s) x (n-s) W, and Ra's
+        # condition number takes its inverse from dtrtri. No scipy.linalg
+        # function runs.
         problem, _ = gen_ilse_instance(params)
         m, n, s, q = problem.m, problem.n, problem.s, problem.sig.q
         calls = []
@@ -282,7 +283,8 @@ class TestAgainstReference:
         report = check_well_posedness(dataclasses.replace(problem))
         k = n - s
         of_b = [("dgeqrt", min(32, s), (n, s)), ("dtrtri", (s, s))]
-        of_az = [("dgeqrt", min(32, k), (m, k)), ("dsyrk", -2.0, (k, q)), ("dsyevr", (k, k), 0)]
+        of_az = [("dgeqrt", min(32, k), (m, k)), ("dsyrk", -2.0, (k, q)), ("dsyevr", (k, k), 0),
+                 ("dtrtri", (k, k))]
         assert calls == {0: of_az, n: of_b}.get(s, of_b + of_az)
         assert report.well_posed
 
@@ -343,7 +345,7 @@ class TestReportMemo:
             return call
 
         routines = {name: value for name, value in vars(solver).items() if isinstance(value, fortran)}
-        assert {"dgeqrt", "dormqr", "dorgqr", "dsyrk", "dgemm", "dtrcon", "dsysv", "dtrtrs"} <= routines.keys()
+        assert {"dgeqrt", "dormqr", "dorgqr", "dsyrk", "dgemm", "dtrtri", "dsysv", "dtrtrs"} <= routines.keys()
         for name, value in routines.items():
             monkeypatch.setattr(solver, name, spy(name, value))
 
@@ -515,6 +517,32 @@ class TestNullSpaceSolve:
         assert not report.projected_pd_ok
         with pytest.raises(IllPosedProblemError, match="^problem is not well posed"):
             solve_ilse(problem)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("diagonal", [
+        pytest.param([1.0, 1e-320], id="inverse-overflows"),
+        pytest.param([1e200, 1e-200], id="norms-overflow"),
+    ])
+    def test_ra_rcond_out_of_range_is_zero(self, diagonal):
+        problem = IlseProblem(A=np.diag(diagonal), b=np.ones(2), B=np.zeros((0, 2)), d=np.zeros(0),
+                              sig=SignatureMatrix(2, 0))
+        report = check_well_posedness(problem)
+        assert report.ra_rcond == 0.0 and not report.projected_pd_ok
+
+    def test_ra_rcond_is_bitwise_reproducible(self):
+        # At k = 300, LAPACK's dtrcon estimate of the same Ra moved in its
+        # last bits from call to call, with allocations in between: two or
+        # three values in 60 such analyses.
+        rng = np.random.default_rng(0)
+        problem = IlseProblem(A=rng.standard_normal((400, 300)), b=rng.standard_normal(400),
+                              B=np.zeros((0, 300)), d=np.zeros(0), sig=SignatureMatrix(400, 0))
+        values = set()
+        for i in range(60):
+            values.add(check_well_posedness(dataclasses.replace(problem)).ra_rcond.hex())
+            allocations = [np.empty(1000 + 37 * i) for _ in range(5)]
+        assert len(values) == 1
+        R = np.linalg.qr(problem.A, mode="r")
+        assert float.fromhex(values.pop()) == pytest.approx(1.0 / np.linalg.cond(R, 1), rel=1e-12)
 
     @pytest.mark.parametrize("params, skipped", [
         pytest.param(small_params(31, s=0), "_apply_q", id="s=0"),

@@ -11,17 +11,14 @@ from ilse import (
     IlseProblem,
     SignatureMatrix,
     check_well_posedness,
-    gen_conditioned_matrix,
-    gen_geometric_diagonal,
     gen_ilse_instance,
     gen_perturbation,
-    gen_random_orthogonal,
     gen_sigma_orthogonal,
     residual_gamma,
     solve_ilse,
     testgen,
 )
-from ilse.testgen import subseed
+from ilse.testgen import gen_conditioned_matrix, gen_geometric_diagonal, gen_random_orthogonal, subseed
 
 def signature_residual(Q, p, q):
     S = np.diag(SignatureMatrix(p, q).diagonal())
